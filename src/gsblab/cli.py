@@ -252,10 +252,11 @@ def _column(selector, grid: modes.ModeSet) -> np.ndarray:
     raise ConfigError(f"unknown column selector {selector!r}")
 
 
-def execute_run(cfg: RunConfig, out_dir, selected_kinds=None, threads=None):
-    """Run the configured checks; returns (reports, sweep_payloads).
+def execute_run(cfg: RunConfig, selected_kinds=None):
+    """Run the configured checks; returns (reports, sweep_payloads, ground_state).
 
     selected_kinds filters config.checks by kind; None runs everything.
+    ground_state is None when no check needed the model's ground state.
     """
     grid = build_grid(cfg)
     solver = cfg.solver.to_solver(cfg.seed)
@@ -352,7 +353,7 @@ def execute_run(cfg: RunConfig, out_dir, selected_kinds=None, threads=None):
             sweeps.append((rows, verdict))
         else:  # pragma: no cover - schema forbids unknown kinds
             raise ConfigError(f"unknown check kind {chk.kind!r}")
-    return reports, sweeps
+    return reports, sweeps, gs
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +402,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def write_report_json(reports, sweeps, meta, path) -> None:
+def _solve_json(gs) -> dict | None:
+    """Ground-state diagnostics of the run's model, None when none was solved."""
+    if gs is None:
+        return None
+    return {
+        "energy": gs.energy, "residual": gs.residual,
+        "gap": gs.gap if math.isfinite(gs.gap) else None,
+        "near_degenerate": gs.near_degenerate, "iterations": gs.iterations,
+        "method": gs.method,
+    }
+
+
+def write_report_json(reports, sweeps, meta, path, gs=None) -> None:
     payload = {
         "metadata": meta,
+        "solve": _solve_json(gs),
         "reports": [r.to_json() for r in reports],
         "sweeps": [
             {"verdict": v.to_json(), "rows": [r.to_json() for r in rows]}
@@ -445,9 +459,9 @@ def _common_run(config, out, threads, seed, dry_run, selected=None, require_swee
         click.echo(f"dry run: resolved config written to {out_dir}")
         sys.exit(0)
     try:
-        reports, sweeps = execute_run(cfg, out_dir, selected_kinds=selected,
-                                      threads=resolved["threads"])
-    except ConfigError as exc:
+        reports, sweeps, gs = execute_run(cfg, selected_kinds=selected)
+    except (ConfigError, ValueError) as exc:
+        # ValueError covers BasisSizeError and inputs the schema cannot see
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except spectral.NonConverged as exc:
@@ -459,7 +473,7 @@ def _common_run(config, out, threads, seed, dry_run, selected=None, require_swee
     meta = {"threads": resolved["threads"], "seed": resolved["solver"]["seed"],
             "config": resolved}
     write_report_csv(reports, out_dir / "report.csv")
-    write_report_json(reports, sweeps, meta, out_dir / "report.json")
+    write_report_json(reports, sweeps, meta, out_dir / "report.json", gs)
     if sweeps:
         write_sweep_csv(sweeps, out_dir / "sweep.csv")
     for r in reports:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,38 +50,69 @@ class BasisSizeError(ValueError):
     """Raised when a requested basis would exceed the configured size guard."""
 
 
-def _compositions(total: int, m: int):
-    """Yield compositions of `total` into m parts, first part largest first."""
-    if m == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, m - 1):
-            yield (head,) + rest
-
-
 class FockBasis:
-    """Graded occupation-number basis with a tuple <-> index bijection."""
+    """Graded occupation-number basis with a closed-form tuple -> index rank.
 
-    def __init__(self, n_modes: int, n_max: int, states):
+    `occupations` holds one row per state in basis order; `states` and
+    `index` give the same data as tuples and a dict for small-scale use.
+    Annihilators are built once per mode and kept (`lowering`).
+    """
+
+    def __init__(self, n_modes: int, n_max: int, occupations):
+        """occupations: every tuple with total <= n_max, one per row, in any order."""
         self.n_modes = n_modes
         self.n_max = n_max
-        self.states = tuple(states)
-        self.index = {t: k for k, t in enumerate(self.states)}
-        self.occupations = np.array(self.states, dtype=np.int64).reshape(len(self.states), n_modes)
+        # _rank_table[k, s] = C(s + M - k - 1, M - k): tuples over the M - k
+        # modes k..M-1 with total below s.  Each entry is below the basis
+        # dimension, so int64 holds it for any basis that fits in memory.
+        self._rank_table = np.array(
+            [[math.comb(s + n_modes - k - 1, n_modes - k) for s in range(n_max + 1)]
+             for k in range(n_modes)],
+            dtype=np.int64,
+        )
+        occ = np.asarray(occupations, dtype=np.int64).reshape(-1, n_modes)
+        self.occupations = np.empty_like(occ)
+        self.occupations[self.rank(occ)] = occ
         self.totals = self.occupations.sum(axis=1)
         self.top_mask = self.totals == n_max
         self.interior_mask = self.totals <= n_max - 1
+        self._lowering: dict = {}
+
+    def rank(self, occupations) -> np.ndarray:
+        """Basis index of each occupation row (combinatorial number system).
+
+        The states before n are those of lower grade, plus, for each k >= 1,
+        those that agree with n on modes < k - 1 and put more quanta on mode
+        k - 1, hence fewer on modes >= k.  With suffix sums
+        s_k = n_k + ... + n_{M-1} that count is sum_k C(s_k + M - k - 1, M - k).
+        """
+        occ = np.asarray(occupations, dtype=np.int64)
+        suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+        return self._rank_table[np.arange(self.n_modes), suffix].sum(axis=1)
+
+    def lowering(self, i: int) -> "LinOp":
+        """a_i on this basis, built by `annihilator` on first use and kept."""
+        if i not in self._lowering:
+            self._lowering[i] = annihilator(i, self)
+        return self._lowering[i]
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @cached_property
+    def index(self) -> dict:
+        return {t: k for k, t in enumerate(self.states)}
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def vacuum_index(self) -> int:
-        return self.index[(0,) * self.n_modes]
+        return 0
 
     def __repr__(self) -> str:
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={len(self)})"
@@ -93,7 +124,10 @@ def max_states_guard(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get(MAX_DIM_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_MAX_STATES
 
 
@@ -115,10 +149,14 @@ def enumerate_basis(n_modes: int, n_max: int, max_states: int | None = None) -> 
             f"basis with {count} states exceeds the guard of {guard}; "
             f"set {MAX_DIM_ENV} or pass max_states to raise it"
         )
-    states = []
-    for grade in range(n_max + 1):
-        states.extend(_compositions(grade, n_modes))
-    basis = FockBasis(n_modes, n_max, states)
+    # grow the tuples one mode at a time; FockBasis puts them in basis order
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        choices = n_max + 1 - occ.sum(axis=1)
+        first = np.repeat(np.cumsum(choices) - choices, choices)
+        occ = np.column_stack([np.repeat(occ, choices, axis=0),
+                               np.arange(choices.sum()) - first])
+    basis = FockBasis(n_modes, n_max, occ)
     assert len(basis) == count
     return basis
 
@@ -128,16 +166,14 @@ def enumerate_basis(n_modes: int, n_max: int, max_states: int | None = None) -> 
 
 
 class LinOp:
-    """Linear operator on a fixed-dimension complex space.
+    """Linear operator on a fixed-dimension space.
 
-    Concrete storage is either a scipy sparse matrix (`mat`), a diagonal
-    (`diag`), or a pair of closures.  Operators compose with @, add, subtract
-    and scale; sparse storage is propagated through arithmetic whenever both
-    operands carry it, closures are used otherwise.
+    Storage is either a scipy sparse matrix (`mat`) or a diagonal (`diag`).
+    Operators compose with @, add, subtract and scale through their sparse
+    form; real storage stays real.
     """
 
-    def __init__(self, dim, *, mat=None, diag=None, matvec=None, rmatvec=None,
-                 hermitian=False):
+    def __init__(self, dim, *, mat=None, diag=None, hermitian=False):
         self.dim = int(dim)
         self.hermitian = bool(hermitian)
         self._diag = None if diag is None else np.asarray(diag)
@@ -146,8 +182,6 @@ class LinOp:
             if mat.shape != (self.dim, self.dim):
                 raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}")
         self.mat = mat
-        self._matvec = matvec
-        self._rmatvec = rmatvec
         self._adj_mat = None
 
     # -- construction -------------------------------------------------------
@@ -167,70 +201,50 @@ class LinOp:
     def identity(dim: int) -> "LinOp":
         return LinOp.from_diagonal(np.ones(dim))
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self._diag.dtype if self._diag is not None else self.mat.dtype
+
     # -- application --------------------------------------------------------
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         if self._diag is not None:
             return self._diag * v
-        if self.mat is not None:
-            return self.mat @ v
-        return self._matvec(v)
+        return self.mat @ v
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.hermitian or self._diag is not None and np.all(np.isreal(self._diag)):
+        if self.hermitian:
             return self.apply(v)
         if self._diag is not None:
             return np.conj(self._diag) * v
-        if self.mat is not None:
-            if self._adj_mat is None:
-                self._adj_mat = self.mat.conj().T.tocsr()
-            return self._adj_mat @ v
-        if self._rmatvec is None:
-            raise NotImplementedError("no adjoint available for this operator")
-        return self._rmatvec(v)
+        if self._adj_mat is None:
+            self._adj_mat = self.mat.conj().T.tocsr()
+        return self._adj_mat @ v
 
     def adjoint(self) -> "LinOp":
         if self.hermitian:
             return self
         if self._diag is not None:
             return LinOp.from_diagonal(np.conj(self._diag))
-        if self.mat is not None:
-            return LinOp.from_sparse(self.mat.conj().T)
-        return LinOp(self.dim, matvec=self.adjoint_apply, rmatvec=self.apply)
+        return LinOp.from_sparse(self.mat.conj().T)
 
-    def diagonal(self) -> np.ndarray | None:
-        """Main diagonal when cheaply available (sparse or diagonal storage)."""
+    def diagonal(self) -> np.ndarray:
         if self._diag is not None:
             return np.asarray(self._diag)
-        if self.mat is not None:
-            return self.mat.diagonal()
-        return None
+        return self.mat.diagonal()
 
     def to_sparse(self) -> sp.csr_matrix:
         if self.mat is not None:
             return self.mat
-        if self._diag is not None:
-            return sp.diags(self._diag).tocsr()
-        raise NotImplementedError("operator has no materialized storage")
+        return sp.diags(self._diag).tocsr()
 
     # -- arithmetic ---------------------------------------------------------
 
     def _binary(self, other, op):
         if not isinstance(other, LinOp) or other.dim != self.dim:
             return NotImplemented
-        try:
-            a, b = self.to_sparse(), other.to_sparse()
-        except NotImplementedError:
-            sa, oa = self.apply, other.apply
-            sr, orr = self.adjoint_apply, other.adjoint_apply
-            if op == "add":
-                return LinOp(self.dim, matvec=lambda v: sa(v) + oa(v),
-                             rmatvec=lambda v: sr(v) + orr(v),
-                             hermitian=self.hermitian and other.hermitian)
-            return LinOp(self.dim, matvec=lambda v: sa(v) - oa(v),
-                         rmatvec=lambda v: sr(v) - orr(v),
-                         hermitian=self.hermitian and other.hermitian)
+        a, b = self.to_sparse(), other.to_sparse()
         m = a + b if op == "add" else a - b
         return LinOp.from_sparse(m, hermitian=self.hermitian and other.hermitian)
 
@@ -243,27 +257,15 @@ class LinOp:
     def __rmul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        herm = self.hermitian and not np.iscomplexobj(np.asarray(scalar))
         if self._diag is not None:
             return LinOp.from_diagonal(scalar * self._diag)
-        if self.mat is not None:
-            return LinOp.from_sparse(scalar * self.mat, hermitian=herm)
-        return LinOp(self.dim, matvec=lambda v: scalar * self.apply(v),
-                     rmatvec=lambda v: np.conj(scalar) * self.adjoint_apply(v),
-                     hermitian=herm)
+        herm = self.hermitian and not np.iscomplexobj(np.asarray(scalar))
+        return LinOp.from_sparse(scalar * self.to_sparse(), hermitian=herm)
 
     def __matmul__(self, other):
         if not isinstance(other, LinOp) or other.dim != self.dim:
             return NotImplemented
-        try:
-            m = self.to_sparse() @ other.to_sparse()
-            return LinOp.from_sparse(m)
-        except NotImplementedError:
-            return LinOp(
-                self.dim,
-                matvec=lambda v: self.apply(other.apply(v)),
-                rmatvec=lambda v: other.adjoint_apply(self.adjoint_apply(v)),
-            )
+        return LinOp.from_sparse(self.to_sparse() @ other.to_sparse())
 
 
 class KronSumOp(LinOp):
@@ -282,18 +284,25 @@ class KronSumOp(LinOp):
         self.fock_dim = fock_dim
         self.terms = [(None if A is None else np.asarray(A), X) for A, X in terms]
 
+    @property
+    def dtype(self) -> np.dtype:
+        if self.mat is not None:
+            return self.mat.dtype
+        return np.result_type(float, *(f.dtype for term in self.terms
+                                       for f in term if f is not None))
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.mat is not None:
             return self.mat @ np.asarray(v)
         V = np.asarray(v).reshape(self.d_matter, self.fock_dim)
-        out = np.zeros_like(V, dtype=np.result_type(V.dtype, np.complex128))
+        out = np.zeros_like(V, dtype=np.result_type(V.dtype, self.dtype))
         for A, X in self.terms:
             if X is None:
                 W = V
             elif X._diag is not None:
                 W = V * X._diag[None, :]
             else:
-                W = (X.mat @ V.T).T if X.mat is not None else np.stack([X.apply(row) for row in V])
+                W = (X.mat @ V.T).T
             out += W if A is None else A @ W
         return out.reshape(-1)
 
@@ -318,22 +327,17 @@ class KronSumOp(LinOp):
         return self.mat
 
     def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
+        out = np.zeros(self.dim, dtype=self.dtype)
         for A, X in self.terms:
             da = np.ones(self.d_matter) if A is None else np.diag(A)
-            if X is None:
-                dx = np.ones(self.fock_dim)
-            else:
-                dx = X.diagonal()
-                if dx is None:
-                    raise NotImplementedError("fock factor has no cheap diagonal")
+            dx = np.ones(self.fock_dim) if X is None else X.diagonal()
             out += np.kron(da, dx)
         return out
 
     def to_sparse(self) -> sp.csr_matrix:
         if self.mat is not None:
             return self.mat
-        total = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        total = sp.csr_matrix((self.dim, self.dim), dtype=self.dtype)
         eye_d = sp.identity(self.d_matter, format="csr")
         eye_f = sp.identity(self.fock_dim, format="csr")
         for A, X in self.terms:
@@ -394,27 +398,27 @@ class StateVector:
 
 
 def annihilator(i: int, basis: FockBasis) -> LinOp:
-    """Mode annihilator a_i: |..., n_i, ...> -> sqrt(n_i) |..., n_i - 1, ...>."""
+    """Mode annihilator a_i: |..., n_i, ...> -> sqrt(n_i) |..., n_i - 1, ...>.
+
+    Builds a new matrix; `basis.lowering(i)` returns the copy kept on the
+    basis, which every operator below reuses.
+    """
     if not 0 <= i < basis.n_modes:
         raise ValueError(f"mode index {i} out of range for {basis.n_modes} modes")
-    rows, cols, vals = [], [], []
-    for t, occ in enumerate(basis.states):
-        n_i = occ[i]
-        if n_i == 0:
-            continue
-        lower = occ[:i] + (n_i - 1,) + occ[i + 1:]
-        rows.append(basis.index[lower])
-        cols.append(t)
-        vals.append(math.sqrt(n_i))
+    occ = basis.occupations
+    cols = np.flatnonzero(occ[:, i])
+    lowered = occ[cols]
+    lowered[:, i] -= 1
+    n = len(basis)
     mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=float
+        (np.sqrt(occ[cols, i]), (basis.rank(lowered), cols)), shape=(n, n), dtype=float
     )
     return LinOp.from_sparse(mat)
 
 
 def creator(i: int, basis: FockBasis) -> LinOp:
     """Truncated creator P a_i* P, the adjoint of the annihilator."""
-    return annihilator(i, basis).adjoint()
+    return basis.lowering(i).adjoint()
 
 
 def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
@@ -431,7 +435,7 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
     for i in range(grid.n_modes):
         if coeff[i] == 0:
             continue
-        total = total + coeff[i] * annihilator(i, basis).mat
+        total = total + coeff[i] * basis.lowering(i).mat
     return LinOp.from_sparse(total)
 
 

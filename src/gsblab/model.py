@@ -37,7 +37,8 @@ HERMITICITY_TOL = 1e-12
 
 
 def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m.dtype, float))  # real stays real, complex stays complex
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
@@ -50,10 +51,11 @@ def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
 class GroundState:
     """Normalized ground eigenvector with solver diagnostics.
 
-    residual is ||H v - E v||, gap the distance to the second Ritz value,
+    residual is ||H v - E v||, gap the distance to the second eigenvalue,
     w_top the truncation weight of the vector.  near_degenerate flags a gap
     small relative to the spectral width; identity checks stay well posed
-    for whichever normalized ground vector was returned.
+    for whichever normalized ground vector was returned.  iterations counts
+    operator applications and method names the solver ("dense" or "eigsh").
     """
 
     energy: float
@@ -62,6 +64,7 @@ class GroundState:
     gap: float
     near_degenerate: bool = False
     iterations: int = 0
+    method: str = ""
 
     @property
     def w_top(self) -> float:
@@ -102,7 +105,8 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int,
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
     A and every B_j must be hermitian (checked to 1e-12) and share one
-    dimension; the grid must carry one coupling column per B_j.  Operators
+    dimension; the grid must carry one coupling column per B_j.  Real A and
+    B_j give a real H, so the ground solve runs in real arithmetic.  Operators
     cache a sparse matrix when the composite dimension stays at or below
     sparse_threshold and fall back to term-wise Kronecker application above.
     """

@@ -128,9 +128,12 @@ def _scalar_report(name, lhs, rhs, w_top, tol, metadata=None,
 
 
 def _require_solved(gs: GroundState) -> None:
-    if gs.residual > GROUND_RESIDUAL_CAP:
+    # relative to the same max(1, |E|) scale the eigensolver accepts, so
+    # shifting A by a constant leaves the verdict alone
+    cap = GROUND_RESIDUAL_CAP * max(1.0, abs(gs.energy))
+    if gs.residual > cap:
         raise ValueError(
-            f"ground-state residual {gs.residual:.3e} exceeds {GROUND_RESIDUAL_CAP:.0e}; "
+            f"ground-state residual {gs.residual:.3e} exceeds {cap:.3e}; "
             "tighten the eigensolver before running identity checks"
         )
 
@@ -275,13 +278,13 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
 HIGHER_MODE_CAPS = {1: 64, 2: 8, 3: 4}
 
 
-def _falling_factorial_expectation(gs: GroundState, basis: FockBasis, n: int) -> float:
-    """<phi, prod_{j=1..n} (N - j + 1)_+ phi>, diagonal in the occupation basis."""
+def _falling_factorial_expectation(psi: StateVector, basis: FockBasis, n: int) -> float:
+    """<psi, prod_{j=1..n} (N - j + 1)_+ psi>, diagonal in the occupation basis."""
     totals = basis.totals.astype(float)
     ff = np.ones_like(totals)
     for j in range(1, n + 1):
         ff *= np.maximum(totals - j + 1, 0.0)
-    V = gs.vector.array.reshape(gs.vector.d_matter, len(basis))
+    V = psi.array.reshape(psi.d_matter, len(basis))
     return float(np.sum(ff[None, :] * np.abs(V) ** 2))
 
 
@@ -305,7 +308,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
         raise ValueError(
             f"cost guard: order {n} allows at most {HIGHER_MODE_CAPS[n]} modes, got {M}"
         )
-    lhs = _falling_factorial_expectation(gs, m.basis, n)
+    lhs = _falling_factorial_expectation(gs.vector, m.basis, n)
 
     phi = gs.vector.array
     omega = m.grid.omega
@@ -386,7 +389,7 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
     if n < 1 or n > basis.n_max:
         raise ValueError(f"order must lie in [1, n_max={basis.n_max}], got {n}")
     d = psi.d_matter
-    a_ops = [fock.fock_embed(fock.annihilator(i, basis), d) for i in range(basis.n_modes)]
+    a_ops = [fock.fock_embed(basis.lowering(i), d) for i in range(basis.n_modes)]
 
     def branch_sum(vec: np.ndarray, depth: int) -> float:
         if depth == n:
@@ -394,12 +397,7 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
         return sum(branch_sum(a.apply(vec), depth + 1) for a in a_ops)
 
     lhs = branch_sum(psi.array, 0)
-    totals = basis.totals.astype(float)
-    ff = np.ones_like(totals)
-    for j in range(1, n + 1):
-        ff *= np.maximum(totals - j + 1, 0.0)
-    V = psi.array.reshape(d, len(basis))
-    rhs = float(np.sum(ff[None, :] * np.abs(V) ** 2))
+    rhs = _falling_factorial_expectation(psi, basis, n)
     return _scalar_report("factorial_moment_decomposition", lhs, rhs, psi.w_top(), EXACT_TOL)
 
 
@@ -432,7 +430,7 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     rng = np.random.default_rng(seed)
     M = basis.n_modes
     reports = []
-    a_ops = [fock.annihilator(i, basis) for i in range(M)]
+    a_ops = [basis.lowering(i) for i in range(M)]
     c_ops = [fock.creator(i, basis) for i in range(M)]
     interior_cols = np.where(basis.interior_mask)[0]
 
@@ -530,7 +528,6 @@ class SweepTemplate:
     B: tuple
     n_max: int
     mass: float = 0.0
-    dispersion_channelwise: bool = False
 
     @staticmethod
     def van_hove(nu: int, Lambda: float, n_max: int, mass: float = 0.0) -> "SweepTemplate":

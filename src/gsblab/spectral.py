@@ -1,11 +1,12 @@
 """Ground-state eigensolver and shifted-resolvent solver.
 
 Two numerical primitives feed every identity check: the lowest eigenpair of
-a hermitian operator (Lanczos with full reorthogonalization, restarted from
-the best Ritz vector when the iteration cap splits across cycles) and the
-application of (H - E + s)^-1 for shifts s > 0 (preconditioned conjugate
-gradients on the positive definite shifted operator).  Both are
-deterministic for a fixed seed; H is never factorized, only applied.
+a hermitian operator and the application of (H - E + s)^-1 for shifts s > 0
+(preconditioned conjugate gradients on the positive definite shifted
+operator).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM and from
+ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest eigenpairs)
+above it, in real arithmetic whenever H is real.  Both are deterministic for
+a fixed seed; above the dense cut-off H is never factorized, only applied.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .fock import FockBasis, LinOp, StateVector
 from .model import GroundState, GsbModel
@@ -28,15 +29,20 @@ __all__ = [
     "batched_resolvent",
 ]
 
-# Krylov block memory budget per restart cycle, in bytes.
-_CYCLE_BYTES = 600_000_000
+# Largest dimension solved by dense eigh; covers the per-mode solves of
+# separable sweeps.
+DENSE_MAX_DIM = 128
 
 NEAR_DEGENERATE_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, iteration caps and the seed for deterministic starts."""
+    """Tolerances, iteration caps and the seed for deterministic starts.
+
+    max_lanczos caps the operator applications of one ground solve; a dense
+    solve counts as dim applications.
+    """
 
     eig_tol: float = 1e-11
     max_lanczos: int = 2000
@@ -67,122 +73,98 @@ class NonPositiveShift(ValueError):
     """The shifted system H - E + s needs s > 0 to be positive definite."""
 
 
-def _start_vector(dim: int, seed: int) -> np.ndarray:
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _start_vector(dim: int, seed: int, dtype) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = rng.standard_normal(dim)
+    if np.issubdtype(dtype, np.complexfloating):
+        v = v + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def _lanczos_cycle(H: LinOp, v0: np.ndarray, steps: int, eig_tol: float):
-    """One full-reorthogonalization Lanczos sweep from v0.
+def _dense_ground(H: LinOp, mat, cfg: SolverConfig):
+    """All eigenpairs by eigh; returns (values, ground vector, applications)."""
+    if H.dim > cfg.max_lanczos:
+        raise NonConverged(
+            f"a dense solve of dimension {H.dim} exceeds max_lanczos={cfg.max_lanczos}",
+            float("inf"),
+        )
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    return vals[:2], vecs[:, 0], H.dim
 
-    Returns (ritz_values, ground_vector, est_residual, steps_taken).
-    Reorthogonalizes against the whole block twice per step (classical
-    Gram-Schmidt, which is enough in float64) and checks the cheap residual
-    estimate |beta_k s_k| every few steps.
+
+def _eigsh_ground(H: LinOp, mat, row_sums, cfg: SolverConfig):
+    """Two lowest eigenpairs by ARPACK; returns (values, ground vector, applications).
+
+    ARPACK accepts a Ritz pair once ||r|| <= tol * |theta|, which no
+    tolerance meets for theta near 0: it then misses an eigenvalue at 0
+    altogether.  So it runs on H + shift, with low <= E <= high (Gershgorin
+    below, the smallest diagonal entry above) putting the wanted eigenvalue
+    theta in [1, 1 + high - low].  With max(1, |E|) >= max(1, low, -high),
+    the tol below keeps tol * theta <= eig_tol * max(1, |E|).
     """
-    dim = H.dim
-    steps = max(1, min(steps, dim))
-    V = np.empty((steps, dim), dtype=complex)
-    alphas = np.empty(steps)
-    betas = np.empty(max(steps - 1, 0))
-    V[0] = v0 / np.linalg.norm(v0)
-    k_used = 0
-    for k in range(steps):
-        w = H.apply(V[k])
-        a = float(np.real(np.vdot(V[k], w)))
-        alphas[k] = a
-        w = w - a * V[k]
-        if k > 0:
-            w = w - betas[k - 1] * V[k - 1]
-        # full reorthogonalization, twice
-        block = V[: k + 1]
-        w = w - block.T @ (block.conj() @ w)
-        w = w - block.T @ (block.conj() @ w)
-        k_used = k + 1
-        b = float(np.linalg.norm(w))
-        converged_estimate = False
-        if k + 1 < steps:
-            if b < 1e-14 * max(1.0, abs(a)):
-                break
-            betas[k] = b
-            V[k + 1] = w / b
-            if (k + 1) % 8 == 0:
-                vals, vecs = eigh_tridiagonal(alphas[: k + 1], betas[:k])
-                if b * abs(vecs[-1, 0]) <= 0.1 * eig_tol * max(1.0, abs(vals[0])):
-                    converged_estimate = True
-        if converged_estimate:
-            break
-    vals, vecs = eigh_tridiagonal(alphas[:k_used], betas[: k_used - 1])
-    ground = V[:k_used].T @ vecs[:, 0]
-    ground = ground / np.linalg.norm(ground)
-    return vals, ground, k_used
+    diag = mat.diagonal().real
+    low = float(np.min(diag + np.abs(diag) - row_sums))
+    high = float(diag.min())
+    shift = 1.0 - low
+    tol = cfg.eig_tol * max(1.0, low, -high) / (1.0 + high - low)
+    applied = 0
 
+    def matvec(v):
+        nonlocal applied
+        if applied >= cfg.max_lanczos:
+            raise _BudgetExhausted
+        applied += 1
+        return H.apply(v) + shift * v
 
-def _lanczos_ground(H: LinOp, cfg: SolverConfig):
-    """Restarted Lanczos; returns (E, vector, residual, gap, iterations, width)."""
-    dim = H.dim
-    if dim == 1:
-        v = np.ones(1, dtype=complex)
-        e = float(np.real(np.vdot(v, H.apply(v))))
-        return e, v, 0.0, float("nan"), 1, 0.0
-    per_cycle = max(20, min(cfg.max_lanczos, _CYCLE_BYTES // (16 * dim)))
-    v0 = _start_vector(dim, cfg.seed)
-    budget = cfg.max_lanczos
-    best = None
-    gap = float("nan")
-    width = 0.0
-    total_steps = 0
-    cycle = 0
-    while budget > 0:
-        requested = min(per_cycle, budget)
-        vals, ground, used = _lanczos_cycle(H, v0, requested, cfg.eig_tol)
-        budget -= used
-        total_steps += used
-        cycle += 1
-        hv = H.apply(ground)
-        energy = float(np.real(np.vdot(ground, hv)))
-        residual = float(np.linalg.norm(hv - energy * ground))
-        if len(vals) > 1:
-            gap = float(vals[1] - vals[0])
-            width = float(vals[-1] - vals[0])
-        if best is None or residual < best[2]:
-            best = (energy, ground, residual, gap, width)
-        if residual <= cfg.eig_tol * max(1.0, abs(energy)):
-            return energy, ground, residual, gap, total_steps, width
-        v0 = ground
-        if used < requested:
-            # breakdown before convergence: the Krylov space went invariant,
-            # so stir in a fresh direction to escape it
-            noise = _start_vector(dim, cfg.seed + cycle)
-            v0 = ground + 0.1 * noise
-            v0 = v0 / np.linalg.norm(v0)
-    if best is not None and best[2] <= cfg.eig_tol * max(1.0, abs(best[0])):
-        e, g, r, gp, w = best
-        return e, g, r, gp, total_steps, w
-    raise NonConverged(
-        f"Lanczos did not reach eig_tol={cfg.eig_tol} within {cfg.max_lanczos} steps",
-        best[2] if best is not None else float("inf"),
-    )
+    op = LinearOperator((H.dim, H.dim), matvec=matvec, dtype=H.dtype)
+    try:
+        vals, vecs = eigsh(op, k=2, which="SA", tol=tol,
+                           v0=_start_vector(H.dim, cfg.seed, H.dtype))
+    except _BudgetExhausted:
+        raise NonConverged(
+            f"eigsh did not reach eig_tol={cfg.eig_tol} within "
+            f"{cfg.max_lanczos} operator applications", float("inf")) from None
+    except ArpackError as exc:
+        raise NonConverged(f"eigsh failed: {exc}", float("inf")) from exc
+    order = np.argsort(vals)
+    return vals[order] - shift, vecs[:, order[0]], applied
 
 
 def ground_state(H: LinOp, cfg: SolverConfig, d_matter: int = 1,
                  basis: FockBasis | None = None) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
+    Dense eigh up to DENSE_MAX_DIM, scipy eigsh above, in H's own dtype.
     Returns a normalized GroundState with the explicit residual
-    ||H v - E v|| <= eig_tol * max(1, |E|), a gap estimate from the second
-    Ritz value, and a near-degeneracy flag when the gap is tiny relative to
-    the spectral width.  Deterministic for a fixed cfg.seed.
+    ||H v - E v|| <= eig_tol * max(1, |E|), the gap to the second
+    eigenvalue, and a near-degeneracy flag when the gap is tiny relative to
+    the spectral width (the largest absolute row sum of H).  Deterministic
+    for a fixed cfg.seed.
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
-    energy, vec, residual, gap, iters, width = _lanczos_ground(H, cfg)
-    near = bool(np.isfinite(gap) and gap <= NEAR_DEGENERATE_FACTOR * max(width, abs(energy), 1e-300))
-    sv = StateVector(vec, d_matter, basis)
+    mat = H.to_sparse()
+    row_sums = np.asarray(abs(mat).sum(axis=1)).ravel()
+    if H.dim <= DENSE_MAX_DIM:
+        method, (vals, vec, applied) = "dense", _dense_ground(H, mat, cfg)
+    else:
+        method, (vals, vec, applied) = "eigsh", _eigsh_ground(H, mat, row_sums, cfg)
+    vec = vec / np.linalg.norm(vec)
+    hv = H.apply(vec)
+    energy = float(np.real(np.vdot(vec, hv)))
+    residual = float(np.linalg.norm(hv - energy * vec))
+    if residual > cfg.eig_tol * max(1.0, abs(energy)):
+        raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
+    gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("nan")
+    near = bool(np.isfinite(gap)
+                and gap <= NEAR_DEGENERATE_FACTOR * max(row_sums.max(), abs(energy), 1e-300))
     return GroundState(
-        energy=energy, vector=sv, residual=residual, gap=gap,
-        near_degenerate=near, iterations=iters,
+        energy=energy, vector=StateVector(vec, d_matter, basis), residual=residual,
+        gap=gap, near_degenerate=near, iterations=applied, method=method,
     )
 
 
@@ -206,19 +188,16 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
     if bnorm == 0.0:
         return np.zeros_like(v), 0, 0.0
     shift = s - E
-    diag = H.diagonal()
-    inv_pre = None
-    if diag is not None:
-        pre = np.real(diag) + shift
-        # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
-        inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
+    # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
+    pre = np.real(H.diagonal()) + shift
+    inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
 
     def apply_shifted(x):
         return H.apply(x) + shift * x
 
     x = np.zeros_like(v) if x0 is None else np.asarray(x0, dtype=complex).copy()
     r = v - apply_shifted(x) if x0 is not None else v.copy()
-    z = r * inv_pre if inv_pre is not None else r
+    z = r * inv_pre
     p = z.copy()
     rz = np.real(np.vdot(r, z))
     tol_abs = cfg.cg_tol * bnorm
@@ -238,7 +217,7 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
         x = x + a * p
         r = r - a * hp
         rnorm = float(np.linalg.norm(r))
-        z = r * inv_pre if inv_pre is not None else r
+        z = r * inv_pre
         rz_new = np.real(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -246,13 +225,11 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
     return x, it, rnorm / bnorm
 
 
-def batched_resolvent(H: LinOp, E: float, shifts, vectors, cfg: SolverConfig,
-                      parallel: bool = False):
+def batched_resolvent(H: LinOp, E: float, shifts, vectors, cfg: SolverConfig):
     """Element-wise resolvent solves; order of results matches the inputs.
 
-    Kept sequential regardless of the parallel flag so results are
-    bit-reproducible; each solve is independent and failures propagate with
-    their batch index attached.
+    Sequential, so results are bit-reproducible; each solve is independent
+    and failures propagate with their batch index attached.
     """
     shifts = list(shifts)
     vectors = list(vectors)

@@ -36,6 +36,35 @@ def dense_annihilator(i, states):
     return mat
 
 
+def graded_states(n_modes, n_max):
+    """dense_basis by recursive compositions, for sizes itertools.product cannot reach."""
+    def compositions(total, m):
+        if m == 1:
+            yield (total,)
+            return
+        for head in range(total, -1, -1):
+            for rest in compositions(total - head, m - 1):
+                yield (head,) + rest
+
+    return [t for g in range(n_max + 1) for t in compositions(g, n_modes)]
+
+
+def loop_annihilator(i, states):
+    """a_i as a scipy CSR matrix, one state at a time through a tuple index."""
+    import scipy.sparse as sp
+
+    index = {t: k for k, t in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for col, t in enumerate(states):
+        if t[i] == 0:
+            continue
+        rows.append(index[t[:i] + (t[i] - 1,) + t[i + 1:]])
+        cols.append(col)
+        vals.append(math.sqrt(t[i]))
+    dim = len(states)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=float)
+
+
 def dense_creator(i, states):
     return dense_annihilator(i, states).T
 

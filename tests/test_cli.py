@@ -356,3 +356,85 @@ class TestDimGuard:
         path = write_config(tmp_path, cfg)
         result = run_cli(["run", "--config", str(path)])
         assert result.exit_code != 0
+
+
+def custom_shifted_config(out):
+    """Spin-boson shifted by 1000: A = diag(1000, 1001), B = [sigma_x]."""
+    cfg = base_config(output=str(out), alpha=0.3, checks=[
+        {"kind": "pullthrough", "f": "coupling"},
+        {"kind": "moment", "G": "ones"},
+    ])
+    cfg["model"] = {"preset": "gsb_custom", "A": [[1000.0, 0.0], [0.0, 1001.0]],
+                    "B": [[[0.0, 1.0], [1.0, 0.0]]]}
+    cfg["grid"]["n_shells"] = 2
+    return cfg
+
+
+class TestFailureExits:
+    def assert_one_line_error(self, result):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "Traceback" not in result.output
+
+    def test_basis_size_guard_is_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GSB_MAX_DIM", "10")
+        cfg = base_config(output=str(tmp_path / "out"), n_max=20)
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert "GSB_MAX_DIM" in result.output
+
+    def test_malformed_max_dim_is_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GSB_MAX_DIM", "lots")
+        cfg = base_config(output=str(tmp_path / "out"))
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+
+    def test_value_error_is_two(self, tmp_path):
+        # an explicit negative moment weight passes the schema, then the check rejects it
+        cfg = base_config(output=str(tmp_path / "out"),
+                          checks=[{"kind": "moment", "G": [-1.0]}])
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert "G must be entrywise >= 0" in result.output
+
+    def test_shifted_matter_energy_passes(self, tmp_path):
+        path = write_config(tmp_path, custom_shifted_config(tmp_path / "out"))
+        result = run_cli(["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+
+
+class TestSolveBlock:
+    def test_report_json_solve_block(self, tmp_path):
+        blocks = []
+        for tag in ("x", "y"):
+            out = tmp_path / tag
+            path = write_config(tmp_path, base_config(output=str(out)), name=f"{tag}.json")
+            assert run_cli(["run", "--config", str(path)]).exit_code == 0
+            blocks.append(json.loads((out / "report.json").read_text())["solve"])
+        solve = blocks[0]
+        assert set(solve) == {"energy", "residual", "gap", "near_degenerate",
+                              "iterations", "method"}
+        # one mode with n_max = 8: dimension 9, solved dense
+        assert (solve["method"], solve["iterations"]) == ("dense", 9)
+        assert solve["residual"] <= 1e-11 * max(1.0, abs(solve["energy"]))
+        assert solve["gap"] > 0 and solve["near_degenerate"] is False
+        assert blocks[0] == blocks[1]
+
+    def test_solve_block_records_eigsh(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = custom_shifted_config(out)
+        cfg["n_max"] = 12  # dimension 182, above the dense cut-off
+        path = write_config(tmp_path, cfg)
+        assert run_cli(["run", "--config", str(path)]).exit_code == 0
+        solve = json.loads((out / "report.json").read_text())["solve"]
+        assert solve["method"] == "eigsh" and solve["iterations"] > 2
+        assert solve["energy"] == pytest.approx(1000.0, abs=1.0)
+
+    def test_sweep_has_no_solve_block(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(output=str(out), checks=[
+            {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2, "n_max": 8}])
+        assert run_cli(["sweep", "--config", str(write_config(tmp_path, cfg))]).exit_code == 0
+        assert json.loads((out / "report.json").read_text())["solve"] is None

@@ -318,3 +318,52 @@ class TestStateVector:
         basis = enumerate_basis(1, 1)
         v = StateVector(np.array([2.0, 0.0]), d_matter=1, basis=basis)
         assert v.normalized().norm() == pytest.approx(1.0)
+
+
+class TestClosedFormRank:
+    # (80, 2): a mixed-radix key 3^80 would overflow int64, the rank stays below dim
+    SIZES = [(1, 12), (4, 6), (12, 7), (80, 2)]
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_enumeration_matches_recursive_compositions(self, m, n):
+        basis = enumerate_basis(m, n)
+        assert list(basis.states) == oracle.graded_states(m, n)
+        np.testing.assert_array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_annihilator_equals_loop_reference(self, m, n):
+        basis = enumerate_basis(m, n)
+        states = list(basis.states)
+        for i in range(m):
+            got = annihilator(i, basis).mat
+            want = oracle.loop_annihilator(i, states)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_repeated_use_builds_each_mode_once(self, monkeypatch):
+        from gsblab import fock, regularity
+
+        built = []
+        real = fock.annihilator
+
+        def counting(i, basis):
+            built.append(i)
+            return real(i, basis)
+
+        monkeypatch.setattr(fock, "annihilator", counting)
+        grid = small_grid(3)
+        basis = enumerate_basis(3, 3)
+        rng = np.random.default_rng(0)
+        psi = StateVector(rng.standard_normal(basis.dim), 1, basis).normalized()
+        for _ in range(3):
+            smeared_annihilator(rng.standard_normal(3), grid, basis)
+            field_operator(grid.channel(0), grid, basis)
+            for i in range(3):
+                creator(i, basis)
+            regularity.number_decomposition(psi, rng.standard_normal(3), basis, grid)
+            regularity.factorial_moment_decomposition(psi, 2, basis)
+            regularity.ccr_and_bound_suite(basis, grid, n_draws=2)
+        assert sorted(built) == [0, 1, 2]
+        assert basis.lowering(1) is basis.lowering(1)

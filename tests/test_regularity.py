@@ -477,3 +477,34 @@ class TestIrSweep:
             ir_sweep(fam, tmpl, [0.1], 4, 0.5, CFG)
         with pytest.raises(ValueError):
             ir_sweep(fam, tmpl, [0.1, 0.2], 4, 0.5, CFG)
+
+
+class TestScaleInvariance:
+    def test_residual_cap_scales_with_energy(self):
+        from gsblab.model import GroundState
+        from gsblab.regularity import _require_solved
+
+        m = spin_boson(n_modes=1, n_max=4)
+        vec = StateVector(np.eye(m.dim)[0], m.d_matter, m.basis)
+        _require_solved(GroundState(energy=1000.0, vector=vec, residual=5e-10, gap=1.0))
+        with pytest.raises(ValueError):
+            _require_solved(GroundState(energy=0.5, vector=vec, residual=5e-10, gap=1.0))
+
+    @pytest.mark.parametrize("c", [-1000.0, 1000.0])
+    def test_shift_of_matter_energy(self, c):
+        # A -> A + c 1 moves E by c and leaves every identity row alone
+        grid = build_radial_grid(3, 0.3, 1.5, 2)
+        fam = hard_family(rho0=0.8, p=1.0)
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        A, B = preset_spin_boson(1.0)
+        base = assemble(A, B, grid, 0.3, 12)
+        shifted = assemble(A + c * np.eye(2), B, grid, 0.3, 12)
+        g0, g1 = solve_model(base, CFG), solve_model(shifted, CFG)
+        assert g0.method == g1.method == "eigsh"
+        assert g1.energy == pytest.approx(g0.energy + c, abs=1e-10 * abs(c))
+        f = np.asarray(grid.channel(0))
+        for check, arg in ((pullthrough_check, f), (moment_identity, np.ones(2))):
+            r0, r1 = check(base, g0, arg, CFG), check(shifted, g1, arg, CFG)
+            assert r0.passed and r1.passed
+            assert r1.rhs == pytest.approx(r0.rhs, rel=1e-8)
+            assert r1.w_top == pytest.approx(r0.w_top, rel=1e-6, abs=1e-15)

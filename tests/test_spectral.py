@@ -1,4 +1,4 @@
-"""Lanczos ground states and conjugate-gradient resolvent solves."""
+"""Dense/eigsh ground states and conjugate-gradient resolvent solves."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from gsblab import (
     resolvent_apply,
     solve_model,
 )
+from gsblab.spectral import DENSE_MAX_DIM
 import scipy.sparse as sp
 
 import oracle
@@ -77,8 +78,7 @@ class TestGroundState:
         assert not gs.near_degenerate
 
     def test_near_degenerate_flagged(self):
-        # the estimated gap, not true multiplicity, drives the flag: single
-        # vector Lanczos cannot see an exactly repeated eigenvalue
+        # the computed gap, measured against the spectral width, drives the flag
         H = LinOp.from_diagonal(np.array([0.0, 1e-12, 1.0]))
         gs = ground_state(H, CFG)
         assert gs.near_degenerate
@@ -230,3 +230,61 @@ class TestSolverConfig:
             SolverConfig(eig_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_max=0)
+
+
+class TestEigshPath:
+    def test_complex_hermitian_sparse_above_dense_cutoff(self):
+        dim = DENSE_MAX_DIM + 172
+        rng = np.random.default_rng(21)
+        raw = sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
+        raw = raw + 1j * sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
+        mat = (raw + raw.conj().T) / 2.0 + sp.diags(np.arange(dim) / dim)
+        gs = ground_state(LinOp.from_sparse(mat, hermitian=True), CFG)
+        E_ref, vec_ref = oracle.dense_ground_state(mat.toarray())
+        vals = np.linalg.eigvalsh(mat.toarray())
+        assert gs.method == "eigsh"
+        assert np.iscomplexobj(gs.vector.amplitudes)
+        assert gs.energy == pytest.approx(E_ref, abs=1e-10 * max(1.0, abs(E_ref)))
+        assert gs.gap == pytest.approx(vals[1] - vals[0], rel=1e-6)
+        assert abs(np.vdot(vec_ref, gs.vector.amplitudes)) == pytest.approx(1.0, abs=1e-7)
+
+    def test_real_and_complex_dtype_agree(self):
+        grid = build_radial_grid(3, 0.3, 1.5, 3)
+        fam = CouplingFamily(rho0=0.8, p=1.0, uv=10.0, profile="hard-cutoff")
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        A, B = preset_spin_boson(1.0)
+        real = assemble(A, B, grid, 0.4, 6)
+        cplx = assemble(A.astype(complex), [b.astype(complex) for b in B], grid, 0.4, 6)
+        assert real.H.mat.dtype == np.float64 and cplx.H.mat.dtype == np.complex128
+        g_r, g_c = solve_model(real, CFG), solve_model(cplx, CFG)
+        assert g_r.method == g_c.method == "eigsh"
+        assert g_c.energy == pytest.approx(g_r.energy, abs=1e-10 * max(1.0, abs(g_r.energy)))
+        overlap = abs(np.vdot(g_r.vector.amplitudes, g_c.vector.amplitudes))
+        assert overlap == pytest.approx(1.0, abs=1e-9)
+
+    def test_iterations_count_operator_applications(self):
+        m = spin_boson_model(n_modes=3, n_max=6)
+        calls = []
+        apply = m.H.apply
+        m.H.apply = lambda v: calls.append(1) or apply(v)
+        gs = solve_model(m, CFG)
+        assert gs.method == "eigsh"
+        # every application but the final residual check is eigsh's
+        assert gs.iterations == len(calls) - 1 > 2
+
+    def test_zero_ground_energy_found(self):
+        # a relative Ritz test never accepts theta = 0; the solver must not skip it
+        H = LinOp.from_diagonal(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172))
+        gs = ground_state(H, CFG)
+        assert gs.method == "eigsh"
+        assert gs.energy == pytest.approx(0.0, abs=1e-12)
+        assert gs.gap == pytest.approx(5.0 / (DENSE_MAX_DIM + 171), rel=1e-8)
+
+    def test_dense_path_counts_dimension(self):
+        gs = ground_state(LinOp.from_diagonal(np.array([3.0, 1.0, 2.0])), CFG)
+        assert (gs.method, gs.iterations, gs.energy, gs.gap) == ("dense", 3, 1.0, 1.0)
+
+    def test_eigsh_budget_exhausted_raises(self):
+        m = spin_boson_model(n_modes=3, n_max=6)
+        with pytest.raises(NonConverged):
+            solve_model(m, SolverConfig(max_lanczos=5))
