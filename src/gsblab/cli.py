@@ -339,6 +339,15 @@ def execute_run(cfg: RunConfig, selected_kinds=None):
                 verdict.analytic_ir_class
             )
             agreed = expected is None or verdict.kind == expected
+            # every row must keep <N> >= the projection bound, with the
+            # tolerance absence_lower_bound applies; truncation breaks it
+            violations = [
+                max(r.absence_bound - r.expectation_N, 0.0)
+                / max(abs(r.expectation_N), abs(r.absence_bound), 1.0)
+                for r in rows
+            ]
+            worst = int(np.argmax(violations))
+            bound_held = violations[worst] <= regularity.ABSENCE_TOL
             last = rows[-1]
             reports.append(regularity.RegularityReport(
                 check_name="ir_sweep_verdict",
@@ -346,8 +355,10 @@ def execute_run(cfg: RunConfig, selected_kinds=None):
                 abs_err=abs(last.expectation_N - last.absence_bound),
                 rel_err=abs(last.expectation_N - last.absence_bound)
                 / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
-                w_top=last.max_w_top, tol_used=chk.ctol, passed=bool(agreed),
+                w_top=last.max_w_top, tol_used=chk.ctol, passed=agreed and bound_held,
                 metadata={"verdict": verdict.to_json(),
+                          "worst_bound_violation": violations[worst],
+                          "worst_bound_sigma": rows[worst].sigma,
                           "rows": [r.to_json() for r in rows]},
             ))
             sweeps.append((rows, verdict))
@@ -539,9 +550,18 @@ def dump(what, config, out):
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    try:
+        grid = build_grid(cfg)
+        if what == "basis":
+            basis = fock.enumerate_basis(grid.n_modes, cfg.n_max)
+        elif what == "operator":
+            gsb = build_model(cfg, grid)
+    except ValueError as exc:
+        # BasisSizeError, a malformed GSB_MAX_DIM, inputs the schema cannot see
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     out_dir = Path(out or cfg.output or "gsblab_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(cfg)
     if what == "grid":
         path = out_dir / "grid.csv"
         with open(path, "w", newline="") as fh:
@@ -555,7 +575,6 @@ def dump(what, config, out):
                             for v in row])
         click.echo(f"wrote {path}")
     elif what == "basis":
-        basis = fock.enumerate_basis(grid.n_modes, cfg.n_max)
         path = out_dir / "basis.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -564,7 +583,6 @@ def dump(what, config, out):
                 w.writerow([t, *occ, sum(occ)])
         click.echo(f"wrote {path} ({len(basis)} states)")
     else:
-        gsb = build_model(cfg, grid)
         path = out_dir / "hamiltonian.mtx"
         fock.write_matrix_market(gsb.H, path)
         click.echo(f"wrote {path}")

@@ -145,31 +145,24 @@ class ModeSet:
             families=self.families + (family,),
         )
 
-    def restrict(self, i: int) -> "ModeSet":
-        """Single-mode slice, used by separable solvers."""
-        sl = slice(i, i + 1)
+    def _slice(self, sl: slice) -> "ModeSet":
         return replace(
             self,
             points=self.points[sl],
             weights=self.weights[sl],
             omega=self.omega[sl],
             couplings=tuple(c[sl] for c in self.couplings),
-            families=self.families,
         )
+
+    def restrict(self, i: int) -> "ModeSet":
+        """Single-mode slice: mode i alone, with its coupling entries."""
+        return self._slice(slice(i, i + 1))
 
     def head(self, k: int) -> "ModeSet":
         """First k modes, used to run exactness suites on small subspaces."""
         if not 1 <= k <= self.n_modes:
             raise ValueError(f"k must lie in [1, {self.n_modes}], got {k}")
-        sl = slice(0, k)
-        return replace(
-            self,
-            points=self.points[sl],
-            weights=self.weights[sl],
-            omega=self.omega[sl],
-            couplings=tuple(c[sl] for c in self.couplings),
-            families=self.families,
-        )
+        return self._slice(slice(0, k))
 
 
 def build_radial_grid(

@@ -7,6 +7,8 @@ operator).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM and from
 ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest eigenpairs)
 above it, in real arithmetic whenever H is real.  Both are deterministic for
 a fixed seed; above the dense cut-off H is never factorized, only applied.
+A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
+separable infrared sweep) is solved by one batched eigh.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ __all__ = [
     "NonPositiveShift",
     "ground_state",
     "solve_model",
+    "stacked_ground_states",
     "resolvent_apply",
     "batched_resolvent",
 ]
 
-# Largest dimension solved by dense eigh; covers the per-mode solves of
-# separable sweeps.
+# Largest dimension ground_state solves by dense eigh.  The single-mode
+# stacks of separable sweeps always go through stacked_ground_states instead.
 DENSE_MAX_DIM = 128
 
 NEAR_DEGENERATE_FACTOR = 1e-8
@@ -85,13 +88,18 @@ def _start_vector(dim: int, seed: int, dtype) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_ground(H: LinOp, mat, cfg: SolverConfig):
-    """All eigenpairs by eigh; returns (values, ground vector, applications)."""
-    if H.dim > cfg.max_lanczos:
+def _check_dense_budget(dim: int, cfg: SolverConfig) -> None:
+    # a dense solve counts as dim operator applications
+    if dim > cfg.max_lanczos:
         raise NonConverged(
-            f"a dense solve of dimension {H.dim} exceeds max_lanczos={cfg.max_lanczos}",
+            f"a dense solve of dimension {dim} exceeds max_lanczos={cfg.max_lanczos}",
             float("inf"),
         )
+
+
+def _dense_ground(H: LinOp, mat, cfg: SolverConfig):
+    """All eigenpairs by eigh; returns (values, ground vector, applications)."""
+    _check_dense_budget(H.dim, cfg)
     vals, vecs = np.linalg.eigh(mat.toarray())
     return vals[:2], vecs[:, 0], H.dim
 
@@ -171,6 +179,30 @@ def ground_state(H: LinOp, cfg: SolverConfig, d_matter: int = 1,
 def solve_model(model: GsbModel, cfg: SolverConfig) -> GroundState:
     """Ground state of an assembled model, with the composite layout attached."""
     return ground_state(model.H, cfg, d_matter=model.d_matter, basis=model.basis)
+
+
+def stacked_ground_states(H, cfg: SolverConfig):
+    """Lowest eigenpair of every matrix in a (k, n, n) stack of hermitian matrices.
+
+    One batched dense eigh, followed by the checks ground_state makes on each
+    matrix: n > max_lanczos raises NonConverged, and so does any residual
+    ||H v - E v|| above eig_tol * max(1, |E|).  E is the Rayleigh quotient
+    of the normalized vector.  Returns (energies of shape (k,), vectors of
+    shape (k, n)).  The stack is held densely: k n^2 entries.
+    """
+    H = np.asarray(H)
+    _check_dense_budget(H.shape[-1], cfg)
+    vecs = np.linalg.eigh(H)[1][:, :, 0]
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    hv = np.einsum("kij,kj->ki", H, vecs)
+    energies = np.einsum("ki,ki->k", vecs.conj(), hv).real
+    residuals = np.linalg.norm(hv - energies[:, None] * vecs, axis=1)
+    excess = residuals / (cfg.eig_tol * np.maximum(1.0, np.abs(energies)))
+    worst = int(np.argmax(excess))
+    if excess[worst] > 1.0:
+        raise NonConverged(f"dense stack missed eig_tol={cfg.eig_tol} on matrix {worst}",
+                           float(residuals[worst]))
+    return energies, vecs
 
 
 def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,

@@ -156,6 +156,29 @@ class TestExitCodes:
         result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 3
 
+    def test_sweep_solver_failure_is_three(self, tmp_path):
+        # each stacked single-mode solve counts 13 applications, above the cap
+        cfg = json.loads((EXAMPLES / "ir_sweep_nu3_p1.json").read_text())
+        cfg["solver"] = {"max_lanczos": 5}
+        result = run_cli(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "max_lanczos=5" in result.output
+
+    def test_truncated_sweep_fails_projection_bound(self, tmp_path):
+        # nu = 1, p = 0 at alpha = 0.5 and n_max = 12: the verdict class is
+        # right, but at sigma = 1e-6 <N> is far below the closed-form bound
+        cfg = json.loads((EXAMPLES / "ir_sweep_nu1_p1.json").read_text())
+        cfg["coupling"][0]["p"] = 0.0
+        out = tmp_path / "out"
+        result = run_cli(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())["reports"][0]
+        assert report["metadata"]["verdict"]["kind"] == "diverging"
+        assert report["metadata"]["worst_bound_violation"] == pytest.approx(1.0, abs=1e-6)
+        assert report["metadata"]["worst_bound_sigma"] == 1e-6
+
     def test_sweep_without_sweep_check_is_two(self, tmp_path):
         path = write_config(tmp_path, base_config(output=str(tmp_path / "out")))
         result = run_cli(["sweep", "--config", str(path)])
@@ -252,7 +275,10 @@ class TestArtifacts:
         )
         path = write_config(tmp_path, cfg)
         result = run_cli(["sweep", "--config", str(path)])
-        assert result.exit_code == 0
+        # n_max = 8 truncates this alpha = 1 sweep (w_top 0.07 at sigma 0.1),
+        # so <N> falls below the projection bound and the verdict fails;
+        # the artifacts are written all the same
+        assert result.exit_code == 1
         with open(out / "sweep.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:5] == ["sigma", "n_shells", "E", "expectation_N",
@@ -399,6 +425,32 @@ class TestFailureExits:
         self.assert_one_line_error(result)
         assert "G must be entrywise >= 0" in result.output
 
+    @pytest.mark.parametrize("what", ["basis", "operator"])
+    def test_dump_basis_size_guard_is_two(self, tmp_path, what):
+        # spin-boson on 4 shells with n_max = 60 has 635,376 Fock states
+        cfg = base_config(output=str(tmp_path / "out"), n_max=60)
+        cfg["model"] = {"preset": "spin_boson_2level"}
+        cfg["grid"]["n_shells"] = 4
+        result = run_cli(["dump", what, "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert "635376 states" in result.output
+
+    @pytest.mark.parametrize("what", ["basis", "operator"])
+    def test_dump_malformed_max_dim_is_two(self, tmp_path, monkeypatch, what):
+        monkeypatch.setenv("GSB_MAX_DIM", "lots")
+        cfg = base_config(output=str(tmp_path / "out"))
+        result = run_cli(["dump", what, "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert "GSB_MAX_DIM" in result.output
+
+    def test_sweep_basis_size_guard_is_two(self, tmp_path, monkeypatch):
+        # the single-mode basis of an n_max = 12 sweep has 13 states
+        monkeypatch.setenv("GSB_MAX_DIM", "10")
+        result = run_cli(["sweep", "--config", str(EXAMPLES / "ir_sweep_nu3_p1.json"),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert "GSB_MAX_DIM" in result.output
+
     def test_shifted_matter_energy_passes(self, tmp_path):
         path = write_config(tmp_path, custom_shifted_config(tmp_path / "out"))
         result = run_cli(["run", "--config", str(path)])
@@ -436,5 +488,6 @@ class TestSolveBlock:
         out = tmp_path / "out"
         cfg = base_config(output=str(out), checks=[
             {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2, "n_max": 8}])
-        assert run_cli(["sweep", "--config", str(write_config(tmp_path, cfg))]).exit_code == 0
+        # truncated like test_sweep_csv_written, so the verdict fails
+        assert run_cli(["sweep", "--config", str(write_config(tmp_path, cfg))]).exit_code == 1
         assert json.loads((out / "report.json").read_text())["solve"] is None

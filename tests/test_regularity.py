@@ -8,6 +8,7 @@ import pytest
 
 from gsblab import (
     CouplingFamily,
+    NonConverged,
     SolverConfig,
     StateVector,
     SweepTemplate,
@@ -30,6 +31,7 @@ from gsblab import (
     t_operator,
     van_hove_oracle,
 )
+from gsblab import regularity
 
 import oracle
 
@@ -438,8 +440,10 @@ class TestIrSweep:
             grid = build_radial_grid(3, s, 1.0, row.n_shells, rule="log-midpoint")
             grid = grid.with_coupling(eval_coupling(fam, grid), fam)
             vh = van_hove_oracle(grid, 0.5)
-            assert row.E == pytest.approx(vh.E_exact, rel=1e-9)
-            assert row.expectation_N == pytest.approx(vh.N_exact, rel=1e-9)
+            assert row.E == pytest.approx(vh.E_exact, rel=1e-12)
+            assert row.expectation_N == pytest.approx(vh.N_exact, rel=1e-12)
+            # scalar matter makes the projection bound an equality
+            assert row.absence_bound == pytest.approx(vh.N_exact, rel=1e-12)
 
     def test_separable_matches_full_solve(self):
         # scalar matter factorizes; the per-mode path must agree with the
@@ -459,6 +463,56 @@ class TestIrSweep:
             n_val = float(np.real(np.vdot(gs.vector.amplitudes,
                                           n_op.apply(gs.vector.amplitudes))))
             assert row.expectation_N == pytest.approx(n_val, abs=1e-7)
+
+    @pytest.mark.parametrize("nu,p", [(3, 0.0), (1, 0.0)])
+    def test_stacked_matches_per_mode_solves(self, nu, p):
+        # 48 modes at n_max = 12; nu = 1, p = 0 truncates (w_top up to 0.08),
+        # so agreement does not rest on the closed form
+        alpha, n_max = 0.5, 12
+        fam = hard_family(p=p)
+        grid = build_radial_grid(nu, 1e-3, 1.0, 48, rule="log-midpoint")
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        ops = regularity._single_mode_operators(n_max)
+        stacked = regularity._single_mode_ground_states(grid, 1.0, alpha, ops, CFG)
+        A, B = preset_van_hove()
+        for i in range(grid.n_modes):
+            # the per-mode path the stacked solve replaced, kept as an oracle
+            sub = grid.restrict(i)
+            m = assemble(A, B, sub, alpha, n_max)
+            gs = solve_model(m, CFG)
+            phi = gs.vector.array
+            n_val = float(np.real(np.vdot(phi, dgamma(np.ones(1), m.basis).apply(phi))))
+            t_phi = complex(np.vdot(phi, t_operator(m, 0).apply(phi)))
+            absence = alpha**2 * sub.weights[0] * abs(t_phi) ** 2 / sub.omega[0] ** 2
+            for got, want in zip(stacked, [gs.energy, n_val, absence, gs.w_top]):
+                assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_constant_matter_shifts_energy_only(self):
+        fam = hard_family(p=1.0)
+        rows = []
+        for a0 in (0.0, 2.5):
+            tmpl = SweepTemplate(nu=3, Lambda=1.0, A=np.array([[a0]]),
+                                 B=(np.array([[1.0]]),), n_max=12, mass=0.0)
+            rows.append(ir_sweep(fam, tmpl, [0.4, 0.2], 4, 0.5, CFG)[0])
+        for r0, r1 in zip(*rows):
+            assert r1.E == pytest.approx(r0.E + 2.5, rel=1e-14)
+            assert r1.expectation_N == r0.expectation_N
+
+    def test_stacked_solve_respects_max_lanczos(self):
+        A, B = preset_van_hove()
+        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=12, mass=0.0)
+        with pytest.raises(NonConverged, match="max_lanczos=5"):
+            ir_sweep(hard_family(), tmpl, [0.4, 0.2], 4, 0.5, SolverConfig(max_lanczos=5))
+
+    @pytest.mark.parametrize("A,B", [
+        ([[0.0]], [[1j]]),
+        ([[1j]], [[1.0]]),
+    ])
+    def test_non_hermitian_scalar_matter_rejected(self, A, B):
+        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=np.array(A), B=(np.array(B),),
+                             n_max=6, mass=0.0)
+        with pytest.raises(ValueError, match="not hermitian"):
+            ir_sweep(hard_family(), tmpl, [0.4, 0.2], 4, 0.5, CFG)
 
     def test_spin_boson_sweep_uses_full_solver(self):
         A, B = preset_spin_boson(1.0)

@@ -20,7 +20,7 @@ from gsblab import (
     resolvent_apply,
     solve_model,
 )
-from gsblab.spectral import DENSE_MAX_DIM
+from gsblab.spectral import DENSE_MAX_DIM, stacked_ground_states
 import scipy.sparse as sp
 
 import oracle
@@ -216,6 +216,36 @@ class TestResolvent:
         tight = SolverConfig(cg_tol=1e-14, cg_max=2)
         with pytest.raises(NonConverged):
             resolvent_apply(m.H, gs.energy, 1e-6, v, tight)
+
+
+class TestStackedGroundStates:
+    def test_matches_ground_state_per_matrix(self):
+        stack = np.stack([random_hermitian(9, seed) for seed in range(6)])
+        energies, vecs = stacked_ground_states(stack, CFG)
+        assert vecs.shape == (6, 9)
+        for k, H in enumerate(stack):
+            gs = ground_state(LinOp.from_sparse(sp.csr_matrix(H), hermitian=True), CFG)
+            assert energies[k] == pytest.approx(gs.energy, rel=1e-13)
+            assert abs(np.vdot(gs.vector.array, vecs[k])) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(vecs[k]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_real_stack_stays_real(self):
+        stack = np.stack([random_hermitian(5, seed).real for seed in range(3)])
+        energies, vecs = stacked_ground_states(stack, CFG)
+        assert vecs.dtype == np.float64
+        np.testing.assert_allclose(energies, np.linalg.eigvalsh(stack)[:, 0], rtol=1e-13)
+
+    def test_dimension_above_max_lanczos_raises(self):
+        stack = np.stack([random_hermitian(6, 0)])
+        with pytest.raises(NonConverged, match="max_lanczos=5"):
+            stacked_ground_states(stack, SolverConfig(max_lanczos=5))
+        stacked_ground_states(stack, SolverConfig(max_lanczos=6))
+
+    def test_residual_is_checked(self):
+        # no floating-point eigenvector reaches a residual of 1e-300
+        stack = np.stack([np.diag([1.0, 2.0]), random_hermitian(2, 3)])
+        with pytest.raises(NonConverged, match="on matrix 1"):
+            stacked_ground_states(stack, SolverConfig(eig_tol=1e-300))
 
 
 class TestSolverConfig:
