@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import List, Literal, Optional, Union
@@ -178,7 +177,6 @@ class RunConfig(_Strict):
     checks: List[CheckConfig] = Field(default_factory=list)
     output: Optional[str] = None
     seed: Optional[int] = None
-    threads: Optional[int] = Field(default=None, ge=1)
 
     @model_validator(mode="after")
     def _channels_match(self):
@@ -440,9 +438,8 @@ def write_report_json(reports, sweeps, meta, path, gs=None) -> None:
         fh.write("\n")
 
 
-def _resolved_config(cfg: RunConfig, threads: Optional[int]) -> dict:
+def _resolved_config(cfg: RunConfig) -> dict:
     resolved = cfg.model_dump(mode="json")
-    resolved["threads"] = threads or cfg.threads or os.cpu_count() or 1
     if resolved["seed"] is not None:
         resolved["solver"]["seed"] = resolved["seed"]
     return resolved
@@ -452,7 +449,7 @@ def _resolved_config(cfg: RunConfig, threads: Optional[int]) -> dict:
 # Command-line interface
 
 
-def _common_run(config, out, threads, seed, dry_run, selected=None, require_sweep=False):
+def _common_run(config, out, seed, dry_run, selected=None, require_sweep=False):
     try:
         cfg = load_config(config)
     except ConfigError as exc:
@@ -462,7 +459,7 @@ def _common_run(config, out, threads, seed, dry_run, selected=None, require_swee
         cfg = cfg.model_copy(update={"seed": seed})
     out_dir = Path(out or cfg.output or "gsblab_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = _resolved_config(cfg, threads)
+    resolved = _resolved_config(cfg)
     with open(out_dir / "resolved_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -481,8 +478,7 @@ def _common_run(config, out, threads, seed, dry_run, selected=None, require_swee
     if require_sweep and not sweeps:
         click.echo("error: config contains no ir_sweep check", err=True)
         sys.exit(2)
-    meta = {"threads": resolved["threads"], "seed": resolved["solver"]["seed"],
-            "config": resolved}
+    meta = {"seed": resolved["solver"]["seed"], "config": resolved}
     write_report_csv(reports, out_dir / "report.csv")
     write_report_json(reports, sweeps, meta, out_dir / "report.json", gs)
     if sweeps:
@@ -507,23 +503,21 @@ def main():
 @main.command()
 @click.option("--config", required=True, type=click.Path(), help="JSON run configuration.")
 @click.option("--out", default=None, type=click.Path(), help="Output directory.")
-@click.option("--threads", default=None, type=int, help="Worker count recorded in metadata.")
 @click.option("--seed", default=None, type=int, help="Override the solver seed.")
 @click.option("--dry-run", is_flag=True, help="Validate and write the resolved config only.")
-def run(config, out, threads, seed, dry_run):
+def run(config, out, seed, dry_run):
     """Build the model, solve, run every configured check."""
-    _common_run(config, out, threads, seed, dry_run)
+    _common_run(config, out, seed, dry_run)
 
 
 @main.command()
 @click.option("--config", required=True, type=click.Path())
 @click.option("--out", default=None, type=click.Path())
-@click.option("--threads", default=None, type=int)
 @click.option("--seed", default=None, type=int)
 @click.option("--dry-run", is_flag=True)
-def sweep(config, out, threads, seed, dry_run):
+def sweep(config, out, seed, dry_run):
     """Run only the infrared sweep checks from the config."""
-    _common_run(config, out, threads, seed, dry_run,
+    _common_run(config, out, seed, dry_run,
                 selected={"ir_sweep"}, require_sweep=True)
 
 
@@ -532,11 +526,10 @@ def sweep(config, out, threads, seed, dry_run):
     ["pullthrough", "moment", "absence", "higher", "appendix", "ccr", "ir_sweep"]))
 @click.option("--config", required=True, type=click.Path())
 @click.option("--out", default=None, type=click.Path())
-@click.option("--threads", default=None, type=int)
 @click.option("--seed", default=None, type=int)
-def check(name, config, out, threads, seed):
+def check(name, config, out, seed):
     """Run only the named check from the config."""
-    _common_run(config, out, threads, seed, False, selected={name})
+    _common_run(config, out, seed, False, selected={name})
 
 
 @main.command()

@@ -55,7 +55,8 @@ class FockBasis:
 
     `occupations` holds one row per state in basis order; `states` and
     `index` give the same data as tuples and a dict for small-scale use.
-    Annihilators are built once per mode and kept (`lowering`).
+    Annihilators are built once per mode and kept (`lowering`), and so are
+    their nonzero entries (`lowering_entries`).
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -77,6 +78,7 @@ class FockBasis:
         self.top_mask = self.totals == n_max
         self.interior_mask = self.totals <= n_max - 1
         self._lowering: dict = {}
+        self._entries: dict = {}
 
     def rank(self, occupations) -> np.ndarray:
         """Basis index of each occupation row (combinatorial number system).
@@ -95,6 +97,17 @@ class FockBasis:
         if i not in self._lowering:
             self._lowering[i] = annihilator(i, self)
         return self._lowering[i]
+
+    def lowering_entries(self, i: int) -> tuple:
+        """(rows, cols, values) of the nonzeros of a_i, kept like `lowering`.
+
+        a_i sends state t to t - e_i, so no two modes share an entry: a sum
+        of scaled a_i is the concatenation of their scaled entries.
+        """
+        if i not in self._entries:
+            coo = self.lowering(i).mat.tocoo()
+            self._entries[i] = (coo.row, coo.col, coo.data)
+        return self._entries[i]
 
     @cached_property
     def states(self) -> tuple:
@@ -268,6 +281,20 @@ class LinOp:
         return LinOp.from_sparse(self.to_sparse() @ other.to_sparse())
 
 
+def _apply_rows(mat, V: np.ndarray) -> np.ndarray:
+    """mat applied to each row of the C-contiguous V, one matter component at a time.
+
+    A real mat acts on a complex row as on two real columns (real and
+    imaginary parts), so scipy never copies mat to complex and V is never
+    transposed.
+    """
+    split = V.dtype == np.complex128 and not np.iscomplexobj(mat.data)
+    out = np.empty(V.shape, dtype=np.result_type(mat.dtype, V.dtype))
+    for m, row in enumerate(V):
+        out[m] = (mat @ row.view(float).reshape(-1, 2)).view(complex)[:, 0] if split else mat @ row
+    return out
+
+
 class KronSumOp(LinOp):
     """Sum of Kronecker terms sum_k A_k (x) X_k on a matter (x) Fock space.
 
@@ -294,7 +321,7 @@ class KronSumOp(LinOp):
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.mat is not None:
             return self.mat @ np.asarray(v)
-        V = np.asarray(v).reshape(self.d_matter, self.fock_dim)
+        V = np.ascontiguousarray(v).reshape(self.d_matter, self.fock_dim)
         out = np.zeros_like(V, dtype=np.result_type(V.dtype, self.dtype))
         for A, X in self.terms:
             if X is None:
@@ -302,7 +329,7 @@ class KronSumOp(LinOp):
             elif X._diag is not None:
                 W = V * X._diag[None, :]
             else:
-                W = (X.mat @ V.T).T
+                W = _apply_rows(X.mat, V)
             out += W if A is None else A @ W
         return out.reshape(-1)
 
@@ -431,12 +458,15 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
     if len(f) != grid.n_modes or grid.n_modes != basis.n_modes:
         raise ValueError("column length must match grid and basis mode count")
     coeff = np.conj(f) * np.sqrt(grid.weights)
-    total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
-    for i in range(grid.n_modes):
-        if coeff[i] == 0:
-            continue
-        total = total + coeff[i] * basis.lowering(i).mat
-    return LinOp.from_sparse(total)
+    n = len(basis)
+    modes = np.flatnonzero(coeff)
+    if not len(modes):
+        return LinOp.from_sparse(sp.csr_matrix((n, n), dtype=complex))
+    entries = [basis.lowering_entries(i) for i in modes]
+    rows = np.concatenate([r for r, _, _ in entries])
+    cols = np.concatenate([c for _, c, _ in entries])
+    data = np.concatenate([coeff[i] * v for i, (_, _, v) in zip(modes, entries)])
+    return LinOp.from_sparse(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
 
 
 def dgamma(g, basis: FockBasis) -> LinOp:

@@ -179,14 +179,10 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     rhs_vec = np.zeros_like(phi)
     stats = []
     if m.alpha != 0.0:
-        for i in range(m.grid.n_modes):
-            coeff = np.conj(f[i]) * m.grid.weights[i]
-            if coeff == 0.0:
-                continue
-            rhs = t_operator(m, i).apply(phi)
-            u, iters, relres = resolvent_apply(m.H, gs.energy, float(m.grid.omega[i]), rhs, cfg)
-            rhs_vec -= m.alpha * coeff * u
-            stats.append({"mode": i, "cg_iterations": iters, "cg_relres": relres})
+        coeff = np.conj(f) * m.grid.weights
+        solves, stats = _mode_solves(m, gs, cfg, mask=coeff != 0)
+        for i in np.flatnonzero(coeff):
+            rhs_vec -= m.alpha * coeff[i] * solves[i]
     diff = float(np.linalg.norm(lhs_vec - rhs_vec))
     rhs_norm = float(np.linalg.norm(rhs_vec))
     lhs_norm = float(np.linalg.norm(lhs_vec))
@@ -388,15 +384,19 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
     """sum over n-tuples ||a_{i_1} ... a_{i_n} psi||^2 == n-th falling factorial moment."""
     if n < 1 or n > basis.n_max:
         raise ValueError(f"order must lie in [1, n_max={basis.n_max}], got {n}")
-    d = psi.d_matter
-    a_ops = [fock.fock_embed(basis.lowering(i), d) for i in range(basis.n_modes)]
+    # 1 (x) a_i acts on the Fock factor of each matter component, and a_i is
+    # real: the real and imaginary parts of the components are 2 d real
+    # columns, all lowered by one sparse product per branch.
+    V = psi.array.reshape(psi.d_matter, len(basis))
+    cols = np.ascontiguousarray(np.concatenate([V.real, V.imag]).T)
+    a_mats = [basis.lowering(i).mat for i in range(basis.n_modes)]
 
-    def branch_sum(vec: np.ndarray, depth: int) -> float:
+    def branch_sum(block: np.ndarray, depth: int) -> float:
         if depth == n:
-            return float(np.linalg.norm(vec) ** 2)
-        return sum(branch_sum(a.apply(vec), depth + 1) for a in a_ops)
+            return float(np.linalg.norm(block) ** 2)
+        return sum(branch_sum(a @ block, depth + 1) for a in a_mats)
 
-    lhs = branch_sum(psi.array, 0)
+    lhs = branch_sum(cols, 0)
     rhs = _falling_factorial_expectation(psi, basis, n)
     return _scalar_report("factorial_moment_decomposition", lhs, rhs, psi.w_top(), EXACT_TOL)
 

@@ -225,7 +225,7 @@ class TestArtifacts:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["solver"]["eig_tol"] == 1e-11
         assert resolved["dispersion"] == {"law": "massless", "mass": 0.0}
-        assert resolved["threads"] >= 1
+        assert "threads" not in resolved
 
     def test_resolved_config_round_trip(self, tmp_path):
         out1 = tmp_path / "a"
@@ -234,7 +234,6 @@ class TestArtifacts:
         run_cli(["run", "--config", str(path)])
         resolved = json.loads((out1 / "resolved_config.json").read_text())
         resolved["output"] = str(out2)
-        resolved.pop("threads")
         path2 = write_config(tmp_path, resolved, name="resolved.json")
         run_cli(["run", "--config", str(path2)])
         a = (out1 / "report.csv").read_text()
@@ -284,6 +283,20 @@ class TestArtifacts:
         assert rows[0][:5] == ["sigma", "n_shells", "E", "expectation_N",
                                "absence_bound"]
         assert len(rows) == 3
+
+    def test_faithful_sweep_passes_and_writes_artifacts(self, tmp_path):
+        # van Hove nu = 1, p = 0 with alpha = 0.05 and n_max = 12 stays well
+        # inside the truncation, so the sweep passes
+        out = tmp_path / "out"
+        result = run_cli(["sweep", "--config", str(EXAMPLES / "ir_sweep_nu1_p0.json"),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:5] == ["sigma", "n_shells", "E", "expectation_N",
+                               "absence_bound"]
+        assert [float(r[0]) for r in rows[1:]] == [0.3, 0.15, 0.075, 0.0375]
+        assert json.loads((out / "report.json").read_text())["solve"] is None
 
 
 class TestCheckSubcommand:

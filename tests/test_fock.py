@@ -162,6 +162,27 @@ class TestSmearedOperators:
         want = oracle.dense_smeared_annihilator(f, grid.weights, list(basis.states))
         np.testing.assert_allclose(got, want, atol=1e-14)
 
+    def test_smeared_annihilator_is_sum_of_lowerings(self):
+        # bit-identical to adding the scaled a_i one by one, zero coefficients skipped
+        grid = small_grid(4)
+        basis = enumerate_basis(4, 3)
+        rng = np.random.default_rng(4)
+        for f in (rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                  np.array([0.0, 1.5 - 2.0j, 0.0, 0.25j]),
+                  np.array([0.0, 0.0, 3.0, 0.0]),
+                  np.zeros(4)):
+            coeff = np.conj(f) * np.sqrt(grid.weights)
+            want = sum((coeff[i] * basis.lowering(i).to_sparse()
+                        for i in range(4) if coeff[i] != 0),
+                       start=0 * basis.lowering(0).to_sparse().astype(complex)).tocsr()
+            want.eliminate_zeros()
+            got = smeared_annihilator(f, grid, basis).to_sparse()
+            assert got.dtype == complex and got.nnz == want.nnz
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+        assert basis.lowering_entries(2) is basis.lowering_entries(2)
+
     def test_antilinearity_in_f(self):
         grid = small_grid(2)
         basis = enumerate_basis(2, 2)
@@ -270,6 +291,28 @@ class TestTensorLayout:
         dense = np.kron(np.eye(2), N.to_sparse().toarray())
         v = np.arange(2 * basis.dim, dtype=complex)
         np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-13)
+
+    def test_sparse_fock_term_on_each_vector_dtype(self):
+        # a real Fock matrix on a complex vector runs as two real columns;
+        # every dtype pair must agree with the dense Kronecker product
+        basis = enumerate_basis(2, 3)
+        rng = np.random.default_rng(6)
+        A = np.array([[0.5, -1.0], [2.0, 0.25]])
+        X = annihilator(1, basis)
+        Xc = LinOp.from_sparse((1.0 - 0.5j) * X.to_sparse())
+        n = 2 * basis.dim
+        for fockop in (X, Xc):
+            op = KronSumOp(2, basis.dim, [(A, fockop), (None, fockop)])
+            dense = np.kron(A, fockop.to_sparse().toarray()) + np.kron(
+                np.eye(2), fockop.to_sparse().toarray())
+            for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                got = op.apply(v)
+                assert got.dtype == np.result_type(fockop.dtype, v.dtype)
+                np.testing.assert_allclose(got, dense @ v, rtol=1e-13, atol=1e-13)
+        # a strided input is read by value
+        v = (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))[::2]
+        np.testing.assert_allclose(fock_embed(X, 2).apply(v),
+                                   fock_embed(X, 2).to_sparse() @ v, atol=1e-13)
 
     def test_kron_sum_adjoint(self):
         basis = enumerate_basis(2, 2)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gsblab import (
     enumerate_basis,
     eval_coupling,
     factorial_moment_decomposition,
+    fock_embed,
     higher_moment_identity,
     ir_sweep,
     moment_identity,
@@ -386,6 +388,20 @@ class TestExactDecompositions:
         assert number_decomposition(psi, K, basis, grid).passed
         assert factorial_moment_decomposition(psi, 2, basis).passed
 
+    def test_factorial_chain_side_over_matter_blocks(self):
+        # the chain side lowers every matter component: it equals the sum of
+        # ||(1 (x) a_i)(1 (x) a_j) psi||^2 applied on the composite space
+        basis = enumerate_basis(3, 3)
+        rng = np.random.default_rng(15)
+        v = rng.standard_normal(3 * basis.dim) + 1j * rng.standard_normal(3 * basis.dim)
+        psi = StateVector(v / np.linalg.norm(v), d_matter=3, basis=basis)
+        a = [fock_embed(basis.lowering(i), 3) for i in range(3)]
+        want = sum(float(np.linalg.norm(a[i].apply(a[j].apply(psi.array))) ** 2)
+                   for i in range(3) for j in range(3))
+        rep = factorial_moment_decomposition(psi, 2, basis)
+        assert rep.passed
+        assert rep.lhs == pytest.approx(want, rel=1e-13)
+
 
 class TestCcrSuite:
     def test_all_pass_and_names(self):
@@ -562,3 +578,75 @@ class TestScaleInvariance:
             assert r0.passed and r1.passed
             assert r1.rhs == pytest.approx(r0.rhs, rel=1e-8)
             assert r1.w_top == pytest.approx(r0.w_top, rel=1e-6, abs=1e-15)
+
+
+def three_level_two_channel_parts(seed=21):
+    """Three-level matter with two real channels on a three-mode grid."""
+    grid = build_radial_grid(3, 0.3, 1.5, 3)
+    for rho0, p in ((0.8, 1.0), (0.5, 0.5)):
+        fam = hard_family(rho0=rho0, p=p)
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+    rng = np.random.default_rng(seed)
+    A = np.diag([0.0, 0.8, 1.7])
+    B = [(raw + raw.T) / 2 for raw in rng.standard_normal((2, 3, 3))]
+    f = grid.channel(0) + 0.5j * grid.channel(1)
+    return A, B, grid, f
+
+
+def identity_values(A, B, grid, f, n_max=6):
+    """Pull-through norms, moment (G = 1, G = omega) and n = 2 rows, all passing."""
+    m = assemble(A, B, grid, 0.15, n_max)
+    gs = solve_model(m, CFG)
+    pull = pullthrough_check(m, gs, f, CFG)
+    rows = [moment_identity(m, gs, np.ones(grid.n_modes), CFG),
+            moment_identity(m, gs, grid.omega, CFG),
+            higher_moment_identity(m, gs, 2, CFG)]
+    assert pull.passed and all(r.passed for r in rows)
+    values = [pull.metadata["lhs_norm"], pull.rhs] + [v for r in rows for v in (r.lhs, r.rhs)]
+    return m.H.dtype, np.array(values)
+
+
+class TestTransforms:
+    """Reports stay put under changes of description that leave the physics alone."""
+
+    def setup_method(self):
+        self.A, self.B, self.grid, self.f = three_level_two_channel_parts()
+        dtype, self.base = identity_values(self.A, self.B, self.grid, self.f)
+        assert dtype == np.float64
+
+    def conjugated(self, U):
+        A = U @ self.A @ U.conj().T
+        B = [U @ b @ U.conj().T for b in self.B]
+        return identity_values(A, B, self.grid, self.f)
+
+    def test_real_orthogonal_conjugation_stays_real(self):
+        O, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        dtype, values = self.conjugated(O)
+        assert dtype == np.float64
+        np.testing.assert_allclose(values, self.base, rtol=1e-9)
+
+    def test_complex_unitary_conjugation_runs_complex(self):
+        rng = np.random.default_rng(4)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        dtype, values = self.conjugated(U)
+        assert dtype == np.complex128
+        np.testing.assert_allclose(values, self.base, rtol=1e-9)
+
+    def test_mode_permutation(self):
+        # once the couplings are evaluated the radii only label the shells;
+        # ModeSet keeps them increasing, so the permutation moves the rest
+        perm = np.array([2, 0, 1])
+        g = self.grid
+        permuted = replace(g, weights=g.weights[perm], omega=g.omega[perm],
+                           couplings=tuple(c[perm] for c in g.couplings))
+        _, values = identity_values(self.A, self.B, permuted, self.f[perm])
+        np.testing.assert_allclose(values, self.base, rtol=1e-9)
+
+    def test_channel_split(self):
+        # lambda_0 B_0 = (lambda_0 / 2) B_0 + (lambda_0 / 2) B_0
+        g = self.grid
+        split = replace(g, couplings=(g.channel(0) / 2, g.channel(0) / 2, g.channel(1)),
+                        families=(None, None, None))
+        B = [self.B[0], self.B[0], self.B[1]]
+        _, values = identity_values(self.A, B, split, self.f)
+        np.testing.assert_allclose(values, self.base, rtol=1e-9)

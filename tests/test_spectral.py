@@ -126,6 +126,8 @@ class TestResolvent:
             )
             np.testing.assert_allclose(x, want, atol=1e-8 * np.linalg.norm(want))
             assert relres <= CFG.cg_tol
+            # a real H with a genuinely complex right-hand side solves in complex
+            assert x.dtype == np.complex128
 
     def test_zero_rhs(self):
         m = spin_boson_model(n_modes=1, n_max=4)
@@ -153,6 +155,31 @@ class TestResolvent:
         x_warm, it_warm, _ = resolvent_apply(m.H, gs.energy, 0.5, v, CFG, x0=x_cold)
         assert it_warm <= it_cold
         np.testing.assert_allclose(x_warm, x_cold, atol=1e-7 * np.linalg.norm(x_cold))
+
+    def test_dtype_follows_operator_and_rhs(self):
+        # the checks' right-hand sides: complex storage, zero imaginary part
+        real = spin_boson_model(n_modes=2, n_max=6)
+        cplx = assemble(real.A.astype(complex), [b.astype(complex) for b in real.B],
+                        real.grid, real.alpha, real.n_max)
+        gs = solve_model(real, CFG)
+        v = np.random.default_rng(3).standard_normal(real.dim).astype(complex)
+        x_r, it_r, res_r = resolvent_apply(real.H, gs.energy, 0.5, v, CFG)
+        x_c, it_c, res_c = resolvent_apply(cplx.H, gs.energy, 0.5, v, CFG)
+        assert x_r.dtype == np.float64 and x_c.dtype == np.complex128
+        assert it_r == it_c and max(res_r, res_c) <= CFG.cg_tol
+        assert np.linalg.norm(x_r - x_c) <= 1e-12 * np.linalg.norm(x_c)
+
+    def test_complex_warm_start_gives_cold_start_answer(self):
+        m = spin_boson_model(n_modes=2, n_max=6)
+        gs = solve_model(m, CFG)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(m.dim)
+        x_cold, _, _ = resolvent_apply(m.H, gs.energy, 0.5, v, CFG)
+        x0 = x_cold + 1e-3 * (rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim))
+        x_warm, _, relres = resolvent_apply(m.H, gs.energy, 0.5, v, CFG, x0=x0)
+        assert x_cold.dtype == np.float64 and x_warm.dtype == np.complex128
+        assert relres <= CFG.cg_tol
+        assert np.linalg.norm(x_warm - x_cold) <= 1e-9 * np.linalg.norm(x_cold)
 
     def test_batched_matches_individual(self):
         m = spin_boson_model(n_modes=1, n_max=5)
