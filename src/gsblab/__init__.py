@@ -20,19 +20,17 @@ from .modes import (
 from .fock import (
     BasisSizeError,
     FockBasis,
-    KronSumOp,
     LinOp,
     StateVector,
     annihilator,
+    apply_fock,
+    apply_matter,
     creator,
     dgamma,
     enumerate_basis,
     field_operator,
-    fock_embed,
-    matter_embed,
     number_operator,
     smeared_annihilator,
-    tensor,
     write_matrix_market,
 )
 from .model import (
@@ -40,7 +38,6 @@ from .model import (
     GsbModel,
     VanHoveValues,
     assemble,
-    coupling_budget,
     preset_spin_boson,
     preset_van_hove,
     t_operator,
@@ -50,7 +47,6 @@ from .spectral import (
     NonConverged,
     NonPositiveShift,
     SolverConfig,
-    batched_resolvent,
     ground_state,
     resolvent_apply,
     solve_model,
@@ -80,7 +76,6 @@ __all__ = [
     "GroundState",
     "GsbModel",
     "IrSweepRow",
-    "KronSumOp",
     "L2Criteria",
     "LinOp",
     "ModeSet",
@@ -94,24 +89,22 @@ __all__ = [
     "VanHoveValues",
     "absence_lower_bound",
     "annihilator",
+    "apply_fock",
+    "apply_matter",
     "assemble",
-    "batched_resolvent",
     "build_radial_grid",
     "ccr_and_bound_suite",
-    "coupling_budget",
     "creator",
     "dgamma",
     "enumerate_basis",
     "eval_coupling",
     "factorial_moment_decomposition",
     "field_operator",
-    "fock_embed",
     "ground_state",
     "higher_moment_identity",
     "ir_class_of",
     "ir_sweep",
     "l2_criteria",
-    "matter_embed",
     "moment_identity",
     "number_decomposition",
     "number_operator",
@@ -123,7 +116,6 @@ __all__ = [
     "smeared_annihilator",
     "solve_model",
     "t_operator",
-    "tensor",
     "van_hove_oracle",
     "write_matrix_market",
 ]

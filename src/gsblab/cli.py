@@ -500,21 +500,28 @@ def main():
     """Ground-state regularity laboratory for generalized spin-boson models."""
 
 
+def _run_options(dry_run: bool = True):
+    """The options of run, sweep and check: --config, --out, --seed and --dry-run."""
+    def decorate(fn):
+        if dry_run:
+            fn = click.option("--dry-run", is_flag=True,
+                              help="Validate and write the resolved config only.")(fn)
+        fn = click.option("--seed", default=None, type=int, help="Override the solver seed.")(fn)
+        fn = click.option("--out", default=None, type=click.Path(), help="Output directory.")(fn)
+        return click.option("--config", required=True, type=click.Path(),
+                            help="JSON run configuration.")(fn)
+    return decorate
+
+
 @main.command()
-@click.option("--config", required=True, type=click.Path(), help="JSON run configuration.")
-@click.option("--out", default=None, type=click.Path(), help="Output directory.")
-@click.option("--seed", default=None, type=int, help="Override the solver seed.")
-@click.option("--dry-run", is_flag=True, help="Validate and write the resolved config only.")
+@_run_options()
 def run(config, out, seed, dry_run):
     """Build the model, solve, run every configured check."""
     _common_run(config, out, seed, dry_run)
 
 
 @main.command()
-@click.option("--config", required=True, type=click.Path())
-@click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
-@click.option("--dry-run", is_flag=True)
+@_run_options()
 def sweep(config, out, seed, dry_run):
     """Run only the infrared sweep checks from the config."""
     _common_run(config, out, seed, dry_run,
@@ -524,9 +531,7 @@ def sweep(config, out, seed, dry_run):
 @main.command()
 @click.argument("name", type=click.Choice(
     ["pullthrough", "moment", "absence", "higher", "appendix", "ccr", "ir_sweep"]))
-@click.option("--config", required=True, type=click.Path())
-@click.option("--out", default=None, type=click.Path())
-@click.option("--seed", default=None, type=int)
+@_run_options(dry_run=False)
 def check(name, config, out, seed):
     """Run only the named check from the config."""
     _common_run(config, out, seed, False, selected={name})

@@ -11,6 +11,11 @@ creators therefore kill the top grade, and canonical commutation relations
 hold exactly on states supported below the top grade.  The weight a state
 carries on the top grade (w_top) is the sole source of identity error and is
 reported alongside every check.
+
+Every operator is a scipy CSR matrix held in a LinOp.  A composite vector
+over matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
+`apply_fock` and `apply_matter` apply 1 (x) X and T (x) 1 to it by
+reshaping it to (d_matter, fock_dim).
 """
 
 from __future__ import annotations
@@ -36,9 +41,8 @@ __all__ = [
     "dgamma",
     "number_operator",
     "field_operator",
-    "tensor",
-    "matter_embed",
-    "fock_embed",
+    "apply_fock",
+    "apply_matter",
     "write_matrix_market",
 ]
 
@@ -124,9 +128,6 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.occupations)
 
-    def vacuum_index(self) -> int:
-        return 0
-
     def __repr__(self) -> str:
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={len(self)})"
 
@@ -179,199 +180,34 @@ def enumerate_basis(n_modes: int, n_max: int, max_states: int | None = None) -> 
 
 
 class LinOp:
-    """Linear operator on a fixed-dimension space.
+    """A square scipy CSR matrix `mat` with a hermiticity flag.
 
-    Storage is either a scipy sparse matrix (`mat`) or a diagonal (`diag`).
-    Operators compose with @, add, subtract and scale through their sparse
-    form; real storage stays real.
+    `mat` is never modified after construction.  Everything that applies an
+    operator to vectors goes through `apply`, so a caller can replace it on
+    one instance (to count applications, for example).
     """
 
-    def __init__(self, dim, *, mat=None, diag=None, hermitian=False):
-        self.dim = int(dim)
+    def __init__(self, mat, hermitian: bool = False):
+        self.mat = sp.csr_matrix(mat)
+        if self.mat.shape[0] != self.mat.shape[1]:
+            raise ValueError(f"operator matrix must be square, got shape {self.mat.shape}")
         self.hermitian = bool(hermitian)
-        self._diag = None if diag is None else np.asarray(diag)
-        if mat is not None:
-            mat = sp.csr_matrix(mat)
-            if mat.shape != (self.dim, self.dim):
-                raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}")
-        self.mat = mat
-        self._adj_mat = None
 
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def from_sparse(mat, hermitian: bool = False) -> "LinOp":
-        mat = sp.csr_matrix(mat)
-        return LinOp(mat.shape[0], mat=mat, hermitian=hermitian)
-
-    @staticmethod
-    def from_diagonal(diag) -> "LinOp":
-        diag = np.asarray(diag)
-        herm = bool(np.all(np.isreal(diag)))
-        return LinOp(len(diag), diag=diag, hermitian=herm)
-
-    @staticmethod
-    def identity(dim: int) -> "LinOp":
-        return LinOp.from_diagonal(np.ones(dim))
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
 
     @property
     def dtype(self) -> np.dtype:
-        return self._diag.dtype if self._diag is not None else self.mat.dtype
-
-    # -- application --------------------------------------------------------
+        return self.mat.dtype
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if self._diag is not None:
-            return self._diag * v
-        return self.mat @ v
+        return self.mat @ np.asarray(v)
 
-    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.hermitian:
-            return self.apply(v)
-        if self._diag is not None:
-            return np.conj(self._diag) * v
-        if self._adj_mat is None:
-            self._adj_mat = self.mat.conj().T.tocsr()
-        return self._adj_mat @ v
-
-    def adjoint(self) -> "LinOp":
-        if self.hermitian:
-            return self
-        if self._diag is not None:
-            return LinOp.from_diagonal(np.conj(self._diag))
-        return LinOp.from_sparse(self.mat.conj().T)
-
+    @cached_property
     def diagonal(self) -> np.ndarray:
-        if self._diag is not None:
-            return np.asarray(self._diag)
+        """Main diagonal of `mat`, computed on first use and kept."""
         return self.mat.diagonal()
-
-    def to_sparse(self) -> sp.csr_matrix:
-        if self.mat is not None:
-            return self.mat
-        return sp.diags(self._diag).tocsr()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _binary(self, other, op):
-        if not isinstance(other, LinOp) or other.dim != self.dim:
-            return NotImplemented
-        a, b = self.to_sparse(), other.to_sparse()
-        m = a + b if op == "add" else a - b
-        return LinOp.from_sparse(m, hermitian=self.hermitian and other.hermitian)
-
-    def __add__(self, other):
-        return self._binary(other, "add")
-
-    def __sub__(self, other):
-        return self._binary(other, "sub")
-
-    def __rmul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        if self._diag is not None:
-            return LinOp.from_diagonal(scalar * self._diag)
-        herm = self.hermitian and not np.iscomplexobj(np.asarray(scalar))
-        return LinOp.from_sparse(scalar * self.to_sparse(), hermitian=herm)
-
-    def __matmul__(self, other):
-        if not isinstance(other, LinOp) or other.dim != self.dim:
-            return NotImplemented
-        return LinOp.from_sparse(self.to_sparse() @ other.to_sparse())
-
-
-def _apply_rows(mat, V: np.ndarray) -> np.ndarray:
-    """mat applied to each row of the C-contiguous V, one matter component at a time.
-
-    A real mat acts on a complex row as on two real columns (real and
-    imaginary parts), so scipy never copies mat to complex and V is never
-    transposed.
-    """
-    split = V.dtype == np.complex128 and not np.iscomplexobj(mat.data)
-    out = np.empty(V.shape, dtype=np.result_type(mat.dtype, V.dtype))
-    for m, row in enumerate(V):
-        out[m] = (mat @ row.view(float).reshape(-1, 2)).view(complex)[:, 0] if split else mat @ row
-    return out
-
-
-class KronSumOp(LinOp):
-    """Sum of Kronecker terms sum_k A_k (x) X_k on a matter (x) Fock space.
-
-    A_k is a dense d x d matrix or None for the identity; X_k is a LinOp on
-    the Fock factor or None for the identity.  Vectors use the matter-major
-    layout: entry (m, t) lives at m * fock_dim + t.  Terms are applied
-    without materializing the Kronecker product; `to_sparse` materializes on
-    demand (guarded by the caller).
-    """
-
-    def __init__(self, d_matter: int, fock_dim: int, terms, hermitian: bool = False):
-        super().__init__(d_matter * fock_dim, hermitian=hermitian)
-        self.d_matter = d_matter
-        self.fock_dim = fock_dim
-        self.terms = [(None if A is None else np.asarray(A), X) for A, X in terms]
-
-    @property
-    def dtype(self) -> np.dtype:
-        if self.mat is not None:
-            return self.mat.dtype
-        return np.result_type(float, *(f.dtype for term in self.terms
-                                       for f in term if f is not None))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.mat is not None:
-            return self.mat @ np.asarray(v)
-        V = np.ascontiguousarray(v).reshape(self.d_matter, self.fock_dim)
-        out = np.zeros_like(V, dtype=np.result_type(V.dtype, self.dtype))
-        for A, X in self.terms:
-            if X is None:
-                W = V
-            elif X._diag is not None:
-                W = V * X._diag[None, :]
-            else:
-                W = _apply_rows(X.mat, V)
-            out += W if A is None else A @ W
-        return out.reshape(-1)
-
-    def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.hermitian:
-            return self.apply(v)
-        return self.adjoint().apply(v)
-
-    def adjoint(self) -> "LinOp":
-        if self.hermitian:
-            return self
-        terms = [
-            (None if A is None else A.conj().T, None if X is None else X.adjoint())
-            for A, X in self.terms
-        ]
-        return KronSumOp(self.d_matter, self.fock_dim, terms)
-
-    def to_sparse_cached(self) -> sp.csr_matrix:
-        """Materialize and keep the sparse form so apply() routes through it."""
-        if self.mat is None:
-            self.mat = self.to_sparse()
-        return self.mat
-
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=self.dtype)
-        for A, X in self.terms:
-            da = np.ones(self.d_matter) if A is None else np.diag(A)
-            dx = np.ones(self.fock_dim) if X is None else X.diagonal()
-            out += np.kron(da, dx)
-        return out
-
-    def to_sparse(self) -> sp.csr_matrix:
-        if self.mat is not None:
-            return self.mat
-        total = sp.csr_matrix((self.dim, self.dim), dtype=self.dtype)
-        eye_d = sp.identity(self.d_matter, format="csr")
-        eye_f = sp.identity(self.fock_dim, format="csr")
-        for A, X in self.terms:
-            am = eye_d if A is None else sp.csr_matrix(A)
-            xm = eye_f if X is None else X.to_sparse()
-            total = total + sp.kron(am, xm, format="csr")
-        return total.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +276,12 @@ def annihilator(i: int, basis: FockBasis) -> LinOp:
     mat = sp.csr_matrix(
         (np.sqrt(occ[cols, i]), (basis.rank(lowered), cols)), shape=(n, n), dtype=float
     )
-    return LinOp.from_sparse(mat)
+    return LinOp(mat)
 
 
 def creator(i: int, basis: FockBasis) -> LinOp:
     """Truncated creator P a_i* P, the adjoint of the annihilator."""
-    return basis.lowering(i).adjoint()
+    return LinOp(basis.lowering(i).mat.conj().T)
 
 
 def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
@@ -461,12 +297,12 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
     n = len(basis)
     modes = np.flatnonzero(coeff)
     if not len(modes):
-        return LinOp.from_sparse(sp.csr_matrix((n, n), dtype=complex))
+        return LinOp(sp.csr_matrix((n, n), dtype=complex))
     entries = [basis.lowering_entries(i) for i in modes]
     rows = np.concatenate([r for r, _, _ in entries])
     cols = np.concatenate([c for _, c, _ in entries])
     data = np.concatenate([coeff[i] * v for i, (_, _, v) in zip(modes, entries)])
-    return LinOp.from_sparse(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    return LinOp(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
 
 
 def dgamma(g, basis: FockBasis) -> LinOp:
@@ -474,7 +310,7 @@ def dgamma(g, basis: FockBasis) -> LinOp:
     g = np.asarray(g, dtype=float)
     if len(g) != basis.n_modes:
         raise ValueError("column length must match basis mode count")
-    return LinOp.from_diagonal(basis.occupations @ g)
+    return LinOp(sp.diags(basis.occupations @ g), hermitian=True)
 
 
 def number_operator(basis: FockBasis) -> LinOp:
@@ -486,41 +322,37 @@ def field_operator(lam, grid: ModeSet, basis: FockBasis) -> LinOp:
     lam = np.asarray(lam, dtype=float)
     a = smeared_annihilator(lam, grid, basis)
     mat = (a.mat + a.mat.conj().T) / math.sqrt(2.0)
-    return LinOp.from_sparse(mat.real, hermitian=True)
+    return LinOp(mat.real, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
 # Composite-space helpers
 
 
-def tensor(matter: np.ndarray, fockop: LinOp | None, fock_dim: int | None = None,
-           hermitian: bool | None = None) -> KronSumOp:
-    """matter (x) fockop on the composite space, matter index major."""
-    matter = np.asarray(matter)
-    d = matter.shape[0]
-    if matter.shape != (d, d):
-        raise ValueError("matter operator must be square")
-    if fockop is None and fock_dim is None:
-        raise ValueError("need fockop or fock_dim")
-    nf = fockop.dim if fockop is not None else fock_dim
-    if hermitian is None:
-        herm_a = bool(np.allclose(matter, matter.conj().T, atol=1e-14))
-        hermitian = herm_a and (fockop is None or fockop.hermitian)
-    return KronSumOp(d, nf, [(matter, fockop)], hermitian=hermitian)
+def apply_fock(X, v: np.ndarray) -> np.ndarray:
+    """(1 (x) X) v: the sparse Fock matrix X on each matter row of v.
+
+    v is matter major, so v.reshape(d_matter, fock_dim) holds one Fock row
+    per matter component.  A real X acts on a complex row as on two real
+    columns (real and imaginary parts), so scipy never copies X to complex
+    and no row is transposed.
+    """
+    V = np.ascontiguousarray(v).reshape(-1, X.shape[0])
+    split = V.dtype == np.complex128 and not np.iscomplexobj(X.data)
+    out = np.empty(V.shape, dtype=np.result_type(X.dtype, V.dtype))
+    for m, row in enumerate(V):
+        out[m] = (X @ row.view(float).reshape(-1, 2)).view(complex)[:, 0] if split else X @ row
+    return out.reshape(-1)
 
 
-def matter_embed(matter: np.ndarray, fock_dim: int) -> KronSumOp:
-    """A (x) 1."""
-    return tensor(matter, None, fock_dim=fock_dim)
-
-
-def fock_embed(fockop: LinOp, d_matter: int) -> KronSumOp:
-    """1 (x) X."""
-    return KronSumOp(d_matter, fockop.dim, [(None, fockop)], hermitian=fockop.hermitian)
+def apply_matter(T, v: np.ndarray) -> np.ndarray:
+    """(T (x) 1) v: the dense d x d matter matrix T mixing the matter rows of v."""
+    T = np.asarray(T)
+    return (T @ np.reshape(v, (len(T), -1))).reshape(-1)
 
 
 def write_matrix_market(op: LinOp, path) -> None:
     """Dump an operator in MatrixMarket coordinate format."""
     from scipy.io import mmwrite
 
-    mmwrite(str(path), sp.coo_matrix(op.to_sparse()))
+    mmwrite(str(path), sp.coo_matrix(op.mat))

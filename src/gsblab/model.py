@@ -2,11 +2,14 @@
 
 A model is H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j)
 with dense hermitian matter operators A, B_j, a discrete mode set carrying
-one coupling column per channel, and a total-quanta truncation n_max.
+one coupling column per channel, and a total-quanta truncation n_max.  H is
+assembled once as one sparse CSR matrix on the matter-major composite.
 
 The commutant density T(k_i) = (sum_j lambda_j(k_i) B_j) (x) 1 / sqrt(2) is
 fixed by the exact discrete commutator [1 (x) a_i, H_I] = sqrt(w_i) T(k_i)
-on states below the top grade; that equation is what the unit tests pin.
+on states below the top grade, with H_I = (H - H|alpha=0) / alpha; that
+equation is what the unit tests pin.  `t_operator` returns its d x d matter
+factor, which `fock.apply_matter` applies to composite vectors.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fock
-from .fock import FockBasis, KronSumOp, LinOp, StateVector
+from .fock import FockBasis, LinOp, StateVector
 from .modes import ModeSet
 
 __all__ = [
@@ -25,7 +29,6 @@ __all__ = [
     "GroundState",
     "assemble",
     "t_operator",
-    "coupling_budget",
     "van_hove_oracle",
     "VanHoveValues",
     "preset_van_hove",
@@ -72,10 +75,10 @@ class GroundState:
 
 
 class GsbModel:
-    """Assembled model: operators H, H0, HI plus the ingredients they came from."""
+    """Assembled model: the operator H plus the ingredients it came from."""
 
     def __init__(self, A, B, grid: ModeSet, alpha: float, n_max: int,
-                 basis: FockBasis, H0: KronSumOp, HI: KronSumOp, H: KronSumOp):
+                 basis: FockBasis, H: LinOp):
         self.A = A
         self.B = B
         self.grid = grid
@@ -84,8 +87,6 @@ class GsbModel:
         self.basis = basis
         self.d_matter = A.shape[0]
         self.dim = self.d_matter * len(basis)
-        self.H0 = H0
-        self.HI = HI
         self.H = H
         self.E_A = float(np.linalg.eigvalsh(A)[0])
 
@@ -100,15 +101,13 @@ class GsbModel:
 
 
 def assemble(A, B, grid: ModeSet, alpha: float, n_max: int,
-             max_states: int | None = None,
-             sparse_threshold: int = 200_000) -> GsbModel:
+             max_states: int | None = None) -> GsbModel:
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
     A and every B_j must be hermitian (checked to 1e-12) and share one
-    dimension; the grid must carry one coupling column per B_j.  Real A and
-    B_j give a real H, so the ground solve runs in real arithmetic.  Operators
-    cache a sparse matrix when the composite dimension stays at or below
-    sparse_threshold and fall back to term-wise Kronecker application above.
+    dimension; the grid must carry one coupling column per B_j.  H is one
+    CSR matrix, the Kronecker terms summed in the order written above.  Real
+    A and B_j give a real H, so the ground solve runs in real arithmetic.
     """
     A = _check_hermitian("A", A)
     B = [_check_hermitian(f"B[{j}]", b) for j, b in enumerate(B)]
@@ -123,52 +122,30 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int,
     basis = fock.enumerate_basis(grid.n_modes, n_max, max_states=max_states)
     nf = len(basis)
 
-    dg_omega = fock.dgamma(grid.omega, basis)
-    h0_terms = [(A, None), (None, dg_omega)]
-    hi_terms = [(b, fock.field_operator(grid.channel(j), grid, basis)) for j, b in enumerate(B)]
-    H0 = KronSumOp(d, nf, h0_terms, hermitian=True)
-    HI = KronSumOp(d, nf, hi_terms, hermitian=True)
-    h_terms = h0_terms + [(alpha * b, phi) for (b, phi) in hi_terms]
-    H = KronSumOp(d, nf, h_terms, hermitian=True)
-
-    if d * nf <= sparse_threshold:
-        for op in (H0, HI, H):
-            op.to_sparse_cached()
-    return GsbModel(A, B, grid, alpha, n_max, basis, H0, HI, H)
+    # an empty start in the dtype of A and the B_j keeps H complex when alpha = 0
+    H = sp.csr_matrix((d * nf, d * nf), dtype=np.result_type(A, *B))
+    H = H + sp.kron(sp.csr_matrix(A), sp.identity(nf, format="csr"), format="csr")
+    H = H + sp.kron(sp.identity(d, format="csr"), fock.dgamma(grid.omega, basis).mat,
+                    format="csr")
+    for j, b in enumerate(B):
+        phi = fock.field_operator(grid.channel(j), grid, basis).mat
+        H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
+    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True))
 
 
-def t_operator(model: GsbModel, i: int) -> KronSumOp:
-    """Commutant density T(k_i) = (sum_j lambda_j(k_i) B_j) (x) 1 / sqrt(2).
+def t_operator(model: GsbModel, i: int) -> np.ndarray:
+    """Matter factor t of the commutant density T(k_i) = t (x) 1.
 
-    Satisfies [1 (x) a_i, H_I] = sqrt(w_i) T(k_i) exactly on states with
-    total quanta <= n_max - 1; independent of the coupling constant alpha.
+    t = (sum_j lambda_j(k_i) B_j) / sqrt(2) is a d x d matrix, which
+    `fock.apply_matter` applies to composite vectors.  T(k_i) satisfies
+    [1 (x) a_i, H_I] = sqrt(w_i) T(k_i) exactly on states with total quanta
+    <= n_max - 1; independent of the coupling constant alpha.
     """
     if not 0 <= i < model.grid.n_modes:
         raise ValueError(f"mode index {i} out of range")
-    m = sum(
+    return sum(
         model.grid.channel(j)[i] * b for j, b in enumerate(model.B)
     ) / math.sqrt(2.0)
-    return fock.matter_embed(m, len(model.basis))
-
-
-def coupling_budget(model: GsbModel, a_consts) -> float:
-    """Kato-Rellich style coupling budget (sum_j a_j ||lambda_j/sqrt(w)||^2)^-1.
-
-    a_j are user-supplied relative-bound constants for the B_j; with all
-    a_j = 0 (bounded matter operators) the budget is infinite.  Reported as
-    a diagnostic only, every finite-dimensional H is already self-adjoint.
-    """
-    a_consts = np.asarray(a_consts, dtype=float)
-    if len(a_consts) != len(model.B):
-        raise ValueError("need one constant per coupling channel")
-    if np.any(a_consts < 0):
-        raise ValueError("relative-bound constants must be >= 0")
-    w, om = model.grid.weights, model.grid.omega
-    denom = sum(
-        a_consts[j] * float(np.sum(w * model.grid.channel(j) ** 2 / om))
-        for j in range(len(model.B))
-    )
-    return math.inf if denom == 0 else 1.0 / denom
 
 
 @dataclass(frozen=True)

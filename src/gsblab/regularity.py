@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import fock, model as model_mod, spectral
-from .fock import FockBasis, StateVector
+from .fock import FockBasis, StateVector, apply_fock, apply_matter
 from .model import GroundState, GsbModel, t_operator
 from .modes import CouplingFamily, ModeSet, build_radial_grid, eval_coupling, ir_class_of, l2_criteria
 from .spectral import SolverConfig, resolvent_apply
@@ -35,7 +35,6 @@ __all__ = [
     "IrSweepRow",
     "SweepVerdict",
     "SweepTemplate",
-    "exact_tol",
     "resolvent_tol",
     "pullthrough_check",
     "moment_identity",
@@ -51,10 +50,6 @@ EXACT_TOL = 1e-12
 RESOLVENT_TOL_FLOOR = 1e-7
 ABSENCE_TOL = 1e-9
 GROUND_RESIDUAL_CAP = 1e-10
-
-
-def exact_tol() -> float:
-    return EXACT_TOL
 
 
 def resolvent_tol(w_top: float, cg_tol: float) -> float:
@@ -150,7 +145,7 @@ def _mode_solves(m: GsbModel, gs: GroundState, cfg: SolverConfig, mask=None):
         if mask is not None and not mask[i]:
             out.append(np.zeros_like(phi))
             continue
-        rhs = t_operator(m, i).apply(phi)
+        rhs = apply_matter(t_operator(m, i), phi)
         u, iters, relres = resolvent_apply(m.H, gs.energy, float(m.grid.omega[i]), rhs, cfg)
         out.append(u)
         stats.append({"mode": i, "cg_iterations": iters, "cg_relres": relres})
@@ -174,8 +169,7 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     _require_solved(gs)
     f = np.asarray(f, dtype=complex)
     phi = gs.vector.array
-    a_f = fock.fock_embed(fock.smeared_annihilator(f, m.grid, m.basis), m.d_matter)
-    lhs_vec = a_f.apply(phi)
+    lhs_vec = apply_fock(fock.smeared_annihilator(f, m.grid, m.basis).mat, phi)
     rhs_vec = np.zeros_like(phi)
     stats = []
     if m.alpha != 0.0:
@@ -209,8 +203,7 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
     phi = gs.vector.array
-    dg = fock.fock_embed(fock.dgamma(G, m.basis), m.d_matter)
-    lhs = float(np.real(np.vdot(phi, dg.apply(phi))))
+    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis).mat, phi))))
     rhs = 0.0
     stats = []
     if m.alpha != 0.0 and np.any(G > 0):
@@ -243,12 +236,11 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
     phi = gs.vector.array
-    dg = fock.fock_embed(fock.dgamma(G, m.basis), m.d_matter)
-    lhs = float(np.real(np.vdot(phi, dg.apply(phi))))
+    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis).mat, phi))))
     rhs = 0.0
     t_expect = []
     for i in range(m.grid.n_modes):
-        t_phi = complex(np.vdot(phi, t_operator(m, i).apply(phi)))
+        t_phi = complex(np.vdot(phi, apply_matter(t_operator(m, i), phi)))
         t_expect.append(t_phi)
         rhs += G[i] * m.grid.weights[i] * abs(t_phi) ** 2 / float(m.grid.omega[i]) ** 2
     rhs *= m.alpha**2
@@ -322,7 +314,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
             mult = ms.count(j)
             sub = list(ms)
             sub.remove(j)
-            rhs_vec += mult * t_ops[j].apply(chain_sum(tuple(sub)))
+            rhs_vec += mult * apply_matter(t_ops[j], chain_sum(tuple(sub)))
         shift = float(sum(omega[j] for j in ms))
         u, _, _ = resolvent_apply(m.H, gs.energy, shift, rhs_vec, cfg)
         solves += 1
@@ -367,15 +359,14 @@ def number_decomposition(psi: StateVector, K, basis: FockBasis,
     space because annihilators lower the grade without touching the cutoff.
     """
     K = np.asarray(K, dtype=complex)
-    d = psi.d_matter
     lhs = 0.0
     for mo in range(basis.n_modes):
         f = np.zeros(basis.n_modes, dtype=complex)
         f[mo] = np.conj(K[mo]) / math.sqrt(grid.weights[mo])
-        a_op = fock.fock_embed(fock.smeared_annihilator(f, grid, basis), d)
-        lhs += float(np.linalg.norm(a_op.apply(psi.array)) ** 2)
-    dg = fock.fock_embed(fock.dgamma(np.abs(K) ** 2, basis), d)
-    rhs = float(np.real(np.vdot(psi.array, dg.apply(psi.array))))
+        a_mat = fock.smeared_annihilator(f, grid, basis).mat
+        lhs += float(np.linalg.norm(apply_fock(a_mat, psi.array)) ** 2)
+    dg = fock.dgamma(np.abs(K) ** 2, basis).mat
+    rhs = float(np.real(np.vdot(psi.array, apply_fock(dg, psi.array))))
     return _scalar_report("number_decomposition", lhs, rhs, psi.w_top(), EXACT_TOL)
 
 
@@ -430,16 +421,15 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     rng = np.random.default_rng(seed)
     M = basis.n_modes
     reports = []
-    a_ops = [basis.lowering(i) for i in range(M)]
-    c_ops = [fock.creator(i, basis) for i in range(M)]
+    a_ops = [basis.lowering(i).mat for i in range(M)]
+    c_ops = [fock.creator(i, basis).mat for i in range(M)]
     interior_cols = np.where(basis.interior_mask)[0]
 
     # [a_i, a_j*] - delta_ij on interior columns
     worst = 0.0
     for i in range(M):
         for j in range(M):
-            comm = (a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i])
-            dm = comm.to_sparse().toarray()
+            dm = ((a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i])).toarray()
             if i == j:
                 dm = dm - np.eye(len(basis))
             worst = max(worst, float(np.abs(dm[:, interior_cols]).max()))
@@ -451,28 +441,28 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
         for j in range(M):
             c1 = (a_ops[i] @ a_ops[j]) - (a_ops[j] @ a_ops[i])
             c2 = (c_ops[i] @ c_ops[j]) - (c_ops[j] @ c_ops[i])
-            worst = max(worst, float(np.abs(c1.to_sparse().toarray()).max()),
-                        float(np.abs(c2.to_sparse().toarray()).max()))
+            worst = max(worst, float(np.abs(c1.toarray()).max()),
+                        float(np.abs(c2.toarray()).max()))
     reports.append(_scalar_report("ccr_aa_and_creation", worst, 0.0, 0.0, 1e-13, deviation=True))
 
     # adjoint pairing: creator equals the conjugate transpose of the annihilator
     worst = 0.0
     for i in range(M):
-        dm = (c_ops[i].to_sparse() - a_ops[i].to_sparse().conj().T).toarray()
+        dm = (c_ops[i] - a_ops[i].conj().T).toarray()
         worst = max(worst, float(np.abs(dm).max()))
     reports.append(_scalar_report("creator_adjoint_pairing", worst, 0.0, 0.0, 1e-13, deviation=True))
 
     # Leibniz commutators of dGamma on interior columns
     g = rng.uniform(0.25, 2.0, size=M)
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    dg = fock.dgamma(g, basis)
-    af = fock.smeared_annihilator(f, grid, basis)
-    agf = fock.smeared_annihilator(g * f, grid, basis)
-    comm_a = ((dg @ af) - (af @ dg) + agf).to_sparse().toarray()
+    dg = fock.dgamma(g, basis).mat
+    af = fock.smeared_annihilator(f, grid, basis).mat
+    agf = fock.smeared_annihilator(g * f, grid, basis).mat
+    comm_a = ((dg @ af) - (af @ dg) + agf).toarray()
     worst_a = float(np.abs(comm_a[:, interior_cols]).max())
-    cf = af.adjoint()
-    cgf = agf.adjoint()
-    comm_c = ((dg @ cf) - (cf @ dg) - cgf).to_sparse().toarray()
+    cf = af.conj().T
+    cgf = agf.conj().T
+    comm_c = ((dg @ cf) - (cf @ dg) - cgf).toarray()
     worst_c = float(np.abs(comm_c[:, interior_cols]).max())
     reports.append(
         _scalar_report("dgamma_leibniz_commutators", max(worst_a, worst_c), 0.0, 0.0, 1e-13,
@@ -491,9 +481,9 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
         f_over = float(np.sum(np.abs(f) ** 2 * grid.weights / omega))
         f_norm = float(np.sum(np.abs(f) ** 2 * grid.weights))
         energy_half = float(np.real(np.vdot(psi, dgw.apply(psi))))
-        a_op = fock.smeared_annihilator(f, grid, basis)
-        lhs_a = float(np.linalg.norm(a_op.apply(psi)) ** 2)
-        lhs_c = float(np.linalg.norm(a_op.adjoint_apply(psi)) ** 2)
+        a_op = fock.smeared_annihilator(f, grid, basis).mat
+        lhs_a = float(np.linalg.norm(a_op @ psi) ** 2)
+        lhs_c = float(np.linalg.norm(a_op.conj().T @ psi) ** 2)
         worst_a_viol = max(worst_a_viol, lhs_a - f_over * energy_half)
         worst_c_viol = max(worst_c_viol, lhs_c - (f_over * energy_half + f_norm))
         top_weight = max(top_weight, StateVector(psi, 1, basis).w_top())
@@ -601,7 +591,7 @@ def _single_mode_operators(n_max: int):
     guard still applies.
     """
     basis = fock.enumerate_basis(1, n_max)
-    a = basis.lowering(0).to_sparse().toarray()
+    a = basis.lowering(0).mat.toarray()
     return basis.occupations[:, 0].astype(float), (a + a.T) / math.sqrt(2.0)
 
 

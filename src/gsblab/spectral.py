@@ -30,7 +30,6 @@ __all__ = [
     "solve_model",
     "stacked_ground_states",
     "resolvent_apply",
-    "batched_resolvent",
 ]
 
 # Largest dimension ground_state solves by dense eigh.  The single-mode
@@ -98,14 +97,14 @@ def _check_dense_budget(dim: int, cfg: SolverConfig) -> None:
         )
 
 
-def _dense_ground(H: LinOp, mat, cfg: SolverConfig):
+def _dense_ground(H: LinOp, cfg: SolverConfig):
     """All eigenpairs by eigh; returns (values, ground vector, applications)."""
     _check_dense_budget(H.dim, cfg)
-    vals, vecs = np.linalg.eigh(mat.toarray())
+    vals, vecs = np.linalg.eigh(H.mat.toarray())
     return vals[:2], vecs[:, 0], H.dim
 
 
-def _eigsh_ground(H: LinOp, mat, row_sums, cfg: SolverConfig):
+def _eigsh_ground(H: LinOp, row_sums, cfg: SolverConfig):
     """Two lowest eigenpairs by ARPACK; returns (values, ground vector, applications).
 
     ARPACK accepts a Ritz pair once ||r|| <= tol * |theta|, which no
@@ -115,7 +114,7 @@ def _eigsh_ground(H: LinOp, mat, row_sums, cfg: SolverConfig):
     theta in [1, 1 + high - low].  With max(1, |E|) >= max(1, low, -high),
     the tol below keeps tol * theta <= eig_tol * max(1, |E|).
     """
-    diag = mat.diagonal().real
+    diag = H.diagonal.real
     low = float(np.min(diag + np.abs(diag) - row_sums))
     high = float(diag.min())
     shift = 1.0 - low
@@ -156,12 +155,11 @@ def ground_state(H: LinOp, cfg: SolverConfig, d_matter: int = 1,
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
-    mat = H.to_sparse()
-    row_sums = np.asarray(abs(mat).sum(axis=1)).ravel()
+    row_sums = np.asarray(abs(H.mat).sum(axis=1)).ravel()
     if H.dim <= DENSE_MAX_DIM:
-        method, (vals, vec, applied) = "dense", _dense_ground(H, mat, cfg)
+        method, (vals, vec, applied) = "dense", _dense_ground(H, cfg)
     else:
-        method, (vals, vec, applied) = "eigsh", _eigsh_ground(H, mat, row_sums, cfg)
+        method, (vals, vec, applied) = "eigsh", _eigsh_ground(H, row_sums, cfg)
     vec = vec / np.linalg.norm(vec)
     hv = H.apply(vec)
     energy = float(np.real(np.vdot(vec, hv)))
@@ -232,7 +230,7 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
         return np.zeros_like(v), 0, 0.0
     shift = s - E
     # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
-    pre = np.real(H.diagonal()) + shift
+    pre = np.real(H.diagonal) + shift
     inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
 
     def apply_shifted(x):
@@ -266,24 +264,3 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
         it += 1
     return x, it, rnorm / bnorm
 
-
-def batched_resolvent(H: LinOp, E: float, shifts, vectors, cfg: SolverConfig):
-    """Element-wise resolvent solves; order of results matches the inputs.
-
-    Sequential, so results are bit-reproducible; each solve is independent
-    and failures propagate with their batch index attached.
-    """
-    shifts = list(shifts)
-    vectors = list(vectors)
-    if len(shifts) != len(vectors):
-        raise ValueError("shifts and vectors must have equal length")
-    out = []
-    for idx, (s, v) in enumerate(zip(shifts, vectors)):
-        try:
-            u, _, _ = resolvent_apply(H, E, s, v, cfg)
-        except NonConverged as exc:
-            raise NonConverged(f"batch element {idx}: {exc}", exc.best_residual) from exc
-        except NonPositiveShift as exc:
-            raise NonPositiveShift(f"batch element {idx}: {exc}") from exc
-        out.append(u)
-    return out

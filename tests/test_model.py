@@ -4,19 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.io
 
 from gsblab import (
     CouplingFamily,
     annihilator,
     assemble,
     build_radial_grid,
-    coupling_budget,
     eval_coupling,
-    fock_embed,
     preset_spin_boson,
     preset_van_hove,
     t_operator,
     van_hove_oracle,
+    write_matrix_market,
 )
 
 import oracle
@@ -39,15 +39,49 @@ class TestAssembly:
             A, B, grid.omega, [np.asarray(grid.channel(0))], grid.weights, 0.4,
             states,
         )
-        H_got = m.H.to_sparse().toarray()
+        H_got = m.H.mat.toarray()
         np.testing.assert_allclose(H_got, H_ref, atol=1e-13)
 
     def test_h0_plus_alpha_hi(self):
+        # H(alpha) = H0 + alpha H_I, with H_I = (H(alpha) - H(0)) / alpha the same at every alpha
         grid = coupled_grid(2)
         A, B = preset_spin_boson(0.7)
-        m = assemble(A, B, grid, 0.25, 2)
-        dense = (m.H0.to_sparse() + 0.25 * m.HI.to_sparse()).toarray()
-        np.testing.assert_allclose(m.H.to_sparse().toarray(), dense, atol=1e-13)
+        H0 = assemble(A, B, grid, 0.0, 2).H.mat
+        states = oracle.dense_basis(2, 2)
+        nf = len(states)
+        H0_ref = np.kron(A, np.eye(nf)) + np.kron(np.eye(2),
+                                                  oracle.dense_dgamma(grid.omega, states))
+        np.testing.assert_allclose(H0.toarray(), H0_ref, atol=1e-13)
+        HI_ref = np.kron(B[0], oracle.dense_field(grid.channel(0), grid.weights, states).real)
+        for alpha in (0.25, -1.5):
+            HI = (assemble(A, B, grid, alpha, 2).H.mat - H0).toarray() / alpha
+            np.testing.assert_allclose(HI, HI_ref, atol=1e-13)
+
+    def test_complex_matter_matches_kron_reference(self, tmp_path):
+        # gsb_custom shape: d = 3, two channels, a complex hermitian B_1
+        grid = build_radial_grid(3, 0.2, 0.8, 2)
+        for rho0, p in ((1.0, 0.0), (0.6, 1.0)):
+            fam = CouplingFamily(rho0=rho0, p=p, uv=10.0, profile="hard-cutoff")
+            grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        A = np.array([[0.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 2.0]])
+        B = [np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
+             np.array([[0.0, 1.0j, 0.0], [-1.0j, 0.5, 0.2 - 0.4j], [0.0, 0.2 + 0.4j, -0.5]])]
+        alpha, n_max = 0.35, 3
+        m = assemble(A, B, grid, alpha, n_max)
+        states = oracle.dense_basis(2, n_max)
+        nf = len(states)
+        want = np.kron(A, np.eye(nf)) + np.kron(np.eye(3), oracle.dense_dgamma(grid.omega, states))
+        for j, b in enumerate(B):
+            want = want + alpha * np.kron(b, oracle.dense_field(grid.channel(j), grid.weights,
+                                                                states))
+        assert m.H.mat.dtype == np.complex128
+        assert assemble(A, B, grid, 0.0, n_max).H.mat.dtype == np.complex128
+        np.testing.assert_allclose(m.H.mat.toarray(), want, rtol=0, atol=1e-13)
+        path = tmp_path / "H.mtx"
+        write_matrix_market(m.H, path)
+        back = scipy.io.mmread(str(path))
+        assert back.dtype == np.complex128
+        np.testing.assert_array_equal(back.toarray(), m.H.mat.toarray())
 
     def test_dimension(self):
         grid = coupled_grid(3)
@@ -78,7 +112,7 @@ class TestAssembly:
         grid = coupled_grid(2)
         A, B = preset_spin_boson(1.0)
         m = assemble(A, B, grid, 0.0, 3)
-        E, _ = oracle.dense_ground_state(m.H.to_sparse().toarray())
+        E, _ = oracle.dense_ground_state(m.H.mat.toarray())
         assert E == pytest.approx(m.E_A, abs=1e-12)
 
 
@@ -88,11 +122,12 @@ class TestTOperator:
         grid = coupled_grid(2, rho0=0.8, p=1.0)
         A, B = preset_spin_boson(1.3)
         m = assemble(A, B, grid, 0.6, 3)
-        HI = m.HI.to_sparse().toarray()
+        nf = m.basis.dim
+        HI = (m.H.mat - assemble(A, B, grid, 0.0, 3).H.mat).toarray() / 0.6
         for i in range(2):
-            a_full = fock_embed(annihilator(i, m.basis), 2).to_sparse().toarray()
+            a_full = np.kron(np.eye(2), annihilator(i, m.basis).mat.toarray())
             comm = a_full @ HI - HI @ a_full
-            t_dense = t_operator(m, i).to_sparse().toarray()
+            t_dense = np.kron(t_operator(m, i), np.eye(nf))
             cols = np.where(np.tile(m.basis.interior_mask, 2))[0]
             np.testing.assert_allclose(
                 comm[:, cols],
@@ -105,10 +140,8 @@ class TestTOperator:
         grid = coupled_grid(1, rho0=2.0, p=1.0)
         A, B = preset_spin_boson(1.0)
         m = assemble(A, B, grid, 0.5, 2)
-        t_dense = t_operator(m, 0).to_sparse().toarray()
         lam = grid.channel(0)[0]
-        want = np.kron(lam / math.sqrt(2.0) * B[0], np.eye(m.basis.dim))
-        np.testing.assert_allclose(t_dense, want, atol=1e-14)
+        np.testing.assert_allclose(t_operator(m, 0), lam / math.sqrt(2.0) * B[0], atol=1e-14)
 
 
 class TestVanHove:
@@ -123,7 +156,7 @@ class TestVanHove:
         grid = coupled_grid(2, rho0=0.7, p=1.0)
         A, B = preset_van_hove()
         m = assemble(A, B, grid, 0.5, 14)
-        E, vec = oracle.dense_ground_state(m.H.to_sparse().toarray())
+        E, vec = oracle.dense_ground_state(m.H.mat.toarray())
         vh = van_hove_oracle(grid, 0.5)
         assert E == pytest.approx(vh.E_exact, abs=1e-10)
         N_op = oracle.dense_dgamma(np.ones(2), oracle.dense_basis(2, 14))
@@ -152,11 +185,3 @@ class TestPresets:
         vals = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(vals, [0.0, 2.0], atol=1e-14)
         np.testing.assert_allclose(B[0], [[0.0, 1.0], [1.0, 0.0]], atol=0)
-
-    def test_budget(self):
-        grid = coupled_grid(1, sigma=0.5, Lambda=1.5, nu=1)
-        A, B = preset_van_hove()
-        m = assemble(A, B, grid, 1.0, 4)
-        # ||lam/sqrt(omega)||^2 = 2 here, so budget = 1/2
-        assert coupling_budget(m, [1.0]) == pytest.approx(0.5)
-        assert math.isinf(coupling_budget(m, [0.0]))

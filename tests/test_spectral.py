@@ -12,7 +12,6 @@ from gsblab import (
     NonPositiveShift,
     SolverConfig,
     assemble,
-    batched_resolvent,
     build_radial_grid,
     eval_coupling,
     ground_state,
@@ -48,7 +47,7 @@ class TestGroundState:
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_eigh(self, seed, dim):
         H_dense = random_hermitian(dim, seed)
-        H = LinOp.from_sparse(sp.csr_matrix(H_dense), hermitian=True)
+        H = LinOp(sp.csr_matrix(H_dense), hermitian=True)
         gs = ground_state(H, CFG)
         E_ref, vec_ref = oracle.dense_ground_state(H_dense)
         assert gs.energy == pytest.approx(E_ref, abs=1e-9 * max(1.0, abs(E_ref)))
@@ -72,27 +71,27 @@ class TestGroundState:
     def test_gap_against_dense(self):
         m = spin_boson_model(n_modes=1, n_max=5)
         gs = solve_model(m, CFG)
-        vals = np.linalg.eigvalsh(m.H.to_sparse().toarray())
+        vals = np.linalg.eigvalsh(m.H.mat.toarray())
         assert gs.energy == pytest.approx(vals[0], abs=1e-10)
         assert gs.gap == pytest.approx(vals[1] - vals[0], rel=1e-6)
         assert not gs.near_degenerate
 
     def test_near_degenerate_flagged(self):
         # the computed gap, measured against the spectral width, drives the flag
-        H = LinOp.from_diagonal(np.array([0.0, 1e-12, 1.0]))
+        H = LinOp(sp.diags(np.array([0.0, 1e-12, 1.0])), hermitian=True)
         gs = ground_state(H, CFG)
         assert gs.near_degenerate
-        well_gapped = ground_state(LinOp.from_diagonal(np.array([0.0, 1.0, 2.0])), CFG)
+        well_gapped = ground_state(LinOp(sp.diags([0.0, 1.0, 2.0]), hermitian=True), CFG)
         assert not well_gapped.near_degenerate
 
     def test_dim_one(self):
-        H = LinOp.from_diagonal(np.array([4.2]))
+        H = LinOp(sp.diags(np.array([4.2])), hermitian=True)
         gs = ground_state(H, CFG)
         assert gs.energy == pytest.approx(4.2)
 
     def test_max_iterations_exhausted_raises(self):
         H_dense = random_hermitian(60, 11)
-        H = LinOp.from_sparse(sp.csr_matrix(H_dense), hermitian=True)
+        H = LinOp(sp.csr_matrix(H_dense), hermitian=True)
         tight = SolverConfig(eig_tol=1e-15, max_lanczos=3)
         with pytest.raises(NonConverged) as err:
             ground_state(H, tight)
@@ -100,7 +99,7 @@ class TestGroundState:
 
     def test_non_hermitian_rejected(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        H = LinOp.from_sparse(mat, hermitian=False)
+        H = LinOp(mat, hermitian=False)
         with pytest.raises(ValueError):
             ground_state(H, CFG)
 
@@ -116,7 +115,7 @@ class TestResolvent:
     def test_matches_dense_solve(self):
         m = spin_boson_model(n_modes=1, n_max=6)
         gs = solve_model(m, CFG)
-        H_dense = m.H.to_sparse().toarray()
+        H_dense = m.H.mat.toarray()
         rng = np.random.default_rng(2)
         v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
         for s in (0.1, 1.0, 7.5):
@@ -181,35 +180,6 @@ class TestResolvent:
         assert relres <= CFG.cg_tol
         assert np.linalg.norm(x_warm - x_cold) <= 1e-9 * np.linalg.norm(x_cold)
 
-    def test_batched_matches_individual(self):
-        m = spin_boson_model(n_modes=1, n_max=5)
-        gs = solve_model(m, CFG)
-        rng = np.random.default_rng(6)
-        vs = [rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-              for _ in range(3)]
-        shifts = [0.3, 0.9, 2.0]
-        batch = batched_resolvent(m.H, gs.energy, shifts, vs, CFG)
-        for x, s, v in zip(batch, shifts, vs):
-            x_ind, _, _ = resolvent_apply(m.H, gs.energy, s, v, CFG)
-            np.testing.assert_allclose(x, x_ind, atol=1e-10 * np.linalg.norm(x_ind))
-
-    def test_batched_edge_cases(self):
-        m = spin_boson_model(n_modes=1, n_max=4)
-        gs = solve_model(m, CFG)
-        assert batched_resolvent(m.H, gs.energy, [], [], CFG) == []
-        v = np.ones(m.dim, dtype=complex)
-        twice = batched_resolvent(m.H, gs.energy, [0.7, 0.7], [v, v], CFG)
-        np.testing.assert_array_equal(twice[0], twice[1])
-        # permuting the batch permutes the outputs
-        rng = np.random.default_rng(8)
-        vs = [rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-              for _ in range(3)]
-        shifts = [0.2, 0.5, 1.5]
-        fwd = batched_resolvent(m.H, gs.energy, shifts, vs, CFG)
-        rev = batched_resolvent(m.H, gs.energy, shifts[::-1], vs[::-1], CFG)
-        for a, b in zip(fwd, rev[::-1]):
-            np.testing.assert_array_equal(a, b)
-
     def test_resolvent_eigenvector_scaling(self):
         m = spin_boson_model(n_modes=1, n_max=5)
         gs = solve_model(m, CFG)
@@ -251,7 +221,7 @@ class TestStackedGroundStates:
         energies, vecs = stacked_ground_states(stack, CFG)
         assert vecs.shape == (6, 9)
         for k, H in enumerate(stack):
-            gs = ground_state(LinOp.from_sparse(sp.csr_matrix(H), hermitian=True), CFG)
+            gs = ground_state(LinOp(sp.csr_matrix(H), hermitian=True), CFG)
             assert energies[k] == pytest.approx(gs.energy, rel=1e-13)
             assert abs(np.vdot(gs.vector.array, vecs[k])) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(vecs[k]) == pytest.approx(1.0, abs=1e-14)
@@ -296,7 +266,7 @@ class TestEigshPath:
         raw = sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
         raw = raw + 1j * sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
         mat = (raw + raw.conj().T) / 2.0 + sp.diags(np.arange(dim) / dim)
-        gs = ground_state(LinOp.from_sparse(mat, hermitian=True), CFG)
+        gs = ground_state(LinOp(mat, hermitian=True), CFG)
         E_ref, vec_ref = oracle.dense_ground_state(mat.toarray())
         vals = np.linalg.eigvalsh(mat.toarray())
         assert gs.method == "eigsh"
@@ -331,14 +301,14 @@ class TestEigshPath:
 
     def test_zero_ground_energy_found(self):
         # a relative Ritz test never accepts theta = 0; the solver must not skip it
-        H = LinOp.from_diagonal(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172))
+        H = LinOp(sp.diags(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172)), hermitian=True)
         gs = ground_state(H, CFG)
         assert gs.method == "eigsh"
         assert gs.energy == pytest.approx(0.0, abs=1e-12)
         assert gs.gap == pytest.approx(5.0 / (DENSE_MAX_DIM + 171), rel=1e-8)
 
     def test_dense_path_counts_dimension(self):
-        gs = ground_state(LinOp.from_diagonal(np.array([3.0, 1.0, 2.0])), CFG)
+        gs = ground_state(LinOp(sp.diags(np.array([3.0, 1.0, 2.0])), hermitian=True), CFG)
         assert (gs.method, gs.iterations, gs.energy, gs.gap) == ("dense", 3, 1.0, 1.0)
 
     def test_eigsh_budget_exhausted_raises(self):
