@@ -33,7 +33,7 @@ __all__ = ["main", "RunConfig", "load_config", "execute_run"]
 
 
 class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
 class GridConfig(_Strict):

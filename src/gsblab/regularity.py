@@ -230,6 +230,9 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
     an equality when every T(k_i) acts as a scalar on the ground state
     (scalar matter), which is the divergence engine of the no-ground-state
     results once the right side is summed against a singular coupling.
+    For parity-symmetric models such as the spin boson (a matter involution
+    U with U A U* = A and U B_j U* = -B_j), <phi_g, T(k_i) phi_g> = 0, so
+    the bound is identically 0 up to round-off and constrains nothing there.
     """
     _require_solved(gs)
     G = np.asarray(G, dtype=float)
@@ -286,7 +289,8 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     permutation chains of a tuple; a multiset with multiplicities (m_1, ...)
     stands for n! / prod m_l! ordered tuples.  Resolvent solves are memoized
     per multiset, one solve each, and the hit rate against the naive
-    per-chain count is reported.
+    per-chain count is reported, with the total CG iterations and the worst
+    relative residual of those solves.
     """
     _require_solved(gs)
     if not 1 <= n <= 3:
@@ -303,10 +307,11 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     weights = m.grid.weights
     t_ops = [t_operator(m, i) for i in range(M)]
     memo: dict = {(): phi}
-    solves = 0
+    solves = cg_iterations = 0
+    worst_relres = 0.0
 
     def chain_sum(ms: tuple) -> np.ndarray:
-        nonlocal solves
+        nonlocal solves, cg_iterations, worst_relres
         if ms in memo:
             return memo[ms]
         rhs_vec = np.zeros_like(phi)
@@ -316,8 +321,10 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
             sub.remove(j)
             rhs_vec += mult * apply_matter(t_ops[j], chain_sum(tuple(sub)))
         shift = float(sum(omega[j] for j in ms))
-        u, _, _ = resolvent_apply(m.H, gs.energy, shift, rhs_vec, cfg)
+        u, iters, relres = resolvent_apply(m.H, gs.energy, shift, rhs_vec, cfg)
         solves += 1
+        cg_iterations += iters
+        worst_relres = max(worst_relres, relres)
         memo[ms] = u
         return u
 
@@ -341,6 +348,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
         f"higher_moment_n{n}", lhs, rhs, gs.w_top, tol,
         metadata={
             "order": n, "resolvent_solves": solves,
+            "cg_iterations": cg_iterations, "worst_cg_relres": worst_relres,
             "naive_solves": naive, "memo_hit_rate": hit_rate,
             "alpha": m.alpha, "n_max": m.n_max,
         },

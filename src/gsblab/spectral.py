@@ -2,12 +2,13 @@
 
 Two numerical primitives feed every identity check: the lowest eigenpair of
 a hermitian operator and the application of (H - E + s)^-1 for shifts s > 0
-(preconditioned conjugate gradients on the positive definite shifted
-operator).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM and from
-ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest eigenpairs)
-above it, both in real arithmetic whenever H (and, for the resolvent, the
-right-hand side) is real.  Both are deterministic for a fixed seed; above
-the dense cut-off H is never factorized, only applied.
+(Jacobi-preconditioned conjugate gradients on the positive definite shifted
+operator: one H.apply per iteration, every vector update in place through
+BLAS axpy/scal).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM
+and from ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest
+eigenpairs) above it, both in real arithmetic whenever H (and, for the
+resolvent, the right-hand side) is real.  Both are deterministic for a
+fixed seed; above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .fock import FockBasis, LinOp, StateVector
@@ -120,13 +122,14 @@ def _eigsh_ground(H: LinOp, row_sums, cfg: SolverConfig):
     shift = 1.0 - low
     tol = cfg.eig_tol * max(1.0, low, -high) / (1.0 + high - low)
     applied = 0
+    axpy = get_blas_funcs("axpy", dtype=H.dtype)
 
     def matvec(v):
         nonlocal applied
         if applied >= cfg.max_lanczos:
             raise _BudgetExhausted
         applied += 1
-        return H.apply(v) + shift * v
+        return axpy(v, H.apply(v), a=shift)
 
     op = LinearOperator((H.dim, H.dim), matvec=matvec, dtype=H.dtype)
     try:
@@ -218,6 +221,11 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
     x0 to warm-start when sweeping shifts.  Runs in real arithmetic when H is
     real and neither v nor x0 has a nonzero imaginary part, in complex
     arithmetic otherwise; u has that dtype.  Returns (u, iterations, relres).
+
+    Each iteration calls H.apply exactly once (a warm start adds one call)
+    and allocates no other vector: the shift, the x, r and p updates and
+    the preconditioner write into the solver's own arrays, so v and x0 are
+    never modified.
     """
     if s <= 0:
         raise NonPositiveShift(f"shift must be > 0, got {s}")
@@ -232,11 +240,10 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
     # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
     pre = np.real(H.diagonal) + shift
     inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
-
-    def apply_shifted(x):
-        return H.apply(x) + shift * x
-
-    r = v - apply_shifted(x) if x0 is not None else v.copy()
+    # axpy and scal overwrite their last argument, or return a copy when its
+    # dtype or layout does not fit: always keep the returned array
+    axpy, scal = get_blas_funcs(("axpy", "scal"), dtype=dtype)
+    r = v if x0 is None else v - axpy(x, H.apply(x), a=shift)
     z = r * inv_pre
     p = z.copy()
     rz = np.real(np.vdot(r, z))
@@ -249,18 +256,17 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
                 f"CG did not reach cg_tol={cfg.cg_tol} within {cfg.cg_max} iterations",
                 rnorm / bnorm,
             )
-        hp = apply_shifted(p)
+        hp = axpy(p, H.apply(p), a=shift)
         denom = np.real(np.vdot(p, hp))
         if denom <= 0:
             raise NonConverged("CG lost positive definiteness", rnorm / bnorm)
         a = rz / denom
-        x = x + a * p
-        r = r - a * hp
+        x = axpy(p, x, a=a)
+        r = axpy(hp, r, a=-a)
         rnorm = float(np.linalg.norm(r))
-        z = r * inv_pre
+        np.multiply(r, inv_pre, out=z)
         rz_new = np.real(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        p = axpy(z, scal(rz_new / rz, p))
         rz = rz_new
         it += 1
     return x, it, rnorm / bnorm
-

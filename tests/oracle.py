@@ -154,3 +154,43 @@ def midpoint_grid(nu, sigma, Lambda, n_shells):
     pts = np.array([sigma + (i + 0.5) * dr for i in range(n_shells)])
     wts = surface * pts ** (nu - 1) * dr
     return pts, wts
+
+
+def reference_pcg(H, E, s, v, cg_tol, cg_max, x0=None):
+    """(H - E + s)^-1 v by Jacobi-preconditioned CG, one new array per update.
+
+    H is a scipy sparse matrix or a dense array.  Same stop rule as the
+    package kernel, ||(H - E + s) u - v|| <= cg_tol ||v||, in the dtype of
+    H, v and x0 combined.  Returns (u, iterations, relres), or raises
+    RuntimeError when cg_max iterations do not reach the tolerance.
+    """
+    x = np.zeros(len(v)) if x0 is None else np.asarray(x0)
+    dtype = np.result_type(H.dtype, v, x)
+    v, x = np.asarray(v, dtype=dtype), np.asarray(x, dtype=dtype)
+    bnorm = float(np.linalg.norm(v))
+    shift = s - E
+    inv_pre = 1.0 / np.maximum(np.real(H.diagonal()) + shift, 0.5 * s)
+
+    def apply_shifted(y):
+        return H @ y + shift * y
+
+    r = v - apply_shifted(x) if x0 is not None else v.copy()
+    z = r * inv_pre
+    p = z.copy()
+    rz = np.real(np.vdot(r, z))
+    rnorm = float(np.linalg.norm(r))
+    it = 0
+    while rnorm > cg_tol * bnorm:
+        if it >= cg_max:
+            raise RuntimeError("reference CG ran out of iterations")
+        hp = apply_shifted(p)
+        a = rz / np.real(np.vdot(p, hp))
+        x = x + a * p
+        r = r - a * hp
+        rnorm = float(np.linalg.norm(r))
+        z = r * inv_pre
+        rz_new = np.real(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        it += 1
+    return x, it, rnorm / bnorm

@@ -438,6 +438,22 @@ class TestFailureExits:
         self.assert_one_line_error(result)
         assert "G must be entrywise >= 0" in result.output
 
+    @pytest.mark.parametrize("example, old, new, field", [
+        # 1e999 is valid JSON and parses to inf
+        ("spin_boson_2level", '"alpha": 0.3', '"alpha": 1e999', "alpha"),
+        ("spin_boson_2level", '"G": "ones"', '"G": [1.0, NaN, 1.0, 1.0]', "G.list[float].1"),
+        ("van_hove_single_mode", '"Lambda": 1.5', '"Lambda": Infinity', "grid.Lambda"),
+    ])
+    def test_non_finite_number_is_two(self, tmp_path, example, old, new, field):
+        text = (EXAMPLES / f"{example}.json").read_text()
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert "config schema violation" in result.output
+        assert f"{field}: Input should be a finite number" in result.output
+
     @pytest.mark.parametrize("what", ["basis", "operator"])
     def test_dump_basis_size_guard_is_two(self, tmp_path, what):
         # spin-boson on 4 shells with n_max = 60 has 635,376 Fock states

@@ -300,6 +300,22 @@ class TestHigherMoments:
         assert rep.metadata["resolvent_solves"] == M + n_multisets
         assert 0.0 < rep.metadata["memo_hit_rate"] < 1.0
 
+    def test_records_cg_work(self):
+        # every solve starts cold, so the CG iterations are the H applications
+        m = spin_boson(n_modes=3, n_max=6)
+        gs = solve_model(m, CFG)
+        calls = []
+        apply = m.H.apply
+        m.H.apply = lambda v: calls.append(1) or apply(v)
+        rep = higher_moment_identity(m, gs, 2, CFG)
+        assert rep.metadata["cg_iterations"] == len(calls)
+        assert rep.metadata["cg_iterations"] >= rep.metadata["resolvent_solves"]
+        assert 0.0 < rep.metadata["worst_cg_relres"] <= CFG.cg_tol
+        m0 = spin_boson(n_modes=3, n_max=6, alpha=0.0)
+        free = higher_moment_identity(m0, solve_model(m0, CFG), 2, CFG)
+        assert free.metadata["cg_iterations"] == 0
+        assert free.metadata["worst_cg_relres"] == 0.0
+
     def test_mode_cap_enforced(self):
         m = spin_boson(n_modes=5, n_max=4)
         gs = solve_model(m, CFG)

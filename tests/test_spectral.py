@@ -215,6 +215,71 @@ class TestResolvent:
             resolvent_apply(m.H, gs.energy, 1e-6, v, tight)
 
 
+def cg_problem(kind):
+    """A hermitian model, its ground energy and a right-hand side in its dtype."""
+    m = spin_boson_model(n_modes=2, n_max=6)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(m.dim)
+    if kind == "complex":
+        # sigma_y coupling: a genuinely complex hermitian H
+        m = assemble(m.A.astype(complex), [np.array([[0.0, -1j], [1j, 0.0]])],
+                     m.grid, m.alpha, m.n_max)
+        v = v + 1j * rng.standard_normal(m.dim)
+    return m, solve_model(m, CFG).energy, v
+
+
+class TestCgKernel:
+    """The in-place CG kernel against the allocating reference in the oracle."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_reference_pcg(self, kind, warm):
+        m, E, v = cg_problem(kind)
+        assert (m.H.dtype == np.complex128) == (kind == "complex")
+        x0 = None
+        if warm:
+            x0 = 0.9 * oracle.reference_pcg(m.H.mat, E, 0.5, v, 1e-4, 1000)[0]
+        for s in (0.1, 0.5, 2.0):
+            u, it, relres = resolvent_apply(m.H, E, s, v, CFG, x0=x0)
+            want, it_ref, relres_ref = oracle.reference_pcg(
+                m.H.mat, E, s, v, CFG.cg_tol, CFG.cg_max, x0=x0)
+            assert it == it_ref > 0
+            assert u.dtype == want.dtype
+            assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+            assert relres <= CFG.cg_tol and relres == pytest.approx(relres_ref, rel=1e-2)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_apply_per_iteration(self, kind):
+        m, E, v = cg_problem(kind)
+        calls = []
+        apply = m.H.apply
+        m.H.apply = lambda x: calls.append(1) or apply(x)
+        u, it, _ = resolvent_apply(m.H, E, 0.5, v, CFG)
+        assert len(calls) == it > 0
+        calls.clear()
+        _, it_warm, _ = resolvent_apply(m.H, E, 0.5, v, CFG, x0=0.5 * u)
+        assert len(calls) == it_warm + 1
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_inputs_not_modified(self, kind):
+        m, E, v = cg_problem(kind)
+        x0 = np.random.default_rng(6).standard_normal(m.dim).astype(v.dtype)
+        v_copy, x0_copy = v.copy(), x0.copy()
+        resolvent_apply(m.H, E, 0.5, v, CFG)
+        resolvent_apply(m.H, E, 0.5, v, CFG, x0=x0)
+        np.testing.assert_array_equal(v, v_copy)
+        np.testing.assert_array_equal(x0, x0_copy)
+
+    def test_indefinite_system_raises(self):
+        # E above the ground energy by more than s: the ground vector sees a
+        # negative eigenvalue of H - E + s
+        m = spin_boson_model(n_modes=2, n_max=6)
+        gs = solve_model(m, CFG)
+        s = 0.5
+        with pytest.raises(NonConverged, match="CG lost positive definiteness"):
+            resolvent_apply(m.H, gs.energy + 2 * s, s, gs.vector.amplitudes, CFG)
+
+
 class TestStackedGroundStates:
     def test_matches_ground_state_per_matrix(self):
         stack = np.stack([random_hermitian(9, seed) for seed in range(6)])
