@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Literal, Optional, Union
+from typing import Annotated, List, Literal, Optional, Union
 
 import click
 import numpy as np
@@ -160,9 +160,11 @@ class IrSweepCheck(_Strict):
         return self
 
 
-CheckConfig = Union[
-    PullthroughCheck, MomentCheck, AbsenceCheck, HigherCheck,
-    AppendixCheck, CcrCheck, IrSweepCheck,
+# discriminated on kind: a bad entry is reported against its own kind only
+CheckConfig = Annotated[
+    Union[PullthroughCheck, MomentCheck, AbsenceCheck, HigherCheck,
+          AppendixCheck, CcrCheck, IrSweepCheck],
+    Field(discriminator="kind"),
 ]
 
 

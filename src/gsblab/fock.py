@@ -215,12 +215,16 @@ class LinOp:
 
 
 class StateVector:
-    """Amplitudes over a matter (x) Fock composite, matter index major."""
+    """Amplitudes over a matter (x) Fock composite, matter index major.
+
+    They keep the dtype given (integers become float): a real ground vector stays real.
+    """
 
     __slots__ = ("amplitudes", "d_matter", "basis")
 
     def __init__(self, amplitudes, d_matter: int, basis: FockBasis | None):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = np.asarray(amplitudes)
+        amplitudes = amplitudes.astype(np.result_type(amplitudes.dtype, float), copy=False)
         if basis is not None and len(amplitudes) != d_matter * len(basis):
             raise ValueError(
                 f"amplitude length {len(amplitudes)} does not match "
@@ -236,24 +240,12 @@ class StateVector:
     def array(self) -> np.ndarray:
         return self.amplitudes
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def w_top(self) -> float:
         """Probability weight on the maximal-quanta grade (truncation indicator)."""
         if self.basis is None:
             return float("nan")
         V = self.amplitudes.reshape(self.d_matter, len(self.basis))
         return float(np.sum(np.abs(V[:, self.basis.top_mask]) ** 2))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.d_matter, self.basis)
 
 
 # ---------------------------------------------------------------------------

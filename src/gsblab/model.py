@@ -88,7 +88,6 @@ class GsbModel:
         self.d_matter = A.shape[0]
         self.dim = self.d_matter * len(basis)
         self.H = H
-        self.E_A = float(np.linalg.eigvalsh(A)[0])
 
     def state(self, amplitudes) -> StateVector:
         return StateVector(amplitudes, self.d_matter, self.basis)
@@ -100,8 +99,7 @@ class GsbModel:
         )
 
 
-def assemble(A, B, grid: ModeSet, alpha: float, n_max: int,
-             max_states: int | None = None) -> GsbModel:
+def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
     A and every B_j must be hermitian (checked to 1e-12) and share one
@@ -119,7 +117,7 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int,
         raise ValueError(
             f"{len(B)} matter channels but {grid.n_channels} coupling columns on the grid"
         )
-    basis = fock.enumerate_basis(grid.n_modes, n_max, max_states=max_states)
+    basis = fock.enumerate_basis(grid.n_modes, n_max)
     nf = len(basis)
 
     # an empty start in the dtype of A and the B_j keeps H complex when alpha = 0

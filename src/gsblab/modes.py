@@ -15,7 +15,7 @@ integrals under grid refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class ModeSet:
     couplings: tuple = ()
     families: tuple = ()
     mass: float = 0.0
-    sigma: float = field(default=0.0)
-    Lambda: float = field(default=0.0)
-    rule: str = field(default="midpoint")
 
     def __post_init__(self):
         pts = _readonly(self.points)
@@ -203,33 +200,12 @@ def build_radial_grid(
         raise ValueError(f"unknown rule {rule!r}")
     w = s * r ** (nu - 1) * widths
     omega = r if mass == 0.0 else np.sqrt(r * r + mass * mass)
-    return ModeSet(
-        nu=nu, points=r, weights=w, omega=omega, mass=mass,
-        sigma=sigma, Lambda=Lambda, rule=rule,
-    )
+    return ModeSet(nu=nu, points=r, weights=w, omega=omega, mass=mass)
 
 
-def eval_coupling(
-    family: CouplingFamily,
-    grid: ModeSet,
-    dispersion_law: str | tuple | None = None,
-) -> np.ndarray:
-    """Evaluate the coupling column lambda_i = rho(r_i) / sqrt(omega_i).
-
-    By default omega comes from the grid.  dispersion_law may override it:
-    "massless" uses omega = r, ("massive", m) uses omega = sqrt(r^2 + m^2).
-    """
-    r = grid.points
-    if dispersion_law is None:
-        omega = grid.omega
-    elif dispersion_law == "massless":
-        omega = r
-    elif isinstance(dispersion_law, tuple) and dispersion_law[0] == "massive":
-        m = float(dispersion_law[1])
-        omega = np.sqrt(r * r + m * m)
-    else:
-        raise ValueError(f"unknown dispersion law {dispersion_law!r}")
-    return family.rho(r) / np.sqrt(omega)
+def eval_coupling(family: CouplingFamily, grid: ModeSet) -> np.ndarray:
+    """The coupling column lambda_i = rho(r_i) / sqrt(omega_i), omega from the grid."""
+    return family.rho(grid.points) / np.sqrt(grid.omega)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     f = np.asarray(f, dtype=complex)
     phi = gs.vector.array
     lhs_vec = apply_fock(fock.smeared_annihilator(f, m.grid, m.basis).mat, phi)
-    rhs_vec = np.zeros_like(phi)
+    rhs_vec = np.zeros_like(lhs_vec)
     stats = []
     if m.alpha != 0.0:
         coeff = np.conj(f) * m.grid.weights
@@ -404,17 +404,6 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
 # Commutation relations and relative bounds
 
 
-def _random_states(basis: FockBasis, rng, count: int, interior: bool = False):
-    states = []
-    for _ in range(count):
-        v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        if interior:
-            v[~basis.interior_mask] = 0.0
-        n = np.linalg.norm(v)
-        states.append(v / n)
-    return states
-
-
 def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
                         n_draws: int = 200) -> list:
     """Canonical commutation relations and the standard relative bounds.
@@ -484,7 +473,8 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     worst_c_viol = 0.0
     top_weight = 0.0
     for _ in range(n_draws):
-        psi = _random_states(basis, rng, 1)[0]
+        psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        psi /= np.linalg.norm(psi)
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         f_over = float(np.sum(np.abs(f) ** 2 * grid.weights / omega))
         f_norm = float(np.sum(np.abs(f) ** 2 * grid.weights))
@@ -624,18 +614,6 @@ def _single_mode_ground_states(grid: ModeSet, b: float, alpha: float, ops,
     return energies, prob @ number, absence, prob[:, -1]
 
 
-def _solve_sigma_separable(grid: ModeSet, a0: float, b: float, alpha: float, ops,
-                           cfg: SolverConfig):
-    """Stacked solve for scalar-matter single-channel models.
-
-    Such a Hamiltonian is a commuting sum of single-mode problems, so the
-    ground state is the tensor product of per-mode ground states: energies
-    (on top of the constant a0), number expectations and absence terms add.
-    """
-    E, N, absence, w_top = _single_mode_ground_states(grid, b, alpha, ops, cfg)
-    return a0 + float(E.sum()), float(N.sum()), float(absence.sum()), float(w_top.max())
-
-
 def _solve_sigma_full(grid: ModeSet, template: SweepTemplate, alpha: float,
                       cfg: SolverConfig):
     m = model_mod.assemble(np.asarray(template.A), [np.asarray(b) for b in template.B],
@@ -684,7 +662,10 @@ def ir_sweep(family: CouplingFamily, template: SweepTemplate, sigmas,
         lam = eval_coupling(family, grid)
         grid = grid.with_coupling(lam, family)
         if separable:
-            E, N, absence, w_top = _solve_sigma_separable(grid, a0, b, alpha, ops, cfg)
+            # a commuting sum of single-mode problems: E (on top of the
+            # constant a0), <N> and the absence terms add over modes
+            E, N, absence, w_top = _single_mode_ground_states(grid, b, alpha, ops, cfg)
+            E, N, absence, w_top = a0 + E.sum(), N.sum(), absence.sum(), w_top.max()
         else:
             E, N, absence, w_top = _solve_sigma_full(grid, template, alpha, cfg)
         crit = l2_criteria(grid, 0)

@@ -6,9 +6,10 @@ a hermitian operator and the application of (H - E + s)^-1 for shifts s > 0
 operator: one H.apply per iteration, every vector update in place through
 BLAS axpy/scal).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM
 and from ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest
-eigenpairs) above it, both in real arithmetic whenever H (and, for the
-resolvent, the right-hand side) is real.  Both are deterministic for a
-fixed seed; above the dense cut-off H is never factorized, only applied.
+eigenpairs) above it, both in the dtype of H and, for the resolvent, of
+the right-hand side: a real model gets a real ground vector, real
+right-hand sides and real solves.  Both are deterministic for a fixed
+seed; above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
 """
@@ -207,20 +208,15 @@ def stacked_ground_states(H, cfg: SolverConfig):
     return energies, vecs
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    # a complex array whose imaginary part is exactly zero carries a real vector
-    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
-
-
 def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
                     cfg: SolverConfig, x0: np.ndarray | None = None):
     """Apply (H - E + s)^-1 by preconditioned conjugate gradients.
 
     E must be the ground energy (so H - E >= 0) and s > 0, making the system
     positive definite.  Stops at ||(H - E + s) u - v|| <= cg_tol ||v||; pass
-    x0 to warm-start when sweeping shifts.  Runs in real arithmetic when H is
-    real and neither v nor x0 has a nonzero imaginary part, in complex
-    arithmetic otherwise; u has that dtype.  Returns (u, iterations, relres).
+    x0 to warm-start when sweeping shifts.  Runs in the dtype
+    np.result_type(H.dtype, v, x0), so a real H with a real v (and x0) solves
+    in real arithmetic; u has that dtype.  Returns (u, iterations, relres).
 
     Each iteration calls H.apply exactly once (a warm start adds one call)
     and allocates no other vector: the shift, the x, r and p updates and
@@ -229,8 +225,8 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
     """
     if s <= 0:
         raise NonPositiveShift(f"shift must be > 0, got {s}")
-    v = _real_if_exact(np.asarray(v))
-    x = np.zeros(v.shape) if x0 is None else _real_if_exact(np.asarray(x0))
+    v = np.asarray(v)
+    x = np.zeros(v.shape) if x0 is None else np.asarray(x0)
     dtype = np.result_type(H.dtype, v, x)
     v, x = v.astype(dtype), x.astype(dtype)
     bnorm = float(np.linalg.norm(v))

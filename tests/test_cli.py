@@ -454,6 +454,29 @@ class TestFailureExits:
         assert "config schema violation" in result.output
         assert f"{field}: Input should be a finite number" in result.output
 
+    def test_bad_check_entry_reported_under_its_kind(self, tmp_path):
+        # checks is discriminated on kind: a NaN in a moment column is
+        # reported against the moment check alone, not once per check kind
+        text = (EXAMPLES / "spin_boson_2level.json").read_text()
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"G": "ones"', '"G": [1.0, NaN, 1.0, 1.0]'))
+        result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        fields = [line for line in result.output.splitlines() if line.startswith("  ")]
+        assert fields and all(line.strip().startswith("checks.1.moment.") for line in fields)
+
+    @pytest.mark.parametrize("kind", ["bogus", None])
+    def test_unknown_or_missing_kind_is_one_line(self, tmp_path, kind):
+        cfg = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
+        cfg["checks"][0].pop("kind")
+        if kind is not None:
+            cfg["checks"][0]["kind"] = kind
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        fields = [line for line in result.output.splitlines() if line.startswith("  ")]
+        assert len(fields) == 1 and fields[0].strip().startswith("checks.0:")
+
     @pytest.mark.parametrize("what", ["basis", "operator"])
     def test_dump_basis_size_guard_is_two(self, tmp_path, what):
         # spin-boson on 4 shells with n_max = 60 has 635,376 Fock states

@@ -287,12 +287,14 @@ class TestTensorLayout:
 
 
 class TestStateVector:
-    def test_norm_and_inner(self):
+    def test_keeps_given_dtype(self):
         basis = enumerate_basis(1, 1)
-        v = StateVector(np.array([3.0, 4.0j]), d_matter=1, basis=basis)
-        assert v.norm() == pytest.approx(5.0)
-        u = StateVector(np.array([1.0, 0.0]), d_matter=1, basis=basis)
-        assert u.inner(v) == pytest.approx(3.0)
+        real = np.array([0.6, 0.8])
+        v = StateVector(real, d_matter=1, basis=basis)
+        assert v.array.dtype == np.float64 and v.array is real
+        assert StateVector(np.array([0.6, 0.8j]), 1, basis).array.dtype == np.complex128
+        ints = StateVector(np.array([1, 0]), 1, basis).array
+        assert ints.dtype == np.float64 and ints.tolist() == [1.0, 0.0]
 
     def test_w_top(self):
         basis = enumerate_basis(1, 2)  # states (0),(1),(2)
@@ -315,11 +317,6 @@ class TestStateVector:
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
             StateVector(np.ones(3, dtype=complex), d_matter=1, basis=basis)
-
-    def test_normalized(self):
-        basis = enumerate_basis(1, 1)
-        v = StateVector(np.array([2.0, 0.0]), d_matter=1, basis=basis)
-        assert v.normalized().norm() == pytest.approx(1.0)
 
 
 class TestClosedFormRank:
@@ -358,7 +355,8 @@ class TestClosedFormRank:
         grid = small_grid(3)
         basis = enumerate_basis(3, 3)
         rng = np.random.default_rng(0)
-        psi = StateVector(rng.standard_normal(basis.dim), 1, basis).normalized()
+        v = rng.standard_normal(basis.dim)
+        psi = StateVector(v / np.linalg.norm(v), 1, basis)
         for _ in range(3):
             smeared_annihilator(rng.standard_normal(3), grid, basis)
             field_operator(grid.channel(0), grid, basis)

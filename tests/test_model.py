@@ -102,18 +102,12 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(A, B + [np.eye(2)], grid, 0.1, 2)
 
-    def test_e_a_is_matter_bottom(self):
-        grid = coupled_grid(1)
-        A, B = preset_spin_boson(1.0)  # spectrum {0, delta}
-        m = assemble(A, B, grid, 0.1, 2)
-        assert m.E_A == pytest.approx(0.0)
-
     def test_alpha_zero_ground_energy(self):
         grid = coupled_grid(2)
         A, B = preset_spin_boson(1.0)
         m = assemble(A, B, grid, 0.0, 3)
         E, _ = oracle.dense_ground_state(m.H.mat.toarray())
-        assert E == pytest.approx(m.E_A, abs=1e-12)
+        assert E == pytest.approx(np.linalg.eigvalsh(m.A)[0], abs=1e-12)
 
 
 class TestTOperator:

@@ -111,9 +111,10 @@ class TestCouplingFamily:
                                    rtol=1e-14)
 
     def test_eval_massive_override(self):
-        grid = build_radial_grid(3, 0.5, 1.5, 3)
+        # the column follows the grid's dispersion omega = sqrt(r^2 + m^2)
+        grid = build_radial_grid(3, 0.5, 1.5, 3, mass=2.0)
         fam = hard_family()
-        lam = eval_coupling(fam, grid, dispersion_law=("massive", 2.0))
+        lam = eval_coupling(fam, grid)
         np.testing.assert_allclose(
             lam, 1.0 / (grid.points**2 + 4.0) ** 0.25, rtol=1e-14
         )

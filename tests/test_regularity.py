@@ -64,7 +64,7 @@ def dense_pullthrough_rhs(m, gs, f):
     """Reference reconstruction via dense linear solves."""
     H = m.H.mat.toarray()
     phi = gs.vector.amplitudes
-    rhs = np.zeros_like(phi)
+    rhs = np.zeros(m.dim, dtype=np.result_type(phi, np.asarray(f)))
     for i in range(m.grid.n_modes):
         shifted = H - gs.energy * np.eye(m.dim) + m.grid.omega[i] * np.eye(m.dim)
         t_phi = apply_matter(t_operator(m, i), phi)
@@ -667,3 +667,44 @@ class TestTransforms:
         B = [self.B[0], self.B[0], self.B[1]]
         _, values = identity_values(self.A, B, split, self.f)
         np.testing.assert_allclose(values, self.base, rtol=1e-9)
+
+
+class TestDtypeRule:
+    """A state vector keeps the dtype of the operator and data that produced it."""
+
+    def record_rhs_dtypes(self, monkeypatch, m):
+        seen = []
+        solve = regularity.resolvent_apply
+
+        def recording(H, E, s, v, cfg, x0=None):
+            seen.append(np.asarray(v).dtype)
+            return solve(H, E, s, v, cfg, x0=x0)
+
+        monkeypatch.setattr(regularity, "resolvent_apply", recording)
+        gs = solve_model(m, CFG)
+        reports = [pullthrough_check(m, gs, np.asarray(m.grid.channel(0)), CFG),
+                   moment_identity(m, gs, np.ones(m.grid.n_modes), CFG),
+                   moment_identity(m, gs, m.grid.omega, CFG),
+                   higher_moment_identity(m, gs, 2, CFG)]
+        assert all(r.passed for r in reports)
+        return gs, seen
+
+    # (2, 8) is solved by dense eigh, (3, 6) by eigsh
+    @pytest.mark.parametrize("n_modes, n_max", [(2, 8), (3, 6)])
+    def test_real_model_stays_real(self, monkeypatch, n_modes, n_max):
+        m = spin_boson(n_modes=n_modes, n_max=n_max)
+        gs, seen = self.record_rhs_dtypes(monkeypatch, m)
+        assert m.H.dtype == np.float64 and gs.vector.array.dtype == np.float64
+        # pull-through and both moments solve one system per mode, higher n=2
+        # one per multiset of size 1 and 2
+        M = n_modes
+        assert len(seen) == 3 * M + M + M * (M + 1) // 2
+        assert set(seen) == {np.dtype(np.float64)}
+
+    def test_complex_model_stays_complex(self, monkeypatch):
+        real = spin_boson(n_modes=2, n_max=8)
+        m = assemble(real.A.astype(complex), [b.astype(complex) for b in real.B],
+                     real.grid, real.alpha, real.n_max)
+        gs, seen = self.record_rhs_dtypes(monkeypatch, m)
+        assert gs.vector.array.dtype == np.complex128
+        assert seen and set(seen) == {np.dtype(np.complex128)}
