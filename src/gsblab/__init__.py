@@ -21,7 +21,6 @@ from .fock import (
     BasisSizeError,
     FockBasis,
     LinOp,
-    StateVector,
     annihilator,
     apply_fock,
     apply_matter,
@@ -29,7 +28,6 @@ from .fock import (
     dgamma,
     enumerate_basis,
     field_operator,
-    number_operator,
     smeared_annihilator,
     write_matrix_market,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "NonPositiveShift",
     "RegularityReport",
     "SolverConfig",
-    "StateVector",
     "SweepTemplate",
     "SweepVerdict",
     "VanHoveValues",
@@ -107,7 +104,6 @@ __all__ = [
     "l2_criteria",
     "moment_identity",
     "number_decomposition",
-    "number_operator",
     "preset_spin_boson",
     "preset_van_hove",
     "pullthrough_check",

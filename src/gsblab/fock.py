@@ -12,8 +12,9 @@ hold exactly on states supported below the top grade.  The weight a state
 carries on the top grade (w_top) is the sole source of identity error and is
 reported alongside every check.
 
-Every operator is a scipy CSR matrix held in a LinOp.  A composite vector
-over matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
+Every Fock operator is a scipy CSR matrix and every vector a numpy array;
+`LinOp` wraps only a model's assembled H.  A composite vector over
+matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
 `apply_fock` and `apply_matter` apply 1 (x) X and T (x) 1 to it by
 reshaping it to (d_matter, fock_dim).
 """
@@ -31,7 +32,6 @@ from .modes import ModeSet
 
 __all__ = [
     "FockBasis",
-    "StateVector",
     "LinOp",
     "BasisSizeError",
     "enumerate_basis",
@@ -39,7 +39,6 @@ __all__ = [
     "creator",
     "smeared_annihilator",
     "dgamma",
-    "number_operator",
     "field_operator",
     "apply_fock",
     "apply_matter",
@@ -57,10 +56,10 @@ class BasisSizeError(ValueError):
 class FockBasis:
     """Graded occupation-number basis with a closed-form tuple -> index rank.
 
-    `occupations` holds one row per state in basis order; `states` and
-    `index` give the same data as tuples and a dict for small-scale use.
-    Annihilators are built once per mode and kept (`lowering`), and so are
-    their nonzero entries (`lowering_entries`).
+    `occupations` holds one row per state in basis order, and `rank` maps
+    occupation rows back to their indices.  Annihilators are built once per
+    mode and kept (`lowering`), and so are their nonzero entries
+    (`lowering_entries`).
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -96,7 +95,7 @@ class FockBasis:
         suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
         return self._rank_table[np.arange(self.n_modes), suffix].sum(axis=1)
 
-    def lowering(self, i: int) -> "LinOp":
+    def lowering(self, i: int) -> sp.csr_matrix:
         """a_i on this basis, built by `annihilator` on first use and kept."""
         if i not in self._lowering:
             self._lowering[i] = annihilator(i, self)
@@ -109,17 +108,18 @@ class FockBasis:
         of scaled a_i is the concatenation of their scaled entries.
         """
         if i not in self._entries:
-            coo = self.lowering(i).mat.tocoo()
+            coo = self.lowering(i).tocoo()
             self._entries[i] = (coo.row, coo.col, coo.data)
         return self._entries[i]
 
-    @cached_property
-    def states(self) -> tuple:
-        return tuple(map(tuple, self.occupations.tolist()))
+    def w_top(self, psi) -> float:
+        """Probability weight of a composite vector on the top grade.
 
-    @cached_property
-    def index(self) -> dict:
-        return {t: k for k, t in enumerate(self.states)}
+        psi is matter major, so its reshape to (-1, len(self)) holds one
+        Fock row per matter component.  This is the truncation indicator.
+        """
+        V = np.reshape(psi, (-1, len(self)))
+        return float(np.sum(np.abs(V[:, self.top_mask]) ** 2))
 
     def __len__(self) -> int:
         return len(self.occupations)
@@ -180,11 +180,12 @@ def enumerate_basis(n_modes: int, n_max: int, max_states: int | None = None) -> 
 
 
 class LinOp:
-    """A square scipy CSR matrix `mat` with a hermiticity flag.
+    """A model's assembled H: a square scipy CSR matrix `mat` with a hermiticity flag.
 
-    `mat` is never modified after construction.  Everything that applies an
-    operator to vectors goes through `apply`, so a caller can replace it on
-    one instance (to count applications, for example).
+    The solvers read `hermitian` and the cached `diagonal`.  `mat` is never
+    modified after construction.  The solvers apply H to vectors only
+    through `apply`, so a caller can replace it on one instance (to count
+    applications, for example).
     """
 
     def __init__(self, mat, hermitian: bool = False):
@@ -211,48 +212,10 @@ class LinOp:
 
 
 # ---------------------------------------------------------------------------
-# State vectors
-
-
-class StateVector:
-    """Amplitudes over a matter (x) Fock composite, matter index major.
-
-    They keep the dtype given (integers become float): a real ground vector stays real.
-    """
-
-    __slots__ = ("amplitudes", "d_matter", "basis")
-
-    def __init__(self, amplitudes, d_matter: int, basis: FockBasis | None):
-        amplitudes = np.asarray(amplitudes)
-        amplitudes = amplitudes.astype(np.result_type(amplitudes.dtype, float), copy=False)
-        if basis is not None and len(amplitudes) != d_matter * len(basis):
-            raise ValueError(
-                f"amplitude length {len(amplitudes)} does not match "
-                f"d_matter {d_matter} x basis {len(basis)}"
-            )
-        if not np.all(np.isfinite(amplitudes)):
-            raise ValueError("amplitudes must be finite")
-        self.amplitudes = amplitudes
-        self.d_matter = d_matter
-        self.basis = basis
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.amplitudes
-
-    def w_top(self) -> float:
-        """Probability weight on the maximal-quanta grade (truncation indicator)."""
-        if self.basis is None:
-            return float("nan")
-        V = self.amplitudes.reshape(self.d_matter, len(self.basis))
-        return float(np.sum(np.abs(V[:, self.basis.top_mask]) ** 2))
-
-
-# ---------------------------------------------------------------------------
 # Second-quantized operators on the Fock factor
 
 
-def annihilator(i: int, basis: FockBasis) -> LinOp:
+def annihilator(i: int, basis: FockBasis) -> sp.csr_matrix:
     """Mode annihilator a_i: |..., n_i, ...> -> sqrt(n_i) |..., n_i - 1, ...>.
 
     Builds a new matrix; `basis.lowering(i)` returns the copy kept on the
@@ -265,18 +228,17 @@ def annihilator(i: int, basis: FockBasis) -> LinOp:
     lowered = occ[cols]
     lowered[:, i] -= 1
     n = len(basis)
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.sqrt(occ[cols, i]), (basis.rank(lowered), cols)), shape=(n, n), dtype=float
     )
-    return LinOp(mat)
 
 
-def creator(i: int, basis: FockBasis) -> LinOp:
+def creator(i: int, basis: FockBasis) -> sp.csr_matrix:
     """Truncated creator P a_i* P, the adjoint of the annihilator."""
-    return LinOp(basis.lowering(i).mat.conj().T)
+    return basis.lowering(i).conj().T.tocsr()
 
 
-def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
+def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
     """a(f) = sum_i conj(f_i) sqrt(w_i) a_i, anti-linear in f.
 
     f is a complex column of function values on the grid points; the
@@ -289,32 +251,27 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> LinOp:
     n = len(basis)
     modes = np.flatnonzero(coeff)
     if not len(modes):
-        return LinOp(sp.csr_matrix((n, n), dtype=complex))
+        return sp.csr_matrix((n, n), dtype=complex)
     entries = [basis.lowering_entries(i) for i in modes]
     rows = np.concatenate([r for r, _, _ in entries])
     cols = np.concatenate([c for _, c, _ in entries])
     data = np.concatenate([coeff[i] * v for i, (_, _, v) in zip(modes, entries)])
-    return LinOp(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def dgamma(g, basis: FockBasis) -> LinOp:
+def dgamma(g, basis: FockBasis) -> sp.csr_matrix:
     """Second quantization of a multiplication operator: diagonal sum_i g_i n_i."""
     g = np.asarray(g, dtype=float)
     if len(g) != basis.n_modes:
         raise ValueError("column length must match basis mode count")
-    return LinOp(sp.diags(basis.occupations @ g), hermitian=True)
+    return sp.diags(basis.occupations @ g, format="csr")
 
 
-def number_operator(basis: FockBasis) -> LinOp:
-    return dgamma(np.ones(basis.n_modes), basis)
-
-
-def field_operator(lam, grid: ModeSet, basis: FockBasis) -> LinOp:
+def field_operator(lam, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
     """Smeared field (a*(lam) + a(lam)) / sqrt(2) for a real column lam."""
     lam = np.asarray(lam, dtype=float)
     a = smeared_annihilator(lam, grid, basis)
-    mat = (a.mat + a.mat.conj().T) / math.sqrt(2.0)
-    return LinOp(mat.real, hermitian=True)
+    return ((a + a.conj().T) / math.sqrt(2.0)).real
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +282,9 @@ def apply_fock(X, v: np.ndarray) -> np.ndarray:
     """(1 (x) X) v: the sparse Fock matrix X on each matter row of v.
 
     v is matter major, so v.reshape(d_matter, fock_dim) holds one Fock row
-    per matter component.  A real X acts on a complex row as on two real
-    columns (real and imaginary parts), so scipy never copies X to complex
-    and no row is transposed.
+    per matter component.
     """
-    V = np.ascontiguousarray(v).reshape(-1, X.shape[0])
-    split = V.dtype == np.complex128 and not np.iscomplexobj(X.data)
-    out = np.empty(V.shape, dtype=np.result_type(X.dtype, V.dtype))
-    for m, row in enumerate(V):
-        out[m] = (X @ row.view(float).reshape(-1, 2)).view(complex)[:, 0] if split else X @ row
-    return out.reshape(-1)
+    return np.concatenate([X @ row for row in np.reshape(v, (-1, X.shape[0]))])
 
 
 def apply_matter(T, v: np.ndarray) -> np.ndarray:

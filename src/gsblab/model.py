@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fock
-from .fock import FockBasis, LinOp, StateVector
+from .fock import FockBasis, LinOp
 from .modes import ModeSet
 
 __all__ = [
@@ -44,6 +44,8 @@ def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
     m = m.astype(np.result_type(m.dtype, float))  # real stays real, complex stays complex
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError(f"{name} is not hermitian within {HERMITICITY_TOL}")
@@ -54,24 +56,24 @@ def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
 class GroundState:
     """Normalized ground eigenvector with solver diagnostics.
 
-    residual is ||H v - E v||, gap the distance to the second eigenvalue,
-    w_top the truncation weight of the vector.  near_degenerate flags a gap
-    small relative to the spectral width; identity checks stay well posed
-    for whichever normalized ground vector was returned.  iterations counts
-    operator applications and method names the solver ("dense" or "eigsh").
+    vector is a numpy array in the dtype of H, matter major for a model.
+    residual is ||H v - E v||, gap the distance to the second eigenvalue.
+    near_degenerate flags a gap small relative to the spectral width;
+    identity checks stay well posed for whichever normalized ground vector
+    was returned.  iterations counts operator applications and method names
+    the solver ("dense" or "eigsh").  w_top is the truncation weight of the
+    vector: `spectral.solve_model` fills it from the model's basis, and it
+    is nan from a bare `spectral.ground_state`.
     """
 
     energy: float
-    vector: StateVector
+    vector: np.ndarray
     residual: float
     gap: float
     near_degenerate: bool = False
     iterations: int = 0
     method: str = ""
-
-    @property
-    def w_top(self) -> float:
-        return self.vector.w_top()
+    w_top: float = math.nan
 
 
 class GsbModel:
@@ -89,9 +91,6 @@ class GsbModel:
         self.dim = self.d_matter * len(basis)
         self.H = H
 
-    def state(self, amplitudes) -> StateVector:
-        return StateVector(amplitudes, self.d_matter, self.basis)
-
     def __repr__(self) -> str:
         return (
             f"GsbModel(d={self.d_matter}, modes={self.grid.n_modes}, "
@@ -102,8 +101,8 @@ class GsbModel:
 def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
-    A and every B_j must be hermitian (checked to 1e-12) and share one
-    dimension; the grid must carry one coupling column per B_j.  H is one
+    A and every B_j must be finite, hermitian (checked to 1e-12) and share
+    one dimension; the grid must carry one coupling column per B_j.  H is one
     CSR matrix, the Kronecker terms summed in the order written above.  Real
     A and B_j give a real H, so the ground solve runs in real arithmetic.
     """
@@ -123,10 +122,10 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     # an empty start in the dtype of A and the B_j keeps H complex when alpha = 0
     H = sp.csr_matrix((d * nf, d * nf), dtype=np.result_type(A, *B))
     H = H + sp.kron(sp.csr_matrix(A), sp.identity(nf, format="csr"), format="csr")
-    H = H + sp.kron(sp.identity(d, format="csr"), fock.dgamma(grid.omega, basis).mat,
+    H = H + sp.kron(sp.identity(d, format="csr"), fock.dgamma(grid.omega, basis),
                     format="csr")
     for j, b in enumerate(B):
-        phi = fock.field_operator(grid.channel(j), grid, basis).mat
+        phi = fock.field_operator(grid.channel(j), grid, basis)
         H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
     return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True))
 

@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import fock, model as model_mod, spectral
-from .fock import FockBasis, StateVector, apply_fock, apply_matter
+from .fock import FockBasis, apply_fock, apply_matter
 from .model import GroundState, GsbModel, t_operator
 from .modes import CouplingFamily, ModeSet, build_radial_grid, eval_coupling, ir_class_of, l2_criteria
 from .spectral import SolverConfig, resolvent_apply
@@ -90,17 +90,11 @@ class RegularityReport:
         return [self.check_name, self.lhs, self.rhs, self.rel_err, self.w_top, self.passed]
 
     def to_json(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "w_top": self.w_top,
-            "tol_used": self.tol_used,
-            "pass": self.passed,
-            "metadata": self.metadata,
-        }
+        # vars, not dataclasses.asdict, which would deep-copy metadata (the
+        # sweep rows of an ir_sweep report) on every write
+        out = dict(vars(self))
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _scalar_report(name, lhs, rhs, w_top, tol, metadata=None,
@@ -126,7 +120,7 @@ def _require_solved(gs: GroundState) -> None:
     # relative to the same max(1, |E|) scale the eigensolver accepts, so
     # shifting A by a constant leaves the verdict alone
     cap = GROUND_RESIDUAL_CAP * max(1.0, abs(gs.energy))
-    if gs.residual > cap:
+    if not gs.residual <= cap:
         raise ValueError(
             f"ground-state residual {gs.residual:.3e} exceeds {cap:.3e}; "
             "tighten the eigensolver before running identity checks"
@@ -139,7 +133,7 @@ def _mode_solves(m: GsbModel, gs: GroundState, cfg: SolverConfig, mask=None):
     mask, when given, marks the modes actually needed; skipped modes get a
     zero vector so indices stay aligned.
     """
-    phi = gs.vector.array
+    phi = gs.vector
     out, stats = [], []
     for i in range(m.grid.n_modes):
         if mask is not None and not mask[i]:
@@ -168,8 +162,8 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     """
     _require_solved(gs)
     f = np.asarray(f, dtype=complex)
-    phi = gs.vector.array
-    lhs_vec = apply_fock(fock.smeared_annihilator(f, m.grid, m.basis).mat, phi)
+    phi = gs.vector
+    lhs_vec = apply_fock(fock.smeared_annihilator(f, m.grid, m.basis), phi)
     rhs_vec = np.zeros_like(lhs_vec)
     stats = []
     if m.alpha != 0.0:
@@ -202,8 +196,8 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
     G = np.asarray(G, dtype=float)
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
-    phi = gs.vector.array
-    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis).mat, phi))))
+    phi = gs.vector
+    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis), phi))))
     rhs = 0.0
     stats = []
     if m.alpha != 0.0 and np.any(G > 0):
@@ -238,8 +232,8 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
     G = np.asarray(G, dtype=float)
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
-    phi = gs.vector.array
-    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis).mat, phi))))
+    phi = gs.vector
+    lhs = float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis), phi))))
     rhs = 0.0
     t_expect = []
     for i in range(m.grid.n_modes):
@@ -269,13 +263,16 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
 HIGHER_MODE_CAPS = {1: 64, 2: 8, 3: 4}
 
 
-def _falling_factorial_expectation(psi: StateVector, basis: FockBasis, n: int) -> float:
-    """<psi, prod_{j=1..n} (N - j + 1)_+ psi>, diagonal in the occupation basis."""
+def _falling_factorial_expectation(psi: np.ndarray, basis: FockBasis, n: int) -> float:
+    """<psi, prod_{j=1..n} (N - j + 1)_+ psi> for a matter-major composite psi.
+
+    The operator is diagonal in the occupation basis.
+    """
     totals = basis.totals.astype(float)
     ff = np.ones_like(totals)
     for j in range(1, n + 1):
         ff *= np.maximum(totals - j + 1, 0.0)
-    V = psi.array.reshape(psi.d_matter, len(basis))
+    V = np.reshape(psi, (-1, len(basis)))
     return float(np.sum(ff[None, :] * np.abs(V) ** 2))
 
 
@@ -302,7 +299,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
         )
     lhs = _falling_factorial_expectation(gs.vector, m.basis, n)
 
-    phi = gs.vector.array
+    phi = gs.vector
     omega = m.grid.omega
     weights = m.grid.weights
     t_ops = [t_operator(m, i) for i in range(M)]
@@ -359,26 +356,27 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
 # Exact finite-mode decompositions
 
 
-def number_decomposition(psi: StateVector, K, basis: FockBasis,
+def number_decomposition(psi: np.ndarray, K, basis: FockBasis,
                          grid: ModeSet) -> RegularityReport:
     """sum_m ||a(conj(K_m) e_m) psi||^2 == <psi, dGamma(|K|^2) psi>.
 
-    e_m is the normalized cell function of mode m.  Exact on the truncated
-    space because annihilators lower the grade without touching the cutoff.
+    psi is a matter-major composite vector; e_m is the normalized cell
+    function of mode m.  Exact on the truncated space because annihilators
+    lower the grade without touching the cutoff.
     """
     K = np.asarray(K, dtype=complex)
     lhs = 0.0
     for mo in range(basis.n_modes):
         f = np.zeros(basis.n_modes, dtype=complex)
         f[mo] = np.conj(K[mo]) / math.sqrt(grid.weights[mo])
-        a_mat = fock.smeared_annihilator(f, grid, basis).mat
-        lhs += float(np.linalg.norm(apply_fock(a_mat, psi.array)) ** 2)
-    dg = fock.dgamma(np.abs(K) ** 2, basis).mat
-    rhs = float(np.real(np.vdot(psi.array, apply_fock(dg, psi.array))))
-    return _scalar_report("number_decomposition", lhs, rhs, psi.w_top(), EXACT_TOL)
+        a_mat = fock.smeared_annihilator(f, grid, basis)
+        lhs += float(np.linalg.norm(apply_fock(a_mat, psi)) ** 2)
+    dg = fock.dgamma(np.abs(K) ** 2, basis)
+    rhs = float(np.real(np.vdot(psi, apply_fock(dg, psi))))
+    return _scalar_report("number_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
-def factorial_moment_decomposition(psi: StateVector, n: int,
+def factorial_moment_decomposition(psi: np.ndarray, n: int,
                                    basis: FockBasis) -> RegularityReport:
     """sum over n-tuples ||a_{i_1} ... a_{i_n} psi||^2 == n-th falling factorial moment."""
     if n < 1 or n > basis.n_max:
@@ -386,9 +384,9 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
     # 1 (x) a_i acts on the Fock factor of each matter component, and a_i is
     # real: the real and imaginary parts of the components are 2 d real
     # columns, all lowered by one sparse product per branch.
-    V = psi.array.reshape(psi.d_matter, len(basis))
+    V = np.reshape(psi, (-1, len(basis)))
     cols = np.ascontiguousarray(np.concatenate([V.real, V.imag]).T)
-    a_mats = [basis.lowering(i).mat for i in range(basis.n_modes)]
+    a_mats = [basis.lowering(i) for i in range(basis.n_modes)]
 
     def branch_sum(block: np.ndarray, depth: int) -> float:
         if depth == n:
@@ -397,7 +395,8 @@ def factorial_moment_decomposition(psi: StateVector, n: int,
 
     lhs = branch_sum(cols, 0)
     rhs = _falling_factorial_expectation(psi, basis, n)
-    return _scalar_report("factorial_moment_decomposition", lhs, rhs, psi.w_top(), EXACT_TOL)
+    return _scalar_report("factorial_moment_decomposition", lhs, rhs, basis.w_top(psi),
+                          EXACT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +417,8 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     rng = np.random.default_rng(seed)
     M = basis.n_modes
     reports = []
-    a_ops = [basis.lowering(i).mat for i in range(M)]
-    c_ops = [fock.creator(i, basis).mat for i in range(M)]
+    a_ops = [basis.lowering(i) for i in range(M)]
+    c_ops = [fock.creator(i, basis) for i in range(M)]
     interior_cols = np.where(basis.interior_mask)[0]
 
     # [a_i, a_j*] - delta_ij on interior columns
@@ -452,9 +451,9 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     # Leibniz commutators of dGamma on interior columns
     g = rng.uniform(0.25, 2.0, size=M)
     f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    dg = fock.dgamma(g, basis).mat
-    af = fock.smeared_annihilator(f, grid, basis).mat
-    agf = fock.smeared_annihilator(g * f, grid, basis).mat
+    dg = fock.dgamma(g, basis)
+    af = fock.smeared_annihilator(f, grid, basis)
+    agf = fock.smeared_annihilator(g * f, grid, basis)
     comm_a = ((dg @ af) - (af @ dg) + agf).toarray()
     worst_a = float(np.abs(comm_a[:, interior_cols]).max())
     cf = af.conj().T
@@ -478,13 +477,13 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         f_over = float(np.sum(np.abs(f) ** 2 * grid.weights / omega))
         f_norm = float(np.sum(np.abs(f) ** 2 * grid.weights))
-        energy_half = float(np.real(np.vdot(psi, dgw.apply(psi))))
-        a_op = fock.smeared_annihilator(f, grid, basis).mat
+        energy_half = float(np.real(np.vdot(psi, dgw @ psi)))
+        a_op = fock.smeared_annihilator(f, grid, basis)
         lhs_a = float(np.linalg.norm(a_op @ psi) ** 2)
         lhs_c = float(np.linalg.norm(a_op.conj().T @ psi) ** 2)
         worst_a_viol = max(worst_a_viol, lhs_a - f_over * energy_half)
         worst_c_viol = max(worst_c_viol, lhs_c - (f_over * energy_half + f_norm))
-        top_weight = max(top_weight, StateVector(psi, 1, basis).w_top())
+        top_weight = max(top_weight, basis.w_top(psi))
     slack = 1e-10
     rep_a = RegularityReport(
         check_name="relative_bound_annihilator", lhs=worst_a_viol, rhs=0.0,
@@ -533,13 +532,6 @@ class IrSweepRow:
     lam_over_w_norm: float
     max_w_top: float
 
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma, "n_shells": self.n_shells, "E": self.E,
-            "expectation_N": self.expectation_N, "absence_bound": self.absence_bound,
-            "lam_over_w_norm": self.lam_over_w_norm, "max_w_top": self.max_w_top,
-        }
-
 
 @dataclass
 class SweepVerdict:
@@ -561,15 +553,6 @@ class SweepVerdict:
     divergence_kind: str = ""
     analytic_ir_class: str = "unknown"
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind, "slope_b": self.slope_b, "intercept_a": self.intercept_a,
-            "r_squared": self.r_squared, "final_increment": self.final_increment,
-            "final_increment_rel": self.final_increment_rel,
-            "divergence_kind": self.divergence_kind,
-            "analytic_ir_class": self.analytic_ir_class,
-        }
-
 
 def _fit_log(sigmas, values):
     x = np.log(1.0 / np.asarray(sigmas))
@@ -589,7 +572,7 @@ def _single_mode_operators(n_max: int):
     guard still applies.
     """
     basis = fock.enumerate_basis(1, n_max)
-    a = basis.lowering(0).mat.toarray()
+    a = basis.lowering(0).toarray()
     return basis.occupations[:, 0].astype(float), (a + a.T) / math.sqrt(2.0)
 
 

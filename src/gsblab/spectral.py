@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .fock import FockBasis, LinOp, StateVector
+from .fock import LinOp
 from .model import GroundState, GsbModel
 
 __all__ = [
@@ -146,16 +146,16 @@ def _eigsh_ground(H: LinOp, row_sums, cfg: SolverConfig):
     return vals[order] - shift, vecs[:, order[0]], applied
 
 
-def ground_state(H: LinOp, cfg: SolverConfig, d_matter: int = 1,
-                 basis: FockBasis | None = None) -> GroundState:
+def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
     Dense eigh up to DENSE_MAX_DIM, scipy eigsh above, in H's own dtype.
-    Returns a normalized GroundState with the explicit residual
-    ||H v - E v|| <= eig_tol * max(1, |E|), the gap to the second
-    eigenvalue, and a near-degeneracy flag when the gap is tiny relative to
-    the spectral width (the largest absolute row sum of H).  Deterministic
-    for a fixed cfg.seed.
+    Returns a GroundState whose vector is a normalized numpy array, with
+    the explicit residual ||H v - E v|| <= eig_tol * max(1, |E|) (a nan
+    residual raises NonConverged too), the gap to the second eigenvalue, and
+    a near-degeneracy flag when the gap is tiny relative to the spectral
+    width (the largest absolute row sum of H).  w_top stays nan: H carries
+    no basis.  Deterministic for a fixed cfg.seed.
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
@@ -168,20 +168,22 @@ def ground_state(H: LinOp, cfg: SolverConfig, d_matter: int = 1,
     hv = H.apply(vec)
     energy = float(np.real(np.vdot(vec, hv)))
     residual = float(np.linalg.norm(hv - energy * vec))
-    if residual > cfg.eig_tol * max(1.0, abs(energy)):
+    if not residual <= cfg.eig_tol * max(1.0, abs(energy)):
         raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("nan")
     near = bool(np.isfinite(gap)
                 and gap <= NEAR_DEGENERATE_FACTOR * max(row_sums.max(), abs(energy), 1e-300))
     return GroundState(
-        energy=energy, vector=StateVector(vec, d_matter, basis), residual=residual,
+        energy=energy, vector=vec, residual=residual,
         gap=gap, near_degenerate=near, iterations=applied, method=method,
     )
 
 
 def solve_model(model: GsbModel, cfg: SolverConfig) -> GroundState:
-    """Ground state of an assembled model, with the composite layout attached."""
-    return ground_state(model.H, cfg, d_matter=model.d_matter, basis=model.basis)
+    """Ground state of an assembled model, with w_top taken on the model's basis."""
+    gs = ground_state(model.H, cfg)
+    gs.w_top = model.basis.w_top(gs.vector)
+    return gs
 
 
 def stacked_ground_states(H, cfg: SolverConfig):
@@ -189,8 +191,8 @@ def stacked_ground_states(H, cfg: SolverConfig):
 
     One batched dense eigh, followed by the checks ground_state makes on each
     matrix: n > max_lanczos raises NonConverged, and so does any residual
-    ||H v - E v|| above eig_tol * max(1, |E|).  E is the Rayleigh quotient
-    of the normalized vector.  Returns (energies of shape (k,), vectors of
+    ||H v - E v|| that is nan or above eig_tol * max(1, |E|).  E is the
+    Rayleigh quotient of the normalized vector.  Returns (energies of shape (k,), vectors of
     shape (k, n)).  The stack is held densely: k n^2 entries.
     """
     H = np.asarray(H)
@@ -202,51 +204,50 @@ def stacked_ground_states(H, cfg: SolverConfig):
     residuals = np.linalg.norm(hv - energies[:, None] * vecs, axis=1)
     excess = residuals / (cfg.eig_tol * np.maximum(1.0, np.abs(energies)))
     worst = int(np.argmax(excess))
-    if excess[worst] > 1.0:
+    if not excess[worst] <= 1.0:
         raise NonConverged(f"dense stack missed eig_tol={cfg.eig_tol} on matrix {worst}",
                            float(residuals[worst]))
     return energies, vecs
 
 
-def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
-                    cfg: SolverConfig, x0: np.ndarray | None = None):
-    """Apply (H - E + s)^-1 by preconditioned conjugate gradients.
+def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray, cfg: SolverConfig):
+    """Apply (H - E + s)^-1 to the array v by preconditioned conjugate gradients.
 
     E must be the ground energy (so H - E >= 0) and s > 0, making the system
-    positive definite.  Stops at ||(H - E + s) u - v|| <= cg_tol ||v||; pass
-    x0 to warm-start when sweeping shifts.  Runs in the dtype
-    np.result_type(H.dtype, v, x0), so a real H with a real v (and x0) solves
-    in real arithmetic; u has that dtype.  Returns (u, iterations, relres).
+    positive definite.  Starts from u = 0 and stops at
+    ||(H - E + s) u - v|| <= cg_tol ||v||.  Runs in the dtype
+    np.result_type(H.dtype, v, float), so a real H with a real v solves in
+    real arithmetic; u is a numpy array of that dtype.  Returns
+    (u, iterations, relres).
 
-    Each iteration calls H.apply exactly once (a warm start adds one call)
-    and allocates no other vector: the shift, the x, r and p updates and
-    the preconditioner write into the solver's own arrays, so v and x0 are
-    never modified.
+    Each iteration calls H.apply exactly once and allocates no other
+    vector: the shift, the x, r and p updates and the preconditioner write
+    into the solver's own arrays, so v is never modified.  A nan in v or in
+    H.apply's result raises NonConverged.
     """
     if s <= 0:
         raise NonPositiveShift(f"shift must be > 0, got {s}")
     v = np.asarray(v)
-    x = np.zeros(v.shape) if x0 is None else np.asarray(x0)
-    dtype = np.result_type(H.dtype, v, x)
-    v, x = v.astype(dtype), x.astype(dtype)
-    bnorm = float(np.linalg.norm(v))
+    # astype copies, so the residual r starts as v without touching it
+    r = v.astype(np.result_type(H.dtype, v, float))
+    x = np.zeros_like(r)
+    bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return np.zeros_like(v), 0, 0.0
+        return x, 0, 0.0
     shift = s - E
     # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
     pre = np.real(H.diagonal) + shift
     inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
     # axpy and scal overwrite their last argument, or return a copy when its
     # dtype or layout does not fit: always keep the returned array
-    axpy, scal = get_blas_funcs(("axpy", "scal"), dtype=dtype)
-    r = v if x0 is None else v - axpy(x, H.apply(x), a=shift)
+    axpy, scal = get_blas_funcs(("axpy", "scal"), dtype=r.dtype)
     z = r * inv_pre
     p = z.copy()
     rz = np.real(np.vdot(r, z))
     tol_abs = cfg.cg_tol * bnorm
     rnorm = float(np.linalg.norm(r))
     it = 0
-    while rnorm > tol_abs:
+    while not rnorm <= tol_abs:
         if it >= cfg.cg_max:
             raise NonConverged(
                 f"CG did not reach cg_tol={cfg.cg_tol} within {cfg.cg_max} iterations",
@@ -254,7 +255,7 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray,
             )
         hp = axpy(p, H.apply(p), a=shift)
         denom = np.real(np.vdot(p, hp))
-        if denom <= 0:
+        if not denom > 0:
             raise NonConverged("CG lost positive definiteness", rnorm / bnorm)
         a = rz / denom
         x = axpy(p, x, a=a)

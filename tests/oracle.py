@@ -156,17 +156,16 @@ def midpoint_grid(nu, sigma, Lambda, n_shells):
     return pts, wts
 
 
-def reference_pcg(H, E, s, v, cg_tol, cg_max, x0=None):
+def reference_pcg(H, E, s, v, cg_tol, cg_max):
     """(H - E + s)^-1 v by Jacobi-preconditioned CG, one new array per update.
 
-    H is a scipy sparse matrix or a dense array.  Same stop rule as the
-    package kernel, ||(H - E + s) u - v|| <= cg_tol ||v||, in the dtype of
-    H, v and x0 combined.  Returns (u, iterations, relres), or raises
-    RuntimeError when cg_max iterations do not reach the tolerance.
+    H is a scipy sparse matrix or a dense array.  Same start (u = 0) and
+    stop rule as the package kernel, ||(H - E + s) u - v|| <= cg_tol ||v||,
+    in the dtype of H and v combined.  Returns (u, iterations, relres), or
+    raises RuntimeError when cg_max iterations do not reach the tolerance.
     """
-    x = np.zeros(len(v)) if x0 is None else np.asarray(x0)
-    dtype = np.result_type(H.dtype, v, x)
-    v, x = np.asarray(v, dtype=dtype), np.asarray(x, dtype=dtype)
+    v = np.asarray(v, dtype=np.result_type(H.dtype, v, float))
+    x = np.zeros_like(v)
     bnorm = float(np.linalg.norm(v))
     shift = s - E
     inv_pre = 1.0 / np.maximum(np.real(H.diagonal()) + shift, 0.5 * s)
@@ -174,7 +173,7 @@ def reference_pcg(H, E, s, v, cg_tol, cg_max, x0=None):
     def apply_shifted(y):
         return H @ y + shift * y
 
-    r = v - apply_shifted(x) if x0 is not None else v.copy()
+    r = v.copy()
     z = r * inv_pre
     p = z.copy()
     rz = np.real(np.vdot(r, z))

@@ -12,7 +12,6 @@ from gsblab import (
     BasisSizeError,
     CouplingFamily,
     LinOp,
-    StateVector,
     annihilator,
     apply_fock,
     apply_matter,
@@ -22,11 +21,19 @@ from gsblab import (
     enumerate_basis,
     eval_coupling,
     field_operator,
-    number_operator,
     smeared_annihilator,
 )
 
 import oracle
+
+
+def states(basis):
+    """The basis as a list of occupation tuples, in basis order."""
+    return list(map(tuple, basis.occupations.tolist()))
+
+
+def index(basis, occupation):
+    return int(basis.rank([occupation])[0])
 
 
 def small_grid(n_modes):
@@ -38,7 +45,7 @@ def small_grid(n_modes):
 class TestEnumeration:
     def test_pinned_ordering_two_modes(self):
         basis = enumerate_basis(2, 2)
-        assert basis.states == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        assert states(basis) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
     def test_dimension_formula(self):
         for m, n in [(1, 5), (2, 3), (3, 4), (4, 2), (6, 2)]:
@@ -48,23 +55,23 @@ class TestEnumeration:
     def test_matches_oracle_ordering(self):
         for m, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
             basis = enumerate_basis(m, n)
-            assert list(basis.states) == oracle.dense_basis(m, n)
+            assert states(basis) == oracle.dense_basis(m, n)
 
     def test_index_inverse(self):
         basis = enumerate_basis(3, 3)
-        for k, t in enumerate(basis.states):
-            assert basis.index[t] == k
+        for k, t in enumerate(states(basis)):
+            assert index(basis, t) == k
 
     def test_masks(self):
         basis = enumerate_basis(2, 3)
-        totals = [sum(t) for t in basis.states]
+        totals = [sum(t) for t in states(basis)]
         for k, tot in enumerate(totals):
             assert basis.top_mask[k] == (tot == 3)
             assert basis.interior_mask[k] == (tot <= 2)
 
     def test_vacuum_first(self):
         basis = enumerate_basis(4, 3)
-        assert basis.states[0] == (0, 0, 0, 0)
+        assert states(basis)[0] == (0, 0, 0, 0)
 
     def test_size_guard(self):
         with pytest.raises(BasisSizeError):
@@ -80,59 +87,68 @@ class TestEnumeration:
     @given(m=st.integers(1, 5), n=st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_grading_property(self, m, n):
-        basis = enumerate_basis(m, n)
-        totals = [sum(t) for t in basis.states]
+        occupations = states(enumerate_basis(m, n))
+        totals = [sum(t) for t in occupations]
         assert totals == sorted(totals)
         # within a grade, descending lexicographic
         for g in range(n + 1):
-            grade = [t for t in basis.states if sum(t) == g]
+            grade = [t for t in occupations if sum(t) == g]
             assert grade == sorted(grade, reverse=True)
 
 
 class TestLadderOperators:
+    def test_fock_operators_are_csr_matrices(self):
+        grid = small_grid(2)
+        basis = enumerate_basis(2, 3)
+        f = np.asarray(grid.channel(0))
+        ops = [annihilator(0, basis), creator(1, basis), basis.lowering(1),
+               smeared_annihilator(f, grid, basis), dgamma(grid.omega, basis),
+               field_operator(f, grid, basis)]
+        for op in ops:
+            assert isinstance(op, sp.csr_matrix) and op.shape == (basis.dim, basis.dim)
+
     def test_annihilator_matches_oracle(self):
         basis = enumerate_basis(2, 3)
-        states = list(basis.states)
         for i in range(2):
-            got = annihilator(i, basis).mat.toarray()
-            np.testing.assert_allclose(got, oracle.dense_annihilator(i, states),
+            got = annihilator(i, basis).toarray()
+            np.testing.assert_allclose(got, oracle.dense_annihilator(i, states(basis)),
                                        atol=1e-15)
 
     def test_annihilator_on_vacuum(self):
         basis = enumerate_basis(2, 2)
         v = np.zeros(basis.dim, dtype=complex)
         v[0] = 1.0
-        assert np.linalg.norm(annihilator(0, basis).apply(v)) == 0.0
+        assert np.linalg.norm(annihilator(0, basis) @ v) == 0.0
 
     def test_annihilator_on_two_quanta(self):
         basis = enumerate_basis(2, 2)
         v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index[(2, 0)]] = 1.0
-        out = annihilator(0, basis).apply(v)
+        v[index(basis, (2, 0))] = 1.0
+        out = annihilator(0, basis) @ v
         expected = np.zeros(basis.dim, dtype=complex)
-        expected[basis.index[(1, 0)]] = math.sqrt(2.0)
+        expected[index(basis, (1, 0))] = math.sqrt(2.0)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_creator_is_adjoint(self):
         basis = enumerate_basis(3, 3)
         for i in range(3):
-            a = annihilator(i, basis).mat.toarray()
-            c = creator(i, basis).mat.toarray()
+            a = annihilator(i, basis).toarray()
+            c = creator(i, basis).toarray()
             np.testing.assert_allclose(c, a.conj().T, atol=1e-15)
 
     def test_creator_kills_top_grade(self):
         basis = enumerate_basis(2, 2)
         v = np.zeros(basis.dim, dtype=complex)
-        v[basis.index[(2, 0)]] = 1.0
-        out = creator(0, basis).apply(v)
+        v[index(basis, (2, 0))] = 1.0
+        out = creator(0, basis) @ v
         assert np.linalg.norm(out) == 0.0
 
     def test_ccr_exact_on_interior(self):
         basis = enumerate_basis(2, 4)
         for i in range(2):
             for j in range(2):
-                a = annihilator(i, basis).mat.toarray()
-                c = creator(j, basis).mat.toarray()
+                a = annihilator(i, basis).toarray()
+                c = creator(j, basis).toarray()
                 comm = a @ c - c @ a
                 target = np.eye(basis.dim) if i == j else np.zeros((basis.dim,) * 2)
                 cols = np.where(basis.interior_mask)[0]
@@ -141,8 +157,8 @@ class TestLadderOperators:
 
     def test_ccr_defect_confined_to_top(self):
         basis = enumerate_basis(1, 3)
-        a = annihilator(0, basis).mat.toarray()
-        c = creator(0, basis).mat.toarray()
+        a = annihilator(0, basis).toarray()
+        c = creator(0, basis).toarray()
         comm = a @ c - c @ a - np.eye(basis.dim)
         top = np.where(basis.top_mask)[0]
         assert np.abs(comm[:, top]).max() == pytest.approx(basis.n_max + 1)
@@ -156,8 +172,8 @@ class TestSmearedOperators:
         basis = enumerate_basis(2, 3)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = smeared_annihilator(f, grid, basis).mat.toarray()
-        want = oracle.dense_smeared_annihilator(f, grid.weights, list(basis.states))
+        got = smeared_annihilator(f, grid, basis).toarray()
+        want = oracle.dense_smeared_annihilator(f, grid.weights, states(basis))
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_smeared_annihilator_is_sum_of_lowerings(self):
@@ -170,12 +186,12 @@ class TestSmearedOperators:
                   np.array([0.0, 0.0, 3.0, 0.0]),
                   np.zeros(4)):
             coeff = np.conj(f) * np.sqrt(grid.weights)
-            want = sum((coeff[i] * basis.lowering(i).mat
+            want = sum((coeff[i] * basis.lowering(i)
                         for i in range(4) if coeff[i] != 0),
-                       start=0 * basis.lowering(0).mat.astype(complex)).tocsr()
+                       start=0 * basis.lowering(0).astype(complex)).tocsr()
             want.eliminate_zeros()
-            got = smeared_annihilator(f, grid, basis).mat
-            assert got.dtype == complex and got.nnz == want.nnz
+            got = smeared_annihilator(f, grid, basis)
+            assert isinstance(got, sp.csr_matrix) and got.dtype == complex and got.nnz == want.nnz
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_array_equal(got.data, want.data)
@@ -186,30 +202,30 @@ class TestSmearedOperators:
         basis = enumerate_basis(2, 2)
         f = np.array([1.0 + 2.0j, -0.5j])
         z = 0.3 - 1.1j
-        a1 = smeared_annihilator(z * f, grid, basis).mat.toarray()
-        a2 = smeared_annihilator(f, grid, basis).mat.toarray()
+        a1 = smeared_annihilator(z * f, grid, basis).toarray()
+        a2 = smeared_annihilator(f, grid, basis).toarray()
         np.testing.assert_allclose(a1, np.conj(z) * a2, atol=1e-14)
 
     def test_dgamma_matches_oracle(self):
         grid = small_grid(3)
         basis = enumerate_basis(3, 3)
         g = np.array([0.5, 1.5, 2.5])
-        got = dgamma(g, basis).mat.toarray()
-        np.testing.assert_allclose(got, oracle.dense_dgamma(g, list(basis.states)),
+        got = dgamma(g, basis).toarray()
+        np.testing.assert_allclose(got, oracle.dense_dgamma(g, states(basis)),
                                    atol=1e-15)
 
     def test_number_operator_totals(self):
         basis = enumerate_basis(3, 4)
-        N = number_operator(basis)
-        np.testing.assert_allclose(N.diagonal, basis.totals.astype(float),
+        N = dgamma(np.ones(3), basis)
+        np.testing.assert_allclose(N.diagonal(), basis.totals.astype(float),
                                    atol=0)
 
     def test_field_matches_oracle_and_hermitian(self):
         grid = small_grid(2)
         basis = enumerate_basis(2, 3)
         lam = np.asarray(grid.channel(0))
-        got = field_operator(lam, grid, basis).mat.toarray()
-        want = oracle.dense_field(lam, grid.weights, list(basis.states))
+        got = field_operator(lam, grid, basis).toarray()
+        want = oracle.dense_field(lam, grid.weights, states(basis))
         np.testing.assert_allclose(got, want.real, atol=1e-14)
         np.testing.assert_allclose(got, got.conj().T, atol=1e-15)
 
@@ -228,8 +244,8 @@ class TestSmearedOperators:
         psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         chi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         a = smeared_annihilator(f, grid, basis)
-        lhs = np.vdot(a.mat.conj().T @ psi, chi)
-        rhs = np.vdot(psi, a.apply(chi))
+        lhs = np.vdot(a.conj().T @ psi, chi)
+        rhs = np.vdot(psi, a @ chi)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
 
@@ -247,7 +263,7 @@ class TestTensorLayout:
         # index = m * nF + t; kron(A, X) realizes A (x) X on that layout
         basis = enumerate_basis(1, 2)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        X = dgamma(np.array([1.0]), basis).mat
+        X = dgamma(np.array([1.0]), basis)
         v = np.arange(2 * basis.dim, dtype=complex)
         dense = np.kron(A, X.toarray())
         np.testing.assert_allclose(apply_matter(A, apply_fock(X, v)), dense @ v, atol=1e-13)
@@ -261,17 +277,16 @@ class TestTensorLayout:
 
     def test_fock_embed(self):
         basis = enumerate_basis(2, 2)
-        N = number_operator(basis).mat
+        N = dgamma(np.ones(2), basis)
         dense = np.kron(np.eye(2), N.toarray())
         v = np.arange(2 * basis.dim, dtype=complex)
         np.testing.assert_allclose(apply_fock(N, v), dense @ v, atol=1e-13)
 
     def test_sparse_fock_term_on_each_vector_dtype(self):
-        # a real Fock matrix on a complex vector runs as two real columns;
         # every dtype pair must agree with the dense Kronecker product
         basis = enumerate_basis(2, 3)
         rng = np.random.default_rng(6)
-        X = annihilator(1, basis).mat
+        X = annihilator(1, basis)
         Xc = (1.0 - 0.5j) * X
         n = 2 * basis.dim
         for fockop in (X, Xc):
@@ -286,37 +301,22 @@ class TestTensorLayout:
                                    atol=1e-13)
 
 
-class TestStateVector:
-    def test_keeps_given_dtype(self):
-        basis = enumerate_basis(1, 1)
-        real = np.array([0.6, 0.8])
-        v = StateVector(real, d_matter=1, basis=basis)
-        assert v.array.dtype == np.float64 and v.array is real
-        assert StateVector(np.array([0.6, 0.8j]), 1, basis).array.dtype == np.complex128
-        ints = StateVector(np.array([1, 0]), 1, basis).array
-        assert ints.dtype == np.float64 and ints.tolist() == [1.0, 0.0]
-
+class TestTopWeight:
     def test_w_top(self):
         basis = enumerate_basis(1, 2)  # states (0),(1),(2)
         amps = np.array([0.8, 0.0, 0.6], dtype=complex)
-        v = StateVector(amps, d_matter=1, basis=basis)
-        assert v.w_top() == pytest.approx(0.36)
+        assert basis.w_top(amps) == pytest.approx(0.36)
+        assert basis.w_top(amps.real) == pytest.approx(0.36)
 
     def test_w_top_matter_blocks(self):
         basis = enumerate_basis(1, 1)  # states (0),(1)
         amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        v = StateVector(amps, d_matter=2, basis=basis)
-        assert v.w_top() == pytest.approx(0.5)
-
-    def test_rejects_nonfinite(self):
-        basis = enumerate_basis(1, 1)
-        with pytest.raises(ValueError):
-            StateVector(np.array([np.nan, 0.0]), d_matter=1, basis=basis)
+        assert basis.w_top(amps) == pytest.approx(0.5)
 
     def test_rejects_bad_length(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
-            StateVector(np.ones(3, dtype=complex), d_matter=1, basis=basis)
+            basis.w_top(np.ones(3, dtype=complex))
 
 
 class TestClosedFormRank:
@@ -326,16 +326,16 @@ class TestClosedFormRank:
     @pytest.mark.parametrize("m,n", SIZES)
     def test_enumeration_matches_recursive_compositions(self, m, n):
         basis = enumerate_basis(m, n)
-        assert list(basis.states) == oracle.graded_states(m, n)
+        assert states(basis) == oracle.graded_states(m, n)
         np.testing.assert_array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
 
     @pytest.mark.parametrize("m,n", SIZES)
     def test_annihilator_equals_loop_reference(self, m, n):
         basis = enumerate_basis(m, n)
-        states = list(basis.states)
+        occupations = states(basis)
         for i in range(m):
-            got = annihilator(i, basis).mat
-            want = oracle.loop_annihilator(i, states)
+            got = annihilator(i, basis)
+            want = oracle.loop_annihilator(i, occupations)
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
@@ -356,7 +356,7 @@ class TestClosedFormRank:
         basis = enumerate_basis(3, 3)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(basis.dim)
-        psi = StateVector(v / np.linalg.norm(v), 1, basis)
+        psi = v / np.linalg.norm(v)
         for _ in range(3):
             smeared_annihilator(rng.standard_normal(3), grid, basis)
             field_operator(grid.channel(0), grid, basis)

@@ -96,6 +96,15 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(A, [np.eye(2)], grid, 0.1, 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_matter_rejected(self, bad):
+        # a non-finite A or B_j would reach the solvers as a nan residual
+        grid = coupled_grid(1)
+        with pytest.raises(ValueError, match="A has a non-finite entry"):
+            assemble(np.array([[bad]]), [np.ones((1, 1))], grid, 0.3, 3)
+        with pytest.raises(ValueError, match=r"B\[0\] has a non-finite entry"):
+            assemble(np.zeros((1, 1)), [np.array([[bad]])], grid, 0.3, 3)
+
     def test_channel_count_mismatch_rejected(self):
         grid = coupled_grid(1)
         A, B = preset_spin_boson(1.0)
@@ -119,7 +128,7 @@ class TestTOperator:
         nf = m.basis.dim
         HI = (m.H.mat - assemble(A, B, grid, 0.0, 3).H.mat).toarray() / 0.6
         for i in range(2):
-            a_full = np.kron(np.eye(2), annihilator(i, m.basis).mat.toarray())
+            a_full = np.kron(np.eye(2), annihilator(i, m.basis).toarray())
             comm = a_full @ HI - HI @ a_full
             t_dense = np.kron(t_operator(m, i), np.eye(nf))
             cols = np.where(np.tile(m.basis.interior_mask, 2))[0]
