@@ -1,10 +1,12 @@
 """Configuration-driven entry point.
 
-One JSON config describes a model, a solver and a list of checks; `run`
-builds and solves the model, executes the checks, and writes
-resolved_config.json, report.json, report.csv (and sweep.csv when an
-infrared sweep ran) into the output directory.  Exit codes: 0 all checks
-passed, 1 a check failed, 2 config/schema violation, 3 solver failure.
+One JSON config describes a model, a solver and a list of checks.  Each
+check kind is one config class whose `reports(run)` method returns its
+report rows; `run` calls it once per configured check, building the model
+and its ground state on first use, and writes resolved_config.json,
+report.json, report.csv (and sweep.csv, read from the ir_sweep_verdict
+reports) into the output directory.  Exit codes: 0 all checks passed, 1 a
+check failed, 2 config/schema violation, 3 solver failure.
 
 Reports are written with deterministic formatting, so identical configs and
 seeds produce byte-identical report.csv files.
@@ -16,8 +18,9 @@ import csv
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
-from typing import Annotated, List, Literal, Optional, Union
+from typing import Annotated, List, Literal, Optional, Union, get_args
 
 import click
 import numpy as np
@@ -115,20 +118,33 @@ class PullthroughCheck(_Strict):
     kind: Literal["pullthrough"]
     f: ColumnSpec = "coupling"
 
+    def reports(self, run: _Run) -> list:
+        return [regularity.pullthrough_check(run.model, run.gs, run.column(self.f), run.solver)]
+
 
 class MomentCheck(_Strict):
     kind: Literal["moment"]
     G: ColumnSpec = "ones"
+
+    def reports(self, run: _Run) -> list:
+        return [regularity.moment_identity(run.model, run.gs, run.column(self.G), run.solver)]
 
 
 class AbsenceCheck(_Strict):
     kind: Literal["absence"]
     G: ColumnSpec = "ones"
 
+    def reports(self, run: _Run) -> list:
+        return [regularity.absence_lower_bound(run.model, run.gs, run.column(self.G),
+                                               run.solver)]
+
 
 class HigherCheck(_Strict):
     kind: Literal["higher"]
     n: int = Field(ge=1, le=3)
+
+    def reports(self, run: _Run) -> list:
+        return [regularity.higher_moment_identity(run.model, run.gs, self.n, run.solver)]
 
 
 class AppendixCheck(_Strict):
@@ -136,12 +152,22 @@ class AppendixCheck(_Strict):
     draws: int = Field(default=50, ge=1)
     order: int = Field(default=2, ge=1)
 
+    def reports(self, run: _Run) -> list:
+        return regularity.appendix_suite(run.model, self.draws, self.order, run.solver.seed)
+
 
 class CcrCheck(_Strict):
     kind: Literal["ccr"]
     draws: int = Field(default=200, ge=1)
     n_modes: Optional[int] = Field(default=None, ge=1)
     n_max: Optional[int] = Field(default=None, ge=1)
+
+    def reports(self, run: _Run) -> list:
+        k = self.n_modes or min(run.grid.n_modes, 3)
+        small_grid = run.grid.head(k)
+        small_basis = fock.enumerate_basis(k, max(self.n_max or min(run.cfg.n_max, 4), 1))
+        return regularity.ccr_and_bound_suite(small_basis, small_grid,
+                                              seed=run.solver.seed, n_draws=self.draws)
 
 
 class IrSweepCheck(_Strict):
@@ -159,13 +185,27 @@ class IrSweepCheck(_Strict):
             raise ValueError("sigmas must be positive")
         return self
 
+    def reports(self, run: _Run) -> list:
+        cfg = run.cfg
+        A, B = cfg.model.matter()
+        template = regularity.SweepTemplate(
+            nu=cfg.grid.nu, Lambda=cfg.grid.Lambda, A=A, B=tuple(B),
+            n_max=self.n_max if self.n_max is not None else cfg.n_max,
+            mass=cfg.dispersion.mass,
+        )
+        rows, verdict = regularity.ir_sweep(
+            cfg.coupling[0].family(), template, self.sigmas, self.shells_per_decade,
+            cfg.alpha, run.solver, ctol=self.ctol,
+        )
+        return [regularity.sweep_verdict_report(rows, verdict, self.ctol)]
 
+
+# each check kind is one class, and its reports method is what the kind runs;
 # discriminated on kind: a bad entry is reported against its own kind only
-CheckConfig = Annotated[
-    Union[PullthroughCheck, MomentCheck, AbsenceCheck, HigherCheck,
-          AppendixCheck, CcrCheck, IrSweepCheck],
-    Field(discriminator="kind"),
-]
+_CHECK_TYPES = (PullthroughCheck, MomentCheck, AbsenceCheck, HigherCheck,
+                AppendixCheck, CcrCheck, IrSweepCheck)
+_CHECK_KINDS = [get_args(t.model_fields["kind"].annotation)[0] for t in _CHECK_TYPES]
+CheckConfig = Annotated[Union[_CHECK_TYPES], Field(discriminator="kind")]
 
 
 class RunConfig(_Strict):
@@ -233,33 +273,44 @@ def build_model(cfg: RunConfig, grid: modes.ModeSet) -> model_mod.GsbModel:
     return model_mod.assemble(A, B, grid, cfg.alpha, cfg.n_max)
 
 
-def _column(selector, grid: modes.ModeSet) -> np.ndarray:
-    if isinstance(selector, list):
-        col = np.asarray(selector, dtype=float)
-        if len(col) != grid.n_modes:
-            raise ConfigError(
-                f"explicit column has {len(col)} entries for {grid.n_modes} modes"
-            )
-        return col
-    if selector == "ones":
-        return np.ones(grid.n_modes)
-    if selector == "omega":
-        return np.asarray(grid.omega)
-    if selector == "omega_sq":
-        return np.asarray(grid.omega) ** 2
-    if selector == "coupling":
-        return np.asarray(grid.channel(0))
-    raise ConfigError(f"unknown column selector {selector!r}")
+class _Run:
+    """What the checks of one run share: the config, its grid, its solver config,
+    and the model and its ground state, each built on first use, once per run."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.grid = build_grid(cfg)
+        self.solver = cfg.solver.to_solver(cfg.seed)
+
+    @cached_property
+    def model(self) -> model_mod.GsbModel:
+        return build_model(self.cfg, self.grid)
+
+    @cached_property
+    def gs(self):
+        return spectral.solve_model(self.model, self.solver)
+
+    def column(self, selector) -> np.ndarray:
+        grid = self.grid
+        if isinstance(selector, list):
+            col = np.asarray(selector, dtype=float)
+            if len(col) != grid.n_modes:
+                raise ConfigError(
+                    f"explicit column has {len(col)} entries for {grid.n_modes} modes"
+                )
+            return col
+        omega = np.asarray(grid.omega)
+        return {"ones": np.ones(grid.n_modes), "omega": omega, "omega_sq": omega**2,
+                "coupling": np.asarray(grid.channel(0))}[selector]
 
 
 def execute_run(cfg: RunConfig, selected_kinds=None):
-    """Run the configured checks; returns (reports, sweep_payloads, ground_state).
+    """Run the configured checks; returns (reports, ground_state).
 
     selected_kinds filters config.checks by kind; None runs everything.
     ground_state is None when no check needed the model's ground state.
     """
-    grid = build_grid(cfg)
-    solver = cfg.solver.to_solver(cfg.seed)
+    run = _Run(cfg)
     checks = cfg.checks
     if selected_kinds is not None:
         checks = [c for c in checks if c.kind in selected_kinds]
@@ -267,105 +318,9 @@ def execute_run(cfg: RunConfig, selected_kinds=None):
             raise ConfigError(
                 f"no checks of kind {sorted(selected_kinds)} in the config"
             )
-
-    gsb = None
-    gs = None
-
-    def ensure_solved():
-        nonlocal gsb, gs
-        if gsb is None:
-            gsb = build_model(cfg, grid)
-        if gs is None:
-            gs = spectral.solve_model(gsb, solver)
-        return gsb, gs
-
-    reports = []
-    sweeps = []
-    for chk in checks:
-        if chk.kind == "pullthrough":
-            m, g = ensure_solved()
-            reports.append(regularity.pullthrough_check(m, g, _column(chk.f, grid), solver))
-        elif chk.kind == "moment":
-            m, g = ensure_solved()
-            reports.append(regularity.moment_identity(m, g, _column(chk.G, grid), solver))
-        elif chk.kind == "absence":
-            m, g = ensure_solved()
-            reports.append(regularity.absence_lower_bound(m, g, _column(chk.G, grid), solver))
-        elif chk.kind == "higher":
-            m, g = ensure_solved()
-            reports.append(regularity.higher_moment_identity(m, g, chk.n, solver))
-        elif chk.kind == "appendix":
-            if gsb is None:
-                gsb = build_model(cfg, grid)
-            m = gsb
-            rng = np.random.default_rng(solver.seed)
-            worst_num = None
-            worst_fac = None
-            for _ in range(chk.draws):
-                v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-                psi = v / np.linalg.norm(v)
-                K = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
-                rep_n = regularity.number_decomposition(psi, K, m.basis, grid)
-                order = min(chk.order, m.n_max) if m.n_max >= 1 else 1
-                rep_f = regularity.factorial_moment_decomposition(psi, order, m.basis)
-                if worst_num is None or rep_n.rel_err > worst_num.rel_err:
-                    worst_num = rep_n
-                if worst_fac is None or rep_f.rel_err > worst_fac.rel_err:
-                    worst_fac = rep_f
-            worst_num.metadata["draws"] = chk.draws
-            worst_fac.metadata["draws"] = chk.draws
-            reports.extend([worst_num, worst_fac])
-        elif chk.kind == "ccr":
-            k = chk.n_modes or min(grid.n_modes, 3)
-            n_max_small = chk.n_max or min(cfg.n_max, 4)
-            small_grid = grid.head(k)
-            small_basis = fock.enumerate_basis(k, max(n_max_small, 1))
-            reports.extend(
-                regularity.ccr_and_bound_suite(small_basis, small_grid,
-                                               seed=solver.seed, n_draws=chk.draws)
-            )
-        elif chk.kind == "ir_sweep":
-            A, B = cfg.model.matter()
-            template = regularity.SweepTemplate(
-                nu=cfg.grid.nu, Lambda=cfg.grid.Lambda, A=A, B=tuple(B),
-                n_max=chk.n_max if chk.n_max is not None else cfg.n_max,
-                mass=cfg.dispersion.mass,
-            )
-            family = cfg.coupling[0].family()
-            rows, verdict = regularity.ir_sweep(
-                family, template, chk.sigmas, chk.shells_per_decade, cfg.alpha,
-                solver, ctol=chk.ctol,
-            )
-            expected = {"singular": "diverging", "regular": "converging"}.get(
-                verdict.analytic_ir_class
-            )
-            agreed = expected is None or verdict.kind == expected
-            # every row must keep <N> >= the projection bound, with the
-            # tolerance absence_lower_bound applies; truncation breaks it
-            violations = [
-                max(r.absence_bound - r.expectation_N, 0.0)
-                / max(abs(r.expectation_N), abs(r.absence_bound), 1.0)
-                for r in rows
-            ]
-            worst = int(np.argmax(violations))
-            bound_held = violations[worst] <= regularity.ABSENCE_TOL
-            last = rows[-1]
-            reports.append(regularity.RegularityReport(
-                check_name="ir_sweep_verdict",
-                lhs=last.expectation_N, rhs=last.absence_bound,
-                abs_err=abs(last.expectation_N - last.absence_bound),
-                rel_err=abs(last.expectation_N - last.absence_bound)
-                / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
-                w_top=last.max_w_top, tol_used=chk.ctol, passed=agreed and bound_held,
-                metadata={"verdict": vars(verdict),
-                          "worst_bound_violation": violations[worst],
-                          "worst_bound_sigma": rows[worst].sigma,
-                          "rows": [vars(r) for r in rows]},
-            ))
-            sweeps.append((rows, verdict))
-        else:  # pragma: no cover - schema forbids unknown kinds
-            raise ConfigError(f"unknown check kind {chk.kind!r}")
-    return reports, sweeps, gs
+    reports = [r for chk in checks for r in chk.reports(run)]
+    # a cached_property lives in the instance dict once it has been computed
+    return reports, vars(run).get("gs")
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +348,10 @@ def write_sweep_csv(sweeps, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["sigma", "n_shells", "E", "expectation_N", "absence_bound",
                     "lam_over_w_norm", "max_w_top", "verdict"])
-        for rows, verdict in sweeps:
-            for r in rows:
-                w.writerow([_fmt(v) for v in
-                            [r.sigma, r.n_shells, r.E, r.expectation_N, r.absence_bound,
-                             r.lam_over_w_norm, r.max_w_top, verdict.kind]])
+        for sweep in sweeps:
+            # a row dict holds the IrSweepRow fields in the header's order
+            for r in sweep["rows"]:
+                w.writerow([_fmt(v) for v in [*r.values(), sweep["verdict"]["kind"]]])
 
 
 def _json_default(obj):
@@ -427,15 +381,11 @@ def _solve_json(gs) -> dict | None:
 
 
 def write_report_json(reports, sweeps, meta, path, gs=None) -> None:
-    # vars gives a dataclass's field dict without dataclasses.asdict's deep copy
     payload = {
         "metadata": meta,
         "solve": _solve_json(gs),
         "reports": [r.to_json() for r in reports],
-        "sweeps": [
-            {"verdict": vars(v), "rows": [vars(r) for r in rows]}
-            for rows, v in sweeps
-        ],
+        "sweeps": [{"verdict": s["verdict"], "rows": s["rows"]} for s in sweeps],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
@@ -453,7 +403,7 @@ def _resolved_config(cfg: RunConfig) -> dict:
 # Command-line interface
 
 
-def _common_run(config, out, seed, dry_run, selected=None, require_sweep=False):
+def _common_run(config, out, seed, dry_run, selected=None):
     try:
         cfg = load_config(config)
     except ConfigError as exc:
@@ -471,7 +421,7 @@ def _common_run(config, out, seed, dry_run, selected=None, require_sweep=False):
         click.echo(f"dry run: resolved config written to {out_dir}")
         sys.exit(0)
     try:
-        reports, sweeps, gs = execute_run(cfg, selected_kinds=selected)
+        reports, gs = execute_run(cfg, selected_kinds=selected)
     except (ConfigError, ValueError) as exc:
         # ValueError covers BasisSizeError and inputs the schema cannot see
         click.echo(f"error: {exc}", err=True)
@@ -479,9 +429,8 @@ def _common_run(config, out, seed, dry_run, selected=None, require_sweep=False):
     except spectral.NonConverged as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(3)
-    if require_sweep and not sweeps:
-        click.echo("error: config contains no ir_sweep check", err=True)
-        sys.exit(2)
+    # the verdict reports carry their sweeps' verdict and rows in the metadata
+    sweeps = [r.metadata for r in reports if r.check_name == "ir_sweep_verdict"]
     meta = {"seed": resolved["solver"]["seed"], "config": resolved}
     write_report_csv(reports, out_dir / "report.csv")
     write_report_json(reports, sweeps, meta, out_dir / "report.json", gs)
@@ -528,13 +477,11 @@ def run(config, out, seed, dry_run):
 @_run_options()
 def sweep(config, out, seed, dry_run):
     """Run only the infrared sweep checks from the config."""
-    _common_run(config, out, seed, dry_run,
-                selected={"ir_sweep"}, require_sweep=True)
+    _common_run(config, out, seed, dry_run, selected={"ir_sweep"})
 
 
 @main.command()
-@click.argument("name", type=click.Choice(
-    ["pullthrough", "moment", "absence", "higher", "appendix", "ccr", "ir_sweep"]))
+@click.argument("name", type=click.Choice(_CHECK_KINDS))
 @_run_options(dry_run=False)
 def check(name, config, out, seed):
     """Run only the named check from the config."""
@@ -573,8 +520,7 @@ def dump(what, config, out):
             for i in range(grid.n_modes):
                 row = [i, grid.points[i], grid.weights[i], grid.omega[i]]
                 row += [grid.channel(j)[i] for j in range(grid.n_channels)]
-                w.writerow([_fmt(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                            for v in row])
+                w.writerow([_fmt(v) for v in row])
         click.echo(f"wrote {path}")
     elif what == "basis":
         path = out_dir / "basis.csv"

@@ -124,18 +124,12 @@ class FockBasis:
     def __len__(self) -> int:
         return len(self.occupations)
 
-    @property
-    def dim(self) -> int:
-        return len(self.occupations)
-
     def __repr__(self) -> str:
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={len(self)})"
 
 
-def max_states_guard(explicit: int | None = None) -> int:
-    """Resolve the basis size guard: explicit arg, then GSB_MAX_DIM, then default."""
-    if explicit is not None:
-        return explicit
+def max_states_guard() -> int:
+    """The basis size guard: GSB_MAX_DIM when set, else DEFAULT_MAX_STATES."""
     env = os.environ.get(MAX_DIM_ENV)
     if env is not None:
         try:
@@ -145,23 +139,23 @@ def max_states_guard(explicit: int | None = None) -> int:
     return DEFAULT_MAX_STATES
 
 
-def enumerate_basis(n_modes: int, n_max: int, max_states: int | None = None) -> FockBasis:
+def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
     """Enumerate occupation tuples with total quanta <= n_max over n_modes modes.
 
     The count is C(n_modes + n_max, n_modes); a guard (default 200000,
-    overridable via the GSB_MAX_DIM environment variable or the max_states
-    argument) rejects requests that would not fit in memory.
+    overridable via the GSB_MAX_DIM environment variable) rejects requests
+    that would not fit in memory with a BasisSizeError.
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     count = math.comb(n_modes + n_max, n_modes)
-    guard = max_states_guard(max_states)
+    guard = max_states_guard()
     if count > guard:
         raise BasisSizeError(
             f"basis with {count} states exceeds the guard of {guard}; "
-            f"set {MAX_DIM_ENV} or pass max_states to raise it"
+            f"set {MAX_DIM_ENV} to raise it"
         )
     # grow the tuples one mode at a time; FockBasis puts them in basis order
     occ = np.zeros((1, 0), dtype=np.int64)

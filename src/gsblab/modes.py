@@ -210,17 +210,14 @@ def eval_coupling(family: CouplingFamily, grid: ModeSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class L2Criteria:
-    """Discrete square norms of a coupling column and its IR classification.
+    """Discrete infrared norm of a coupling column and its IR classification.
 
-    norm_lam, norm_lam_over_sqrtw, norm_lam_over_w are the sums
-    sum_i w_i * (lambda_i / omega_i^s)^2 for s = 0, 1/2, 1.  ir_class is
+    norm_lam_over_w is sum_i w_i * (lambda_i / omega_i)^2.  ir_class is
     decided analytically from the generating family exponent (singular iff
     2p <= 3 - nu for a massless dispersion), never from the finite sums;
     it is "unknown" when the column was attached without a family.
     """
 
-    norm_lam: float
-    norm_lam_over_sqrtw: float
     norm_lam_over_w: float
     ir_class: str
 
@@ -238,8 +235,6 @@ def l2_criteria(grid: ModeSet, channel: int = 0) -> L2Criteria:
     w = grid.weights
     om = grid.omega
     return L2Criteria(
-        norm_lam=float(np.sum(w * lam * lam)),
-        norm_lam_over_sqrtw=float(np.sum(w * lam * lam / om)),
         norm_lam_over_w=float(np.sum(w * lam * lam / (om * om))),
         ir_class=ir_class_of(grid.families[channel], grid.nu, grid.mass),
     )

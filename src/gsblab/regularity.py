@@ -3,7 +3,7 @@
 Every check compares two independently computed values (or a vector against
 its resolvent reconstruction) and emits a RegularityReport carrying both
 sides, the discrepancy, the truncation weight w_top of the state, and the
-tolerance that was applied.
+tolerance that was applied.  Each check kind of the CLI is one call here.
 
 Tolerance ladder: identities that are exact on the truncated space (the
 finite-mode decompositions, interior commutation relations) are held to
@@ -13,7 +13,7 @@ and solver error and are held to max(1e-7, 10 sqrt(w_top) + 100 cg_tol).
 A finite truncation always has a ground state, so the absence-type results
 are verified through their computable content: the proof inequality at
 fixed cutoff, and the divergence of the number expectation as the infrared
-cutoff is swept to zero.
+cutoff is swept to zero; sweep_verdict_report turns a sweep into one report.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ __all__ = [
     "higher_moment_identity",
     "number_decomposition",
     "factorial_moment_decomposition",
+    "appendix_suite",
     "ccr_and_bound_suite",
     "ir_sweep",
+    "sweep_verdict_report",
 ]
 
 EXACT_TOL = 1e-12
@@ -399,6 +401,28 @@ def factorial_moment_decomposition(psi: np.ndarray, n: int,
                           EXACT_TOL)
 
 
+def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
+    """The worst of `draws` seeded draws of each exact decomposition on m's space.
+
+    Each draw is a normalized complex composite vector and a complex mode
+    column; the factorial moment is taken at order min(order, n_max).  Both
+    reports record the draw count.
+    """
+    rng = np.random.default_rng(seed)
+    order = min(order, m.n_max)
+    worst = [None, None]
+    for _ in range(draws):
+        v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+        psi = v / np.linalg.norm(v)
+        K = rng.standard_normal(m.grid.n_modes) + 1j * rng.standard_normal(m.grid.n_modes)
+        reps = (number_decomposition(psi, K, m.basis, m.grid),
+                factorial_moment_decomposition(psi, order, m.basis))
+        worst = [r if w is None or r.rel_err > w.rel_err else w for w, r in zip(worst, reps)]
+    for rep in worst:
+        rep.metadata["draws"] = draws
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Commutation relations and relative bounds
 
@@ -515,11 +539,6 @@ class SweepTemplate:
     B: tuple
     n_max: int
     mass: float = 0.0
-
-    @staticmethod
-    def van_hove(nu: int, Lambda: float, n_max: int, mass: float = 0.0) -> "SweepTemplate":
-        A, B = model_mod.preset_van_hove()
-        return SweepTemplate(nu=nu, Lambda=Lambda, A=A, B=tuple(B), n_max=n_max, mass=mass)
 
 
 @dataclass
@@ -681,3 +700,29 @@ def ir_sweep(family: CouplingFamily, template: SweepTemplate, sigmas,
         analytic_ir_class=ir_class_of(family, template.nu, template.mass),
     )
     return rows, verdict
+
+
+def sweep_verdict_report(rows, verdict: SweepVerdict, ctol: float) -> RegularityReport:
+    """A sweep's report: <N> against the projection bound at the smallest sigma.
+
+    It passes when the verdict matches the analytic infrared class (any
+    verdict does for "unknown") and every row keeps <N> >= the bound within
+    ABSENCE_TOL, as absence_lower_bound does; truncation breaks the bound.
+    """
+    expected = {"singular": "diverging", "regular": "converging"}.get(verdict.analytic_ir_class)
+    violations = [max(r.absence_bound - r.expectation_N, 0.0)
+                  / max(abs(r.expectation_N), abs(r.absence_bound), 1.0) for r in rows]
+    worst = int(np.argmax(violations))
+    last = rows[-1]
+    abs_err = abs(last.expectation_N - last.absence_bound)
+    return RegularityReport(
+        check_name="ir_sweep_verdict", lhs=last.expectation_N, rhs=last.absence_bound,
+        abs_err=abs_err,
+        rel_err=abs_err / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
+        w_top=last.max_w_top, tol_used=ctol,
+        passed=(expected is None or verdict.kind == expected)
+        and violations[worst] <= ABSENCE_TOL,
+        # vars gives a dataclass's field dict without dataclasses.asdict's deep copy
+        metadata={"verdict": vars(verdict), "worst_bound_violation": violations[worst],
+                  "worst_bound_sigma": rows[worst].sigma, "rows": [vars(r) for r in rows]},
+    )

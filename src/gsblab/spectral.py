@@ -100,10 +100,18 @@ def _check_dense_budget(dim: int, cfg: SolverConfig) -> None:
         )
 
 
+def _eigh(H: np.ndarray):
+    """np.linalg.eigh of a hermitian matrix or stack, raising NonConverged on failure."""
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NonConverged(f"dense eigh failed: {exc}", float("inf")) from exc
+
+
 def _dense_ground(H: LinOp, cfg: SolverConfig):
     """All eigenpairs by eigh; returns (values, ground vector, applications)."""
     _check_dense_budget(H.dim, cfg)
-    vals, vecs = np.linalg.eigh(H.mat.toarray())
+    vals, vecs = _eigh(H.mat.toarray())
     return vals[:2], vecs[:, 0], H.dim
 
 
@@ -190,14 +198,14 @@ def stacked_ground_states(H, cfg: SolverConfig):
     """Lowest eigenpair of every matrix in a (k, n, n) stack of hermitian matrices.
 
     One batched dense eigh, followed by the checks ground_state makes on each
-    matrix: n > max_lanczos raises NonConverged, and so does any residual
-    ||H v - E v|| that is nan or above eig_tol * max(1, |E|).  E is the
+    matrix: n > max_lanczos raises NonConverged, and so do a failed eigh and
+    any residual ||H v - E v|| that is nan or above eig_tol * max(1, |E|).  E is the
     Rayleigh quotient of the normalized vector.  Returns (energies of shape (k,), vectors of
     shape (k, n)).  The stack is held densely: k n^2 entries.
     """
     H = np.asarray(H)
     _check_dense_budget(H.shape[-1], cfg)
-    vecs = np.linalg.eigh(H)[1][:, :, 0]
+    vecs = _eigh(H)[1][:, :, 0]
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     hv = np.einsum("kij,kj->ki", H, vecs)
     energies = np.einsum("ki,ki->k", vecs.conj(), hv).real

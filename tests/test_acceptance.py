@@ -232,7 +232,8 @@ def test_07_commutation_relations_and_relative_bounds():
 def test_08_infrared_dichotomy(cfg):
     t0 = time.time()
     sigmas = [1e-1, 1e-2, 1e-3, 1e-4]
-    template = SweepTemplate.van_hove(nu=3, Lambda=1.0, n_max=12)
+    A, B = preset_van_hove()
+    template = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=12)
 
     # flat coupling: logarithmic growth of the number expectation
     flat = CouplingFamily(rho0=1.0, p=0.0, uv=10.0)

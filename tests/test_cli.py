@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,21 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "max_lanczos=5" in result.output
 
+    @pytest.mark.parametrize("command, check", [
+        ("run", {"kind": "moment", "G": "ones"}),
+        ("sweep", {"kind": "ir_sweep", "sigmas": [0.3, 0.1], "shells_per_decade": 2}),
+    ])
+    def test_dense_eigh_failure_is_three(self, tmp_path, command, check):
+        # alpha = 1e308 overflows H to inf, so the dense eigh (of one matrix,
+        # or of the sweep's stack of single-mode matrices) fails to converge
+        cfg = base_config(alpha=1e308, n_max=3, checks=[check])
+        cfg["grid"] = {"nu": 3, "sigma": 0.3, "Lambda": 1.0, "n_shells": 2}
+        result = run_cli([command, "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "solver failure" in result.output
+        assert "Traceback" not in result.output
+
     def test_truncated_sweep_fails_projection_bound(self, tmp_path):
         # nu = 1, p = 0 at alpha = 0.5 and n_max = 12: the verdict class is
         # right, but at sigma = 1e-6 <N> is far below the closed-form bound
@@ -319,10 +335,45 @@ class TestCheckSubcommand:
         assert len(rows) == 2
         assert rows[1][0] == "absence_lower_bound"
 
+    def test_choices_are_the_check_config_kinds(self):
+        union = typing.get_args(typing.get_args(cli.CheckConfig)[0])
+        kinds = [typing.get_args(t.model_fields["kind"].annotation)[0] for t in union]
+        choice = next(p for p in cli.check.params if p.name == "name").type
+        assert list(choice.choices) == kinds
+
     def test_check_kind_not_in_config_is_two(self, tmp_path):
         path = write_config(tmp_path, base_config(output=str(tmp_path / "o")))
         result = run_cli(["check", "higher", "--config", str(path)])
         assert result.exit_code == 2
+
+
+class TestExecuteRun:
+    def test_ccr_only_run_assembles_nothing(self, tmp_path, monkeypatch):
+        def no_assemble(*args, **kwargs):
+            raise AssertionError("a ccr check must not assemble the model")
+
+        monkeypatch.setattr(cli.model_mod, "assemble", no_assemble)
+        cfg = cli.RunConfig.model_validate(base_config(checks=[{"kind": "ccr", "draws": 5}]))
+        reports, gs = cli.execute_run(cfg)
+        assert gs is None
+        assert len(reports) == 6 and all(r.passed for r in reports)
+
+    def test_model_and_ground_state_built_once(self, monkeypatch):
+        calls = {"assemble": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli.model_mod, "assemble", counted("assemble", cli.model_mod.assemble))
+        monkeypatch.setattr(cli.spectral, "solve_model", counted("solve", cli.spectral.solve_model))
+        cfg = cli.RunConfig.model_validate(base_config(checks=[
+            {"kind": "appendix", "draws": 2}, {"kind": "moment"}, {"kind": "pullthrough"}]))
+        reports, gs = cli.execute_run(cfg)
+        assert calls == {"assemble": 1, "solve": 1}
+        assert gs is not None and len(reports) == 4
 
 
 class TestDump:

@@ -50,7 +50,7 @@ class TestEnumeration:
     def test_dimension_formula(self):
         for m, n in [(1, 5), (2, 3), (3, 4), (4, 2), (6, 2)]:
             basis = enumerate_basis(m, n)
-            assert basis.dim == math.comb(m + n, m)
+            assert len(basis) == math.comb(m + n, m)
 
     def test_matches_oracle_ordering(self):
         for m, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
@@ -73,16 +73,18 @@ class TestEnumeration:
         basis = enumerate_basis(4, 3)
         assert states(basis)[0] == (0, 0, 0, 0)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        # the default guard: C(32, 8) = 10,518,300 states exceed 200,000
+        monkeypatch.delenv("GSB_MAX_DIM", raising=False)
         with pytest.raises(BasisSizeError):
-            enumerate_basis(8, 24, max_states=10_000)
+            enumerate_basis(8, 24)
 
     def test_env_guard(self, monkeypatch):
         monkeypatch.setenv("GSB_MAX_DIM", "10")
         with pytest.raises(BasisSizeError):
             enumerate_basis(3, 3)
         monkeypatch.setenv("GSB_MAX_DIM", "100")
-        assert enumerate_basis(3, 3).dim == 20
+        assert len(enumerate_basis(3, 3)) == 20
 
     @given(m=st.integers(1, 5), n=st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -105,7 +107,7 @@ class TestLadderOperators:
                smeared_annihilator(f, grid, basis), dgamma(grid.omega, basis),
                field_operator(f, grid, basis)]
         for op in ops:
-            assert isinstance(op, sp.csr_matrix) and op.shape == (basis.dim, basis.dim)
+            assert isinstance(op, sp.csr_matrix) and op.shape == (len(basis), len(basis))
 
     def test_annihilator_matches_oracle(self):
         basis = enumerate_basis(2, 3)
@@ -116,16 +118,16 @@ class TestLadderOperators:
 
     def test_annihilator_on_vacuum(self):
         basis = enumerate_basis(2, 2)
-        v = np.zeros(basis.dim, dtype=complex)
+        v = np.zeros(len(basis), dtype=complex)
         v[0] = 1.0
         assert np.linalg.norm(annihilator(0, basis) @ v) == 0.0
 
     def test_annihilator_on_two_quanta(self):
         basis = enumerate_basis(2, 2)
-        v = np.zeros(basis.dim, dtype=complex)
+        v = np.zeros(len(basis), dtype=complex)
         v[index(basis, (2, 0))] = 1.0
         out = annihilator(0, basis) @ v
-        expected = np.zeros(basis.dim, dtype=complex)
+        expected = np.zeros(len(basis), dtype=complex)
         expected[index(basis, (1, 0))] = math.sqrt(2.0)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -138,7 +140,7 @@ class TestLadderOperators:
 
     def test_creator_kills_top_grade(self):
         basis = enumerate_basis(2, 2)
-        v = np.zeros(basis.dim, dtype=complex)
+        v = np.zeros(len(basis), dtype=complex)
         v[index(basis, (2, 0))] = 1.0
         out = creator(0, basis) @ v
         assert np.linalg.norm(out) == 0.0
@@ -150,7 +152,7 @@ class TestLadderOperators:
                 a = annihilator(i, basis).toarray()
                 c = creator(j, basis).toarray()
                 comm = a @ c - c @ a
-                target = np.eye(basis.dim) if i == j else np.zeros((basis.dim,) * 2)
+                target = np.eye(len(basis)) if i == j else np.zeros((len(basis),) * 2)
                 cols = np.where(basis.interior_mask)[0]
                 np.testing.assert_allclose(comm[:, cols], target[:, cols],
                                            atol=1e-13)
@@ -159,7 +161,7 @@ class TestLadderOperators:
         basis = enumerate_basis(1, 3)
         a = annihilator(0, basis).toarray()
         c = creator(0, basis).toarray()
-        comm = a @ c - c @ a - np.eye(basis.dim)
+        comm = a @ c - c @ a - np.eye(len(basis))
         top = np.where(basis.top_mask)[0]
         assert np.abs(comm[:, top]).max() == pytest.approx(basis.n_max + 1)
         interior = np.where(basis.interior_mask)[0]
@@ -241,8 +243,8 @@ class TestSmearedOperators:
         basis = enumerate_basis(m, n)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        chi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        chi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         a = smeared_annihilator(f, grid, basis)
         lhs = np.vdot(a.conj().T @ psi, chi)
         rhs = np.vdot(psi, a @ chi)
@@ -264,7 +266,7 @@ class TestTensorLayout:
         basis = enumerate_basis(1, 2)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         X = dgamma(np.array([1.0]), basis)
-        v = np.arange(2 * basis.dim, dtype=complex)
+        v = np.arange(2 * len(basis), dtype=complex)
         dense = np.kron(A, X.toarray())
         np.testing.assert_allclose(apply_matter(A, apply_fock(X, v)), dense @ v, atol=1e-13)
         np.testing.assert_allclose(apply_fock(X, apply_matter(A, v)), dense @ v, atol=1e-13)
@@ -279,7 +281,7 @@ class TestTensorLayout:
         basis = enumerate_basis(2, 2)
         N = dgamma(np.ones(2), basis)
         dense = np.kron(np.eye(2), N.toarray())
-        v = np.arange(2 * basis.dim, dtype=complex)
+        v = np.arange(2 * len(basis), dtype=complex)
         np.testing.assert_allclose(apply_fock(N, v), dense @ v, atol=1e-13)
 
     def test_sparse_fock_term_on_each_vector_dtype(self):
@@ -288,7 +290,7 @@ class TestTensorLayout:
         rng = np.random.default_rng(6)
         X = annihilator(1, basis)
         Xc = (1.0 - 0.5j) * X
-        n = 2 * basis.dim
+        n = 2 * len(basis)
         for fockop in (X, Xc):
             dense = np.kron(np.eye(2), fockop.toarray())
             for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
@@ -327,7 +329,7 @@ class TestClosedFormRank:
     def test_enumeration_matches_recursive_compositions(self, m, n):
         basis = enumerate_basis(m, n)
         assert states(basis) == oracle.graded_states(m, n)
-        np.testing.assert_array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+        np.testing.assert_array_equal(basis.rank(basis.occupations), np.arange(len(basis)))
 
     @pytest.mark.parametrize("m,n", SIZES)
     def test_annihilator_equals_loop_reference(self, m, n):
@@ -355,7 +357,7 @@ class TestClosedFormRank:
         grid = small_grid(3)
         basis = enumerate_basis(3, 3)
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(basis.dim)
+        v = rng.standard_normal(len(basis))
         psi = v / np.linalg.norm(v)
         for _ in range(3):
             smeared_annihilator(rng.standard_normal(3), grid, basis)

@@ -125,7 +125,7 @@ class TestTOperator:
         grid = coupled_grid(2, rho0=0.8, p=1.0)
         A, B = preset_spin_boson(1.3)
         m = assemble(A, B, grid, 0.6, 3)
-        nf = m.basis.dim
+        nf = len(m.basis)
         HI = (m.H.mat - assemble(A, B, grid, 0.0, 3).H.mat).toarray() / 0.6
         for i in range(2):
             a_full = np.kron(np.eye(2), annihilator(i, m.basis).toarray())

@@ -184,12 +184,10 @@ class TestIrClassification:
         assert ir_class_of(fam, 1, mass=0.3) == "regular"
 
     def test_l2_norms_single_mode(self):
-        # one shell at r=1 with w=2: lam=1 so all three norms equal 2
+        # one shell at r=1 with w=2: lam=1 and omega=1, so the norm equals 2
         grid = build_radial_grid(1, 0.5, 1.5, 1)
         grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
         crit = l2_criteria(grid)
-        assert crit.norm_lam == pytest.approx(2.0)
-        assert crit.norm_lam_over_sqrtw == pytest.approx(2.0)
         assert crit.norm_lam_over_w == pytest.approx(2.0)
         assert crit.ir_class == "singular"
 
@@ -201,10 +199,6 @@ class TestIrClassification:
         w = np.asarray(grid.weights)
         om = np.asarray(grid.omega)
         crit = l2_criteria(grid)
-        assert crit.norm_lam == pytest.approx(float(np.sum(w * lam**2)), rel=1e-13)
-        assert crit.norm_lam_over_sqrtw == pytest.approx(
-            float(np.sum(w * lam**2 / om)), rel=1e-13
-        )
         assert crit.norm_lam_over_w == pytest.approx(
             float(np.sum(w * lam**2 / om**2)), rel=1e-13
         )

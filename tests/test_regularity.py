@@ -9,9 +9,11 @@ import pytest
 
 from gsblab import (
     CouplingFamily,
+    IrSweepRow,
     NonConverged,
     SolverConfig,
     SweepTemplate,
+    SweepVerdict,
     absence_lower_bound,
     apply_fock,
     apply_matter,
@@ -342,7 +344,7 @@ class TestExactDecompositions:
         grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
         rng = np.random.default_rng(12)
         for _ in range(10):
-            v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             psi = v / np.linalg.norm(v)
             K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             rep = number_decomposition(psi, K, basis, grid)
@@ -360,7 +362,7 @@ class TestExactDecompositions:
     def test_factorial_decomposition_occupation_state(self):
         # (2,0) with n=2: lhs = ||a_1 a_1 psi||^2 = 2, rhs = N(N-1) = 2
         basis = enumerate_basis(2, 3)
-        v = np.zeros(basis.dim, dtype=complex)
+        v = np.zeros(len(basis), dtype=complex)
         v[basis.rank([(2, 0)])[0]] = 1.0
         rep = factorial_moment_decomposition(v, 2, basis)
         assert rep.lhs == pytest.approx(2.0, abs=1e-13)
@@ -368,7 +370,7 @@ class TestExactDecompositions:
 
     def test_factorial_decomposition_vacuum(self):
         basis = enumerate_basis(2, 2)
-        v = np.zeros(basis.dim, dtype=complex)
+        v = np.zeros(len(basis), dtype=complex)
         v[0] = 1.0
         for n in (1, 2):
             rep = factorial_moment_decomposition(v, n, basis)
@@ -381,7 +383,7 @@ class TestExactDecompositions:
         states = oracle.dense_basis(3, 4)
         rng = np.random.default_rng(13)
         for n in (1, 2, 3):
-            v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             v /= np.linalg.norm(v)
             rep = factorial_moment_decomposition(v, n, basis)
             assert rep.passed
@@ -399,7 +401,7 @@ class TestExactDecompositions:
         grid = build_radial_grid(3, 0.2, 0.8, 2)
         grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
         rng = np.random.default_rng(14)
-        v = rng.standard_normal(2 * basis.dim) + 1j * rng.standard_normal(2 * basis.dim)
+        v = rng.standard_normal(2 * len(basis)) + 1j * rng.standard_normal(2 * len(basis))
         v /= np.linalg.norm(v)
         K = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert number_decomposition(v, K, basis, grid).passed
@@ -410,7 +412,7 @@ class TestExactDecompositions:
         # ||(1 (x) a_i)(1 (x) a_j) psi||^2 applied on the composite space
         basis = enumerate_basis(3, 3)
         rng = np.random.default_rng(15)
-        v = rng.standard_normal(3 * basis.dim) + 1j * rng.standard_normal(3 * basis.dim)
+        v = rng.standard_normal(3 * len(basis)) + 1j * rng.standard_normal(3 * len(basis))
         psi = v / np.linalg.norm(v)
         a = [basis.lowering(i) for i in range(3)]
         want = sum(float(np.linalg.norm(apply_fock(a[i], apply_fock(a[j], psi))) ** 2)
@@ -418,6 +420,78 @@ class TestExactDecompositions:
         rep = factorial_moment_decomposition(psi, 2, basis)
         assert rep.passed
         assert rep.lhs == pytest.approx(want, rel=1e-13)
+
+
+class TestAppendixSuite:
+    def test_reports_are_the_worst_of_the_draws(self):
+        m = spin_boson(n_modes=2, n_max=4)
+        reports = regularity.appendix_suite(m, draws=6, order=2, seed=3)
+        # replay the seeded draws one by one
+        rng = np.random.default_rng(3)
+        singles = []
+        for _ in range(6):
+            v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+            psi = v / np.linalg.norm(v)
+            K = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            singles.append((number_decomposition(psi, K, m.basis, m.grid),
+                            factorial_moment_decomposition(psi, 2, m.basis)))
+        assert [r.check_name for r in reports] == ["number_decomposition",
+                                                   "factorial_moment_decomposition"]
+        for k, rep in enumerate(reports):
+            worst = max((pair[k] for pair in singles), key=lambda r: r.rel_err)
+            assert (rep.lhs, rep.rhs, rep.rel_err) == (worst.lhs, worst.rhs, worst.rel_err)
+            assert rep.metadata == {"draws": 6}
+            assert rep.passed
+
+    def test_order_capped_at_n_max(self):
+        m = spin_boson(n_modes=2, n_max=2)
+        reports = regularity.appendix_suite(m, draws=2, order=3, seed=1)
+        assert all(r.passed for r in reports)
+        with pytest.raises(ValueError, match="order must lie"):
+            regularity.appendix_suite(spin_boson(n_modes=2, n_max=0), 1, 2, seed=1)
+
+
+def sweep_row(sigma, N, bound):
+    return IrSweepRow(sigma=sigma, n_shells=4, E=-1.0, expectation_N=N, absence_bound=bound,
+                      lam_over_w_norm=1.0, max_w_top=1e-12)
+
+
+def sweep_verdict(kind, ir_class):
+    return SweepVerdict(kind=kind, slope_b=0.0, intercept_a=0.0, r_squared=1.0,
+                        final_increment=0.0, final_increment_rel=0.0,
+                        analytic_ir_class=ir_class)
+
+
+class TestSweepVerdictReport:
+    ROWS = [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4)]
+
+    @pytest.mark.parametrize("kind, ir_class", [
+        ("converging", "singular"), ("diverging", "regular"), ("inconclusive", "singular"),
+    ])
+    def test_verdict_against_the_class_fails(self, kind, ir_class):
+        rep = regularity.sweep_verdict_report(self.ROWS, sweep_verdict(kind, ir_class), 1e-3)
+        assert not rep.passed
+        assert rep.metadata["worst_bound_violation"] == 0.0
+
+    def test_row_below_the_bound_fails(self):
+        rows = [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.0, 1.2), sweep_row(1e-3, 2.0, 1.0)]
+        rep = regularity.sweep_verdict_report(rows, sweep_verdict("diverging", "singular"), 1e-3)
+        assert not rep.passed
+        assert rep.metadata["worst_bound_sigma"] == 0.01
+        assert rep.metadata["worst_bound_violation"] == pytest.approx(0.2 / 1.2, rel=1e-14)
+        # lhs and rhs come from the smallest sigma, not from the worst row
+        assert (rep.lhs, rep.rhs) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("kind, ir_class", [
+        ("diverging", "singular"), ("converging", "regular"), ("inconclusive", "unknown"),
+    ])
+    def test_agreement_with_the_bound_held_passes(self, kind, ir_class):
+        rep = regularity.sweep_verdict_report(self.ROWS, sweep_verdict(kind, ir_class), 1e-3)
+        assert rep.passed
+        assert rep.check_name == "ir_sweep_verdict" and rep.tol_used == 1e-3
+        assert (rep.lhs, rep.rhs, rep.w_top) == (1.5, 1.4, 1e-12)
+        assert rep.metadata["verdict"]["kind"] == kind
+        assert [r["expectation_N"] for r in rep.metadata["rows"]] == [1.0, 1.5]
 
 
 class TestCcrSuite:
