@@ -240,7 +240,12 @@ def load_config(path) -> RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file or bytes that are not UTF-8
+        raise ConfigError(f"cannot read config {p}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:

@@ -105,6 +105,8 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     one dimension; the grid must carry one coupling column per B_j.  H is one
     CSR matrix, the Kronecker terms summed in the order written above.  Real
     A and B_j give a real H, so the ground solve runs in real arithmetic.
+    An alpha large enough to overflow an entry of H raises no warning here:
+    the ground solvers reject a non-finite H with NonConverged.
     """
     A = _check_hermitian("A", A)
     B = [_check_hermitian(f"B[{j}]", b) for j, b in enumerate(B)]
@@ -124,9 +126,11 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     H = H + sp.kron(sp.csr_matrix(A), sp.identity(nf, format="csr"), format="csr")
     H = H + sp.kron(sp.identity(d, format="csr"), fock.dgamma(grid.omega, basis),
                     format="csr")
-    for j, b in enumerate(B):
-        phi = fock.field_operator(grid.channel(j), grid, basis)
-        H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
+    # a huge alpha overflows entries to inf silently; the ground solvers refuse them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, b in enumerate(B):
+            phi = fock.field_operator(grid.channel(j), grid, basis)
+            H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
     return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True))
 
 

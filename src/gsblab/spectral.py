@@ -158,6 +158,7 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
     Dense eigh up to DENSE_MAX_DIM, scipy eigsh above, in H's own dtype.
+    A non-finite entry of H raises NonConverged before any solve.
     Returns a GroundState whose vector is a normalized numpy array, with
     the explicit residual ||H v - E v|| <= eig_tol * max(1, |E|) (a nan
     residual raises NonConverged too), the gap to the second eigenvalue, and
@@ -167,6 +168,8 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
+    if not np.all(np.isfinite(H.mat.data)):
+        raise NonConverged("H has a non-finite entry", float("inf"))
     row_sums = np.asarray(abs(H.mat).sum(axis=1)).ravel()
     if H.dim <= DENSE_MAX_DIM:
         method, (vals, vec, applied) = "dense", _dense_ground(H, cfg)
@@ -197,13 +200,18 @@ def solve_model(model: GsbModel, cfg: SolverConfig) -> GroundState:
 def stacked_ground_states(H, cfg: SolverConfig):
     """Lowest eigenpair of every matrix in a (k, n, n) stack of hermitian matrices.
 
-    One batched dense eigh, followed by the checks ground_state makes on each
-    matrix: n > max_lanczos raises NonConverged, and so do a failed eigh and
-    any residual ||H v - E v|| that is nan or above eig_tol * max(1, |E|).  E is the
-    Rayleigh quotient of the normalized vector.  Returns (energies of shape (k,), vectors of
-    shape (k, n)).  The stack is held densely: k n^2 entries.
+    One batched dense eigh, with the checks ground_state makes on each matrix:
+    a non-finite entry or n > max_lanczos raises NonConverged before the eigh,
+    and so do a failed eigh and any residual ||H v - E v|| that is nan or
+    above eig_tol * max(1, |E|).  E is the Rayleigh quotient of the
+    normalized vector.  Returns (energies of shape (k,), vectors of shape
+    (k, n)).  The stack is held densely: k n^2 entries.
     """
     H = np.asarray(H)
+    finite = np.isfinite(H).all(axis=(1, 2))
+    if not finite.all():
+        raise NonConverged(f"dense stack has a non-finite entry on matrix "
+                           f"{int(np.argmin(finite))}", float("inf"))
     _check_dense_budget(H.shape[-1], cfg)
     vecs = _eigh(H)[1][:, :, 0]
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)

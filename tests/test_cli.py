@@ -554,6 +554,18 @@ class TestFailureExits:
         self.assert_one_line_error(result)
         assert "GSB_MAX_DIM" in result.output
 
+    @pytest.mark.parametrize("command", [["run"], ["dump", "grid"]])
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_config_is_two(self, tmp_path, command, unreadable):
+        path = tmp_path / "config.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(base_config()).encode("utf-16"))
+        result = run_cli([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert "cannot read config" in result.output
+
     def test_shifted_matter_energy_passes(self, tmp_path):
         path = write_config(tmp_path, custom_shifted_config(tmp_path / "out"))
         result = run_cli(["run", "--config", str(path)])

@@ -230,7 +230,8 @@ class TestHigherMoments:
         r_moment = moment_identity(m, gs, np.ones(2), CFG)
         r_higher = higher_moment_identity(m, gs, 1, CFG)
         assert r_higher.lhs == pytest.approx(r_moment.lhs, abs=1e-12)
-        assert r_higher.rhs == pytest.approx(r_moment.rhs, abs=1e-10)
+        # one chain solver and one weighted sum serve both: the same float
+        assert r_higher.rhs == r_moment.rhs
 
     def test_van_hove_factorial_moment(self):
         m = van_hove_unit_model()
@@ -740,6 +741,38 @@ class TestTransforms:
         B = [self.B[0], self.B[0], self.B[1]]
         _, values = identity_values(self.A, B, split, self.f)
         np.testing.assert_allclose(values, self.base, rtol=1e-9)
+
+
+class TestModeSolves:
+    """Pull-through and moment solve one level-1 chain per weighted mode, no more."""
+
+    @pytest.mark.parametrize("kind", ["pullthrough", "moment"])
+    @pytest.mark.parametrize("column, solved", [
+        ([0.0, 0.7, 0.0, 1.3], [1, 3]),
+        ([0.5, 0.0, 0.0, 0.0], [0]),
+        ([0.0, 0.0, 0.0, 0.0], []),
+    ])
+    def test_zero_modes_are_not_solved(self, monkeypatch, kind, column, solved):
+        m = spin_boson(n_modes=4, n_max=5)
+        gs = solve_model(m, CFG)
+        shifts = []
+        solve = regularity.resolvent_apply
+
+        def recording(H, E, s, v, cfg):
+            shifts.append(s)
+            return solve(H, E, s, v, cfg)
+
+        monkeypatch.setattr(regularity, "resolvent_apply", recording)
+        col = np.array(column)
+        if kind == "pullthrough":
+            rep = pullthrough_check(m, gs, 1j * col, CFG)
+        else:
+            rep = moment_identity(m, gs, col, CFG)
+        assert rep.passed
+        assert shifts == [float(m.grid.omega[i]) for i in solved]
+        stats = rep.metadata["mode_solves"]
+        assert [s["mode"] for s in stats] == solved
+        assert all(s["cg_iterations"] > 0 and s["cg_relres"] <= CFG.cg_tol for s in stats)
 
 
 class TestDtypeRule:
