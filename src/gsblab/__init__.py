@@ -52,7 +52,6 @@ from .spectral import (
 from .regularity import (
     IrSweepRow,
     RegularityReport,
-    SweepTemplate,
     SweepVerdict,
     absence_lower_bound,
     ccr_and_bound_suite,
@@ -81,7 +80,6 @@ __all__ = [
     "NonPositiveShift",
     "RegularityReport",
     "SolverConfig",
-    "SweepTemplate",
     "SweepVerdict",
     "VanHoveValues",
     "absence_lower_bound",

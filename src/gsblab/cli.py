@@ -6,7 +6,8 @@ report rows; `run` calls it once per configured check, building the model
 and its ground state on first use, and writes resolved_config.json,
 report.json, report.csv (and sweep.csv, read from the ir_sweep_verdict
 reports) into the output directory.  Exit codes: 0 all checks passed, 1 a
-check failed, 2 config/schema violation, 3 solver failure.
+check failed, 2 config/schema violation, 3 solver failure (a solve that
+does not converge, or a float overflow in H or in a check's arithmetic).
 
 Reports are written with deterministic formatting, so identical configs and
 seeds produce byte-identical report.csv files.
@@ -187,15 +188,19 @@ class IrSweepCheck(_Strict):
 
     def reports(self, run: _Run) -> list:
         cfg = run.cfg
+        ladder = []
+        for sigma in self.sigmas:
+            # the run's grid on [sigma, Lambda], log-midpoint, every coupling channel;
+            # model_copy skips validation: build_radial_grid refuses sigma >= Lambda
+            n_shells = max(1, math.ceil(self.shells_per_decade
+                                        * math.log10(cfg.grid.Lambda / sigma)))
+            grid = cfg.grid.model_copy(
+                update={"sigma": sigma, "n_shells": n_shells, "rule": "log-midpoint"})
+            ladder.append((sigma, build_grid(cfg.model_copy(update={"grid": grid}))))
         A, B = cfg.model.matter()
-        template = regularity.SweepTemplate(
-            nu=cfg.grid.nu, Lambda=cfg.grid.Lambda, A=A, B=tuple(B),
-            n_max=self.n_max if self.n_max is not None else cfg.n_max,
-            mass=cfg.dispersion.mass,
-        )
         rows, verdict = regularity.ir_sweep(
-            cfg.coupling[0].family(), template, self.sigmas, self.shells_per_decade,
-            cfg.alpha, run.solver, ctol=self.ctol,
+            ladder, A, B, cfg.alpha, self.n_max if self.n_max is not None else cfg.n_max,
+            run.solver, ctol=self.ctol,
         )
         return [regularity.sweep_verdict_report(rows, verdict, self.ctol)]
 
@@ -359,20 +364,6 @@ def write_sweep_csv(sweeps, path) -> None:
                 w.writerow([_fmt(v) for v in [*r.values(), sweep["verdict"]["kind"]]])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _solve_json(gs) -> dict | None:
     """Ground-state diagnostics of the run's model, None when none was solved."""
     if gs is None:
@@ -393,7 +384,7 @@ def write_report_json(reports, sweeps, meta, path, gs=None) -> None:
         "sweeps": [{"verdict": s["verdict"], "rows": s["rows"]} for s in sweeps],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -433,6 +424,10 @@ def _common_run(config, out, seed, dry_run, selected=None):
         sys.exit(2)
     except spectral.NonConverged as exc:
         click.echo(f"solver failure: {exc}", err=True)
+        sys.exit(3)
+    except OverflowError as exc:
+        # a Python float power (alpha**2 and up) past the float range while H is finite
+        click.echo(f"solver failure: float overflow: {exc}", err=True)
         sys.exit(3)
     # the verdict reports carry their sweeps' verdict and rows in the metadata
     sweeps = [r.metadata for r in reports if r.check_name == "ir_sweep_verdict"]

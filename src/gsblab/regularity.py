@@ -11,7 +11,8 @@ pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
 Tolerance ladder: identities that are exact on the truncated space (the
 finite-mode decompositions, interior commutation relations) are held to
 1e-12 * scale; identities mediated by resolvent solves inherit truncation
-and solver error and are held to max(1e-7, 10 sqrt(w_top) + 100 cg_tol).
+and solver error and are held to max(1e-7, 10 sqrt(w_top) + 100 cg_tol),
+capped at 0.5: sides of size 1 or more must agree within a factor 2.
 
 A finite truncation always has a ground state, so the absence-type results
 are verified through their computable content: the proof inequality at
@@ -30,14 +31,13 @@ import numpy as np
 from . import fock, model as model_mod, spectral
 from .fock import FockBasis, apply_fock, apply_matter
 from .model import GroundState, GsbModel, t_operator
-from .modes import CouplingFamily, ModeSet, build_radial_grid, eval_coupling, ir_class_of, l2_criteria
+from .modes import ModeSet, l2_criteria
 from .spectral import SolverConfig, resolvent_apply
 
 __all__ = [
     "RegularityReport",
     "IrSweepRow",
     "SweepVerdict",
-    "SweepTemplate",
     "resolvent_tol",
     "pullthrough_check",
     "moment_identity",
@@ -53,12 +53,16 @@ __all__ = [
 
 EXACT_TOL = 1e-12
 RESOLVENT_TOL_FLOOR = 1e-7
+# below 1: uncapped, 10 sqrt(w_top) reaches 1 at w_top = 0.01 and a check
+# then passes at rel_err = 1, its sides arbitrarily far apart
+RESOLVENT_TOL_CAP = 0.5
 ABSENCE_TOL = 1e-9
 GROUND_RESIDUAL_CAP = 1e-10
 
 
 def resolvent_tol(w_top: float, cg_tol: float) -> float:
-    return max(RESOLVENT_TOL_FLOOR, 10.0 * math.sqrt(max(w_top, 0.0)) + 100.0 * cg_tol)
+    tol = max(RESOLVENT_TOL_FLOOR, 10.0 * math.sqrt(max(w_top, 0.0)) + 100.0 * cg_tol)
+    return min(tol, RESOLVENT_TOL_CAP)
 
 
 @dataclass
@@ -504,18 +508,6 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
 # Infrared sweep
 
 
-@dataclass(frozen=True)
-class SweepTemplate:
-    """Model shape an infrared sweep holds fixed while sigma varies."""
-
-    nu: int
-    Lambda: float
-    A: np.ndarray
-    B: tuple
-    n_max: int
-    mass: float = 0.0
-
-
 @dataclass
 class IrSweepRow:
     sigma: float
@@ -593,63 +585,56 @@ def _single_mode_ground_states(grid: ModeSet, b: float, alpha: float, ops,
     return energies, prob @ number, absence, prob[:, -1]
 
 
-def _solve_sigma_full(grid: ModeSet, template: SweepTemplate, alpha: float,
-                      cfg: SolverConfig):
-    m = model_mod.assemble(np.asarray(template.A), [np.asarray(b) for b in template.B],
-                           grid, alpha, template.n_max)
+def _solve_sigma_full(grid: ModeSet, A, B, alpha: float, n_max: int, cfg: SolverConfig):
+    m = model_mod.assemble(A, B, grid, alpha, n_max)
     gs = spectral.solve_model(m, cfg)
-    ones = np.ones(grid.n_modes)
-    rep_abs = absence_lower_bound(m, gs, ones, cfg)
+    rep_abs = absence_lower_bound(m, gs, np.ones(grid.n_modes), cfg)
     return gs.energy, rep_abs.lhs, rep_abs.rhs, gs.w_top
 
 
-def ir_sweep(family: CouplingFamily, template: SweepTemplate, sigmas,
-             shells_per_decade: int, alpha: float, cfg: SolverConfig,
+def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
              ctol: float = 1e-3):
     """Solve the model on a ladder of infrared cutoffs and classify the trend.
 
-    Grids are log-midpoint with shells_per_decade shells per decade of
-    [sigma, Lambda].  Each row records the ground energy, the number
+    ladder holds (sigma, grid) rungs, sigma strictly decreasing, each grid
+    carrying one coupling column per B_j; A, B, alpha and n_max are as for
+    model.assemble.  Each row records the ground energy, the number
     expectation (the moment-identity left side), the projection lower bound
-    with G = 1, and the discrete ||lambda/omega||^2.  The verdict must agree
-    with the analytic infrared class of the coupling family.  Scalar-matter
+    with G = 1, and the discrete ||lambda/omega||^2 of channel 0, whose
+    analytic infrared class the verdict must match.  Scalar-matter
     single-channel models factorize over modes: their single-mode operators
-    are built once per call, and each sigma solves all single-mode
+    are built once per call, and each rung solves all single-mode
     Hamiltonians as one stacked dense eigenproblem.  Everything else is
-    solved as one composite eigenproblem per sigma.
+    solved as one composite eigenproblem per rung.
     """
-    sigmas = [float(s) for s in sigmas]
+    sigmas = [s for s, _ in ladder]
     if len(sigmas) < 2:
         raise ValueError("need at least two sigma values")
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
-    if shells_per_decade < 1:
-        raise ValueError("shells_per_decade must be >= 1")
-    separable = model_mod.is_separable(np.asarray(template.A),
-                                       [np.asarray(b) for b in template.B])
+    for _, grid in ladder:
+        # assemble's rule; the separable path would read channel 0 alone
+        if grid.n_channels != len(B):
+            raise ValueError(f"{len(B)} matter channels but {grid.n_channels} "
+                             "coupling columns on a rung grid")
+    separable = model_mod.is_separable(A, B)
     if separable:
         # assemble's hermiticity rule; a hermitian 1x1 matrix is real
-        a0 = float(model_mod._check_hermitian("A", template.A)[0, 0].real)
-        b = float(model_mod._check_hermitian("B[0]", template.B[0])[0, 0].real)
-        ops = _single_mode_operators(template.n_max)
+        a0 = float(model_mod._check_hermitian("A", A)[0, 0].real)
+        b = float(model_mod._check_hermitian("B[0]", B[0])[0, 0].real)
+        ops = _single_mode_operators(n_max)
     rows = []
-    for sigma in sigmas:
-        decades = math.log10(template.Lambda / sigma)
-        n_shells = max(1, math.ceil(shells_per_decade * decades))
-        grid = build_radial_grid(template.nu, sigma, template.Lambda, n_shells,
-                                 rule="log-midpoint", mass=template.mass)
-        lam = eval_coupling(family, grid)
-        grid = grid.with_coupling(lam, family)
+    for sigma, grid in ladder:
         if separable:
             # a commuting sum of single-mode problems: E (on top of the
             # constant a0), <N> and the absence terms add over modes
             E, N, absence, w_top = _single_mode_ground_states(grid, b, alpha, ops, cfg)
             E, N, absence, w_top = a0 + E.sum(), N.sum(), absence.sum(), w_top.max()
         else:
-            E, N, absence, w_top = _solve_sigma_full(grid, template, alpha, cfg)
+            E, N, absence, w_top = _solve_sigma_full(grid, A, B, alpha, n_max, cfg)
         crit = l2_criteria(grid, 0)
         rows.append(IrSweepRow(
-            sigma=sigma, n_shells=n_shells, E=E, expectation_N=N,
+            sigma=sigma, n_shells=grid.n_modes, E=E, expectation_N=N,
             absence_bound=absence, lam_over_w_norm=crit.norm_lam_over_w,
             max_w_top=w_top,
         ))
@@ -674,7 +659,7 @@ def ir_sweep(family: CouplingFamily, template: SweepTemplate, sigmas,
         kind=kind, slope_b=slope_b, intercept_a=intercept_a, r_squared=r2,
         final_increment=final_inc, final_increment_rel=final_rel,
         divergence_kind=div_kind,
-        analytic_ir_class=ir_class_of(family, template.nu, template.mass),
+        analytic_ir_class=crit.ir_class,
     )
     return rows, verdict
 

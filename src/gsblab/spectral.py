@@ -178,7 +178,9 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     vec = vec / np.linalg.norm(vec)
     hv = H.apply(vec)
     energy = float(np.real(np.vdot(vec, hv)))
-    residual = float(np.linalg.norm(hv - energy * vec))
+    # a huge H overflows the norm to inf, refused below without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(hv - energy * vec))
     if not residual <= cfg.eig_tol * max(1.0, abs(energy)):
         raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("nan")
@@ -217,7 +219,9 @@ def stacked_ground_states(H, cfg: SolverConfig):
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     hv = np.einsum("kij,kj->ki", H, vecs)
     energies = np.einsum("ki,ki->k", vecs.conj(), hv).real
-    residuals = np.linalg.norm(hv - energies[:, None] * vecs, axis=1)
+    # as in ground_state: an inf residual is refused below, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(hv - energies[:, None] * vecs, axis=1)
     excess = residuals / (cfg.eig_tol * np.maximum(1.0, np.abs(energies)))
     worst = int(np.argmax(excess))
     if not excess[worst] <= 1.0:

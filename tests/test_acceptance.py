@@ -16,7 +16,6 @@ from click.testing import CliRunner
 from gsblab import (
     CouplingFamily,
     SolverConfig,
-    SweepTemplate,
     absence_lower_bound,
     annihilator,
     assemble,
@@ -233,27 +232,26 @@ def test_08_infrared_dichotomy(cfg):
     t0 = time.time()
     sigmas = [1e-1, 1e-2, 1e-3, 1e-4]
     A, B = preset_van_hove()
-    template = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=12)
+
+    def ladder(p):
+        # log-midpoint rungs on [sigma, 1] with 16 shells per decade
+        return [(s, make_grid(3, s, 1.0, max(1, math.ceil(16 * math.log10(1.0 / s))),
+                              "log-midpoint", rho0=1.0, p=p)) for s in sigmas]
 
     # flat coupling: logarithmic growth of the number expectation
-    flat = CouplingFamily(rho0=1.0, p=0.0, uv=10.0)
-    rows, verdict = ir_sweep(flat, template, sigmas, 16, alpha=0.5, cfg=cfg)
+    flat = ladder(0.0)
+    rows, verdict = ir_sweep(flat, A, B, alpha=0.5, n_max=12, cfg=cfg)
     assert verdict.kind == "diverging"
     assert verdict.divergence_kind == "logarithmic"
     assert verdict.slope_b > 0.0
     assert verdict.r_squared >= 0.99
-    for row in rows:
-        decades = math.log10(template.Lambda / row.sigma)
-        n_shells = max(1, math.ceil(16 * decades))
-        g = build_radial_grid(3, row.sigma, template.Lambda, n_shells,
-                              rule="log-midpoint")
-        g = g.with_coupling(eval_coupling(flat, g), flat)
+    for row, (_, g) in zip(rows, flat):
+        assert row.n_shells == g.n_modes
         exact = van_hove_oracle(g, 0.5)
         assert abs(row.expectation_N - exact.N_exact) <= 1e-6 * exact.N_exact
 
     # linearly vanishing coupling: the ladder is Cauchy
-    lin = CouplingFamily(rho0=1.0, p=1.0, uv=10.0)
-    rows, verdict = ir_sweep(lin, template, sigmas, 16, alpha=0.5, cfg=cfg)
+    rows, verdict = ir_sweep(ladder(1.0), A, B, alpha=0.5, n_max=12, cfg=cfg)
     assert verdict.kind == "converging"
     values = [r.expectation_N for r in rows]
     increments = [abs(b - a) for a, b in zip(values, values[1:])]

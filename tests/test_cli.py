@@ -136,6 +136,15 @@ class TestSchema:
         assert len(B) == 1
 
 
+def huge_alpha_config(alpha, kind):
+    """van Hove, nu = 3, p = 1 on two log-midpoint shells of [0.3, 1], n_max = 3."""
+    cfg = base_config(alpha=alpha, n_max=3, checks=[{"kind": kind}])
+    cfg["grid"] = {"nu": 3, "sigma": 0.3, "Lambda": 1.0, "n_shells": 2,
+                   "rule": "log-midpoint"}
+    cfg["coupling"][0]["p"] = 1.0
+    return cfg
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
         path = write_config(tmp_path, base_config(output=str(tmp_path / "out")))
@@ -180,6 +189,38 @@ class TestExitCodes:
         assert result.exit_code == 3, result.output
         assert "solver failure" in result.output
         assert "Traceback" not in result.output
+
+    def test_resolvent_check_cannot_pass_at_rel_err_one(self, tmp_path):
+        # alpha = 1e150 truncates hard (w_top 0.25): uncapped, the resolvent
+        # tolerance would be 5 and the moment check would pass at rel_err 1
+        cfg = huge_alpha_config(1e150, "moment")
+        out = tmp_path / "out"
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        report = json.loads((out / "report.json").read_text())["reports"][0]
+        assert report["rel_err"] == pytest.approx(1.0)
+        assert report["tol_used"] == 0.5
+
+    @pytest.mark.parametrize("kind", ["moment", "absence"])
+    def test_float_overflow_in_check_is_three(self, tmp_path, kind):
+        # alpha = 1e160 keeps H finite, but alpha**2 overflows a Python float
+        cfg = huge_alpha_config(1e160, kind)
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines() == [
+            "solver failure: float overflow: (34, 'Numerical result out of range')"]
+
+    def test_overflowing_residual_is_three_without_warning(self, tmp_path):
+        # alpha = 1e200: H is finite, but ||H v - E v|| overflows to inf; the
+        # error line is the only line on stderr, no RuntimeWarning before it
+        cfg = huge_alpha_config(1e200, "moment")
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines() == [
+            "solver failure: dense missed eig_tol=1e-11 (best residual inf)"]
 
     def test_truncated_sweep_fails_projection_bound(self, tmp_path):
         # nu = 1, p = 0 at alpha = 0.5 and n_max = 12: the verdict class is
@@ -313,6 +354,34 @@ class TestArtifacts:
                                "absence_bound"]
         assert [float(r[0]) for r in rows[1:]] == [0.3, 0.15, 0.075, 0.0375]
         assert json.loads((out / "report.json").read_text())["solve"] is None
+
+
+class TestMultiChannelSweep:
+    def test_two_channel_sweep_rungs_carry_every_channel(self, tmp_path):
+        # A = diag(0, 1), B = [sigma_x, sigma_z]: not separable, so each rung
+        # is one composite solve with both coupling channels on its grid
+        out = tmp_path / "out"
+        cfg = base_config(output=str(out), alpha=0.3, n_max=3, checks=[
+            {"kind": "ir_sweep", "sigmas": [0.1, 0.01, 0.001], "shells_per_decade": 2},
+            {"kind": "absence"},
+        ])
+        cfg["model"] = {"preset": "gsb_custom", "A": [[0.0, 0.0], [0.0, 1.0]],
+                        "B": [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]}
+        cfg["grid"] = {"nu": 3, "sigma": 0.1, "Lambda": 1.0, "n_shells": 2,
+                       "rule": "log-midpoint"}
+        cfg["coupling"] = [{"rho0": 0.5, "p": 1.0, "uv": 10.0},
+                           {"rho0": 0.3, "p": 1.0, "uv": 10.0}]
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        sweep = report["sweeps"][0]
+        assert sweep["verdict"]["kind"] == "converging"
+        assert [r["n_shells"] for r in sweep["rows"]] == [2, 4, 6]
+        # the first rung is the config's grid, so it solves the run's model
+        first, absence = sweep["rows"][0], report["reports"][1]
+        assert first["E"] == report["solve"]["energy"]
+        assert first["expectation_N"] == absence["lhs"]
+        assert first["absence_bound"] == absence["rhs"]
 
 
 class TestCheckSubcommand:

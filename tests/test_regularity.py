@@ -12,7 +12,6 @@ from gsblab import (
     IrSweepRow,
     NonConverged,
     SolverConfig,
-    SweepTemplate,
     SweepVerdict,
     absence_lower_bound,
     apply_fock,
@@ -517,6 +516,18 @@ class TestCcrSuite:
             assert r.rel_err <= 1e-13, name
 
 
+def sweep_ladder(fams, sigmas, shells_per_decade, nu=3, Lambda=1.0):
+    """(sigma, grid) rungs: log-midpoint on [sigma, Lambda], one channel per family."""
+    ladder = []
+    for s in sigmas:
+        n_shells = max(1, math.ceil(shells_per_decade * math.log10(Lambda / s)))
+        grid = build_radial_grid(nu, s, Lambda, n_shells, rule="log-midpoint")
+        for fam in fams:
+            grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        ladder.append((s, grid))
+    return ladder
+
+
 class TestIrSweep:
     @pytest.mark.parametrize(
         "nu,p,alpha,sigmas,expected_kind,expected_div",
@@ -530,9 +541,8 @@ class TestIrSweep:
     )
     def test_family_verdicts(self, nu, p, alpha, sigmas, expected_kind, expected_div):
         A, B = preset_van_hove()
-        fam = hard_family(p=p)
-        tmpl = SweepTemplate(nu=nu, Lambda=1.0, A=A, B=tuple(B), n_max=12, mass=0.0)
-        rows, verdict = ir_sweep(fam, tmpl, sigmas, 8, alpha, CFG)
+        ladder = sweep_ladder([hard_family(p=p)], sigmas, 8, nu=nu)
+        rows, verdict = ir_sweep(ladder, A, B, alpha, 12, CFG)
         assert verdict.kind == expected_kind
         assert verdict.divergence_kind == expected_div
         expected_class = "singular" if 2 * p <= 3 - nu else "regular"
@@ -541,9 +551,8 @@ class TestIrSweep:
     def test_rows_match_closed_form(self):
         A, B = preset_van_hove()
         fam = hard_family(p=1.0)
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=12, mass=0.0)
         sigmas = [1e-1, 1e-2]
-        rows, _ = ir_sweep(fam, tmpl, sigmas, 8, 0.5, CFG)
+        rows, _ = ir_sweep(sweep_ladder([fam], sigmas, 8), A, B, 0.5, 12, CFG)
         for row, s in zip(rows, sigmas):
             grid = build_radial_grid(3, s, 1.0, row.n_shells, rule="log-midpoint")
             grid = grid.with_coupling(eval_coupling(fam, grid), fam)
@@ -558,8 +567,7 @@ class TestIrSweep:
         # composite Hamiltonian on a small instance
         A, B = preset_van_hove()
         fam = hard_family(p=1.0)
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=10, mass=0.0)
-        rows, _ = ir_sweep(fam, tmpl, [0.4, 0.2], 2, 0.5, CFG)
+        rows, _ = ir_sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.5, 10, CFG)
         for row, s in zip(rows, [0.4, 0.2]):
             grid = build_radial_grid(3, s, 1.0, row.n_shells, rule="log-midpoint")
             grid = grid.with_coupling(eval_coupling(fam, grid), fam)
@@ -597,47 +605,76 @@ class TestIrSweep:
     def test_constant_matter_shifts_energy_only(self):
         fam = hard_family(p=1.0)
         rows = []
+        ladder = sweep_ladder([fam], [0.4, 0.2], 4)
         for a0 in (0.0, 2.5):
-            tmpl = SweepTemplate(nu=3, Lambda=1.0, A=np.array([[a0]]),
-                                 B=(np.array([[1.0]]),), n_max=12, mass=0.0)
-            rows.append(ir_sweep(fam, tmpl, [0.4, 0.2], 4, 0.5, CFG)[0])
+            rows.append(ir_sweep(ladder, np.array([[a0]]), [np.array([[1.0]])],
+                                 0.5, 12, CFG)[0])
         for r0, r1 in zip(*rows):
             assert r1.E == pytest.approx(r0.E + 2.5, rel=1e-14)
             assert r1.expectation_N == r0.expectation_N
 
     def test_stacked_solve_respects_max_lanczos(self):
         A, B = preset_van_hove()
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=12, mass=0.0)
+        ladder = sweep_ladder([hard_family()], [0.4, 0.2], 4)
         with pytest.raises(NonConverged, match="max_lanczos=5"):
-            ir_sweep(hard_family(), tmpl, [0.4, 0.2], 4, 0.5, SolverConfig(max_lanczos=5))
+            ir_sweep(ladder, A, B, 0.5, 12, SolverConfig(max_lanczos=5))
 
     @pytest.mark.parametrize("A,B", [
         ([[0.0]], [[1j]]),
         ([[1j]], [[1.0]]),
     ])
     def test_non_hermitian_scalar_matter_rejected(self, A, B):
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=np.array(A), B=(np.array(B),),
-                             n_max=6, mass=0.0)
+        ladder = sweep_ladder([hard_family()], [0.4, 0.2], 4)
         with pytest.raises(ValueError, match="not hermitian"):
-            ir_sweep(hard_family(), tmpl, [0.4, 0.2], 4, 0.5, CFG)
+            ir_sweep(ladder, np.array(A), [np.array(B)], 0.5, 6, CFG)
 
     def test_spin_boson_sweep_uses_full_solver(self):
         A, B = preset_spin_boson(1.0)
         fam = hard_family(rho0=0.5, p=1.0)
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=np.asarray(A), B=tuple(B),
-                             n_max=6, mass=0.0)
-        rows, verdict = ir_sweep(fam, tmpl, [0.4, 0.2], 2, 0.3, CFG)
+        rows, verdict = ir_sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.3, 6, CFG)
         assert len(rows) == 2
         assert all(r.expectation_N > 0 for r in rows)
 
     def test_input_validation(self):
         A, B = preset_van_hove()
         fam = hard_family()
-        tmpl = SweepTemplate(nu=3, Lambda=1.0, A=A, B=tuple(B), n_max=6, mass=0.0)
         with pytest.raises(ValueError):
-            ir_sweep(fam, tmpl, [0.1], 4, 0.5, CFG)
+            ir_sweep(sweep_ladder([fam], [0.1], 4), A, B, 0.5, 6, CFG)
         with pytest.raises(ValueError):
-            ir_sweep(fam, tmpl, [0.1, 0.2], 4, 0.5, CFG)
+            ir_sweep(sweep_ladder([fam], [0.1, 0.2], 4), A, B, 0.5, 6, CFG)
+
+    @pytest.mark.parametrize("preset,n_fams", [("van_hove", 2), ("spin_boson", 2),
+                                               ("spin_boson", 0)])
+    def test_rung_channel_count_must_match_B(self, preset, n_fams):
+        # one B_j but a rung grid with n_fams coupling columns: the separable
+        # path must not read channel 0 alone, nor the composite path assemble it
+        A, B = preset_van_hove() if preset == "van_hove" else preset_spin_boson(1.0)
+        ladder = sweep_ladder([hard_family(p=1.0)] * n_fams, [0.4, 0.2], 2)
+        with pytest.raises(ValueError, match="coupling columns on a rung grid"):
+            ir_sweep(ladder, A, B, 0.5, 6, CFG)
+
+    def test_two_channel_sweep_assembles_every_channel(self):
+        # a ladder whose rungs carry both channels solves each rung as the
+        # composite model that assemble builds from the same grid
+        A = np.diag([0.0, 1.0])
+        B = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
+        fams = [hard_family(rho0=0.5, p=1.0), hard_family(rho0=0.3, p=1.0)]
+        ladder = sweep_ladder(fams, [0.1, 0.01], 2)
+        rows, verdict = ir_sweep(ladder, A, B, 0.3, 3, CFG)
+        assert verdict.analytic_ir_class == "regular"
+        for row, (_, grid) in zip(rows, ladder):
+            m = assemble(A, B, grid, 0.3, 3)
+            gs = solve_model(m, CFG)
+            assert row.E == gs.energy
+            assert row.expectation_N == absence_lower_bound(m, gs, np.ones(grid.n_modes),
+                                                            CFG).lhs
+
+
+def test_resolvent_tol_capped_below_one():
+    assert regularity.resolvent_tol(0.0, 1e-11) == regularity.RESOLVENT_TOL_FLOOR
+    assert regularity.resolvent_tol(1e-4, 0.0) == pytest.approx(0.1)
+    # 10 sqrt(w_top) would be 5 here
+    assert regularity.resolvent_tol(0.25, 1e-11) == regularity.RESOLVENT_TOL_CAP < 1.0
 
 
 class TestScaleInvariance:
