@@ -54,16 +54,6 @@ class GridConfig(_Strict):
         return self
 
 
-class CouplingConfig(_Strict):
-    rho0: float = Field(ge=0)
-    p: float = 0.0
-    uv: float = Field(gt=0)
-    profile: Literal["hard-cutoff", "gaussian"] = "hard-cutoff"
-
-    def family(self) -> modes.CouplingFamily:
-        return modes.CouplingFamily(rho0=self.rho0, p=self.p, uv=self.uv, profile=self.profile)
-
-
 class DispersionConfig(_Strict):
     law: Literal["massless", "massive"] = "massless"
     mass: float = Field(default=0.0, ge=0)
@@ -95,21 +85,6 @@ class ModelConfig(_Strict):
         if self.preset == "spin_boson_2level":
             return model_mod.preset_spin_boson(self.delta)
         return np.asarray(self.A, dtype=float), [np.asarray(b, dtype=float) for b in self.B]
-
-
-class SolverSection(_Strict):
-    eig_tol: float = Field(default=1e-11, gt=0, lt=1)
-    max_lanczos: int = Field(default=2000, ge=1)
-    cg_tol: float = Field(default=1e-11, gt=0, lt=1)
-    cg_max: int = Field(default=20000, ge=1)
-    seed: int = 7
-
-    def to_solver(self, seed_override: Optional[int] = None) -> spectral.SolverConfig:
-        return spectral.SolverConfig(
-            eig_tol=self.eig_tol, max_lanczos=self.max_lanczos,
-            cg_tol=self.cg_tol, cg_max=self.cg_max,
-            seed=self.seed if seed_override is None else seed_override,
-        )
 
 
 ColumnSpec = Union[Literal["ones", "omega", "omega_sq", "coupling"], List[float]]
@@ -216,11 +191,11 @@ CheckConfig = Annotated[Union[_CHECK_TYPES], Field(discriminator="kind")]
 class RunConfig(_Strict):
     model: ModelConfig
     grid: GridConfig
-    coupling: List[CouplingConfig] = Field(min_length=1)
+    coupling: List[modes.CouplingFamily] = Field(min_length=1)
     dispersion: DispersionConfig = DispersionConfig()
     alpha: float
     n_max: int = Field(ge=0)
-    solver: SolverSection = SolverSection()
+    solver: spectral.SolverConfig = spectral.SolverConfig()
     checks: List[CheckConfig] = Field(default_factory=list)
     output: Optional[str] = None
     seed: Optional[int] = None
@@ -272,8 +247,7 @@ def build_grid(cfg: RunConfig) -> modes.ModeSet:
     grid = modes.build_radial_grid(
         g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=cfg.dispersion.mass
     )
-    for c in cfg.coupling:
-        fam = c.family()
+    for fam in cfg.coupling:
         grid = grid.with_coupling(modes.eval_coupling(fam, grid), fam)
     return grid
 
@@ -290,7 +264,8 @@ class _Run:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.grid = build_grid(cfg)
-        self.solver = cfg.solver.to_solver(cfg.seed)
+        self.solver = (cfg.solver if cfg.seed is None
+                       else cfg.solver.model_copy(update={"seed": cfg.seed}))
 
     @cached_property
     def model(self) -> model_mod.GsbModel:

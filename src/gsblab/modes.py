@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
+from pydantic import BaseModel, ConfigDict, Field
 
 __all__ = [
     "CouplingFamily",
@@ -43,28 +45,24 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CouplingFamily:
+class CouplingFamily(BaseModel):
     """Radial coupling profile rho(r) = rho0 * r^p * envelope(r).
 
     The coupling column on a grid is lambda_i = rho(r_i) / sqrt(omega_i);
     p is the infrared exponent of rho and uv the ultraviolet cutoff used by
     the envelope.  profile selects the envelope: "hard-cutoff" is the
-    indicator of r <= uv, "gaussian" is exp(-r^2 / (2 uv^2)).
+    indicator of r <= uv, "gaussian" is exp(-r^2 / (2 uv^2)).  This is one
+    entry of a run config's `coupling` list: construction (by keyword)
+    validates every field and raises ValueError on an unknown field, a
+    non-finite value, rho0 < 0, uv <= 0 or an unknown profile.
     """
 
-    rho0: float
-    p: float
-    uv: float
-    profile: str = "hard-cutoff"
+    model_config = ConfigDict(frozen=True, extra="forbid", allow_inf_nan=False)
 
-    def __post_init__(self):
-        if self.rho0 < 0:
-            raise ValueError(f"rho0 must be >= 0, got {self.rho0}")
-        if self.uv <= 0:
-            raise ValueError(f"uv cutoff must be > 0, got {self.uv}")
-        if self.profile not in ("hard-cutoff", "gaussian"):
-            raise ValueError(f"unknown profile {self.profile!r}")
+    rho0: float = Field(ge=0)
+    p: float = 0.0
+    uv: float = Field(gt=0)
+    profile: Literal["hard-cutoff", "gaussian"] = "hard-cutoff"
 
     def envelope(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -210,12 +208,13 @@ def eval_coupling(family: CouplingFamily, grid: ModeSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class L2Criteria:
-    """Discrete infrared norm of a coupling column and its IR classification.
+    """Discrete infrared norm of a grid's couplings and its IR classification.
 
-    norm_lam_over_w is sum_i w_i * (lambda_i / omega_i)^2.  ir_class is
-    decided analytically from the generating family exponent (singular iff
-    2p <= 3 - nu for a massless dispersion), never from the finite sums;
-    it is "unknown" when the column was attached without a family.
+    norm_lam_over_w is sum_j sum_i w_i (lambda_ji / omega_i)^2 over channels
+    j.  ir_class is decided analytically from each generating family (a
+    channel is singular iff 2p <= 3 - nu for a massless dispersion), never
+    from the finite sums: "singular" if any channel is, else "unknown" if a
+    column has no family, else "regular".
     """
 
     norm_lam_over_w: float
@@ -230,11 +229,10 @@ def ir_class_of(family: CouplingFamily | None, nu: int, mass: float = 0.0) -> st
     return "singular" if 2.0 * family.p <= 3.0 - nu else "regular"
 
 
-def l2_criteria(grid: ModeSet, channel: int = 0) -> L2Criteria:
-    lam = grid.channel(channel)
-    w = grid.weights
-    om = grid.omega
-    return L2Criteria(
-        norm_lam_over_w=float(np.sum(w * lam * lam / (om * om))),
-        ir_class=ir_class_of(grid.families[channel], grid.nu, grid.mass),
-    )
+def l2_criteria(grid: ModeSet) -> L2Criteria:
+    """The L2Criteria of all of grid's coupling channels together."""
+    w, om = grid.weights, grid.omega
+    norm = sum(np.sum(w * lam * lam / (om * om)) for lam in grid.couplings)
+    classes = {ir_class_of(fam, grid.nu, grid.mass) for fam in grid.families}
+    ir_class = next((c for c in ("singular", "unknown") if c in classes), "regular")
+    return L2Criteria(norm_lam_over_w=float(norm), ir_class=ir_class)

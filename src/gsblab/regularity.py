@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fock, model as model_mod, spectral
 from .fock import FockBasis, apply_fock, apply_matter
@@ -318,11 +319,14 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     aggregating all n! permutation chains of a tuple (see _chains).  Solves
     are memoized per multiset, one solve each, and the hit rate against the
     naive per-chain count is reported, with the total CG iterations and the
-    worst relative residual of those solves.
+    worst relative residual of those solves.  n above n_max raises
+    ValueError: the left side then vanishes on the truncated space.
     """
     _require_solved(gs)
     if not 1 <= n <= 3:
         raise ValueError(f"order n must be 1, 2 or 3, got {n}")
+    if n > m.n_max:
+        raise ValueError(f"order must lie in [1, n_max={m.n_max}], got {n}")
     M = m.grid.n_modes
     if M > HIGHER_MODE_CAPS[n]:
         raise ValueError(
@@ -426,7 +430,7 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     commutators of dGamma against smeared operators on interior states, the
     adjoint pairing of creator and annihilator, and the quadratic bounds
     ||a(f) psi||^2 <= ||f/sqrt(omega)||^2 <psi, dGamma(omega) psi> and its
-    creator counterpart on seeded random draws.
+    creator counterpart on seeded random draws.  No operator is made dense.
     """
     rng = np.random.default_rng(seed)
     M = basis.n_modes
@@ -434,15 +438,16 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     a_ops = [basis.lowering(i) for i in range(M)]
     c_ops = [fock.creator(i, basis) for i in range(M)]
     interior_cols = np.where(basis.interior_mask)[0]
+    identity = sp.identity(len(basis), format="csr")
 
     # [a_i, a_j*] - delta_ij on interior columns
     worst = 0.0
     for i in range(M):
         for j in range(M):
-            dm = ((a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i])).toarray()
+            dm = (a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i])
             if i == j:
-                dm = dm - np.eye(len(basis))
-            worst = max(worst, float(np.abs(dm[:, interior_cols]).max()))
+                dm = dm - identity
+            worst = max(worst, float(abs(dm[:, interior_cols]).max()))
     reports.append(_scalar_report("ccr_interior", worst, 0.0, 0.0, 1e-13, deviation=True))
 
     # [a_i, a_j] and [a_i*, a_j*] on all columns
@@ -451,15 +456,13 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
         for j in range(M):
             c1 = (a_ops[i] @ a_ops[j]) - (a_ops[j] @ a_ops[i])
             c2 = (c_ops[i] @ c_ops[j]) - (c_ops[j] @ c_ops[i])
-            worst = max(worst, float(np.abs(c1.toarray()).max()),
-                        float(np.abs(c2.toarray()).max()))
+            worst = max(worst, float(abs(c1).max()), float(abs(c2).max()))
     reports.append(_scalar_report("ccr_aa_and_creation", worst, 0.0, 0.0, 1e-13, deviation=True))
 
     # adjoint pairing: creator equals the conjugate transpose of the annihilator
     worst = 0.0
     for i in range(M):
-        dm = (c_ops[i] - a_ops[i].conj().T).toarray()
-        worst = max(worst, float(np.abs(dm).max()))
+        worst = max(worst, float(abs(c_ops[i] - a_ops[i].conj().T).max()))
     reports.append(_scalar_report("creator_adjoint_pairing", worst, 0.0, 0.0, 1e-13, deviation=True))
 
     # Leibniz commutators of dGamma on interior columns
@@ -468,12 +471,12 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     dg = fock.dgamma(g, basis)
     af = fock.smeared_annihilator(f, grid, basis)
     agf = fock.smeared_annihilator(g * f, grid, basis)
-    comm_a = ((dg @ af) - (af @ dg) + agf).toarray()
-    worst_a = float(np.abs(comm_a[:, interior_cols]).max())
+    comm_a = (dg @ af) - (af @ dg) + agf
+    worst_a = float(abs(comm_a[:, interior_cols]).max())
     cf = af.conj().T
     cgf = agf.conj().T
-    comm_c = ((dg @ cf) - (cf @ dg) - cgf).toarray()
-    worst_c = float(np.abs(comm_c[:, interior_cols]).max())
+    comm_c = (dg @ cf) - (cf @ dg) - cgf
+    worst_c = float(abs(comm_c[:, interior_cols]).max())
     reports.append(
         _scalar_report("dgamma_leibniz_commutators", max(worst_a, worst_c), 0.0, 0.0, 1e-13,
                        deviation=True)
@@ -600,12 +603,12 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     carrying one coupling column per B_j; A, B, alpha and n_max are as for
     model.assemble.  Each row records the ground energy, the number
     expectation (the moment-identity left side), the projection lower bound
-    with G = 1, and the discrete ||lambda/omega||^2 of channel 0, whose
-    analytic infrared class the verdict must match.  Scalar-matter
-    single-channel models factorize over modes: their single-mode operators
-    are built once per call, and each rung solves all single-mode
-    Hamiltonians as one stacked dense eigenproblem.  Everything else is
-    solved as one composite eigenproblem per rung.
+    with G = 1, and the discrete ||lambda/omega||^2 summed over channels,
+    whose analytic infrared class (singular when any channel is) the verdict
+    must match.  Scalar-matter single-channel models factorize over modes:
+    their single-mode operators are built once per call, and each rung
+    solves all single-mode Hamiltonians as one stacked dense eigenproblem.
+    Everything else is solved as one composite eigenproblem per rung.
     """
     sigmas = [s for s, _ in ladder]
     if len(sigmas) < 2:
@@ -632,7 +635,7 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
             E, N, absence, w_top = a0 + E.sum(), N.sum(), absence.sum(), w_top.max()
         else:
             E, N, absence, w_top = _solve_sigma_full(grid, A, B, alpha, n_max, cfg)
-        crit = l2_criteria(grid, 0)
+        crit = l2_criteria(grid)
         rows.append(IrSweepRow(
             sigma=sigma, n_shells=grid.n_modes, E=E, expectation_N=N,
             absence_bound=absence, lam_over_w_norm=crit.norm_lam_over_w,

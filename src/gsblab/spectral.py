@@ -16,9 +16,8 @@ separable infrared sweep) is solved by one batched eigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from pydantic import BaseModel, ConfigDict, Field
 from scipy.linalg import get_blas_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -42,29 +41,22 @@ DENSE_MAX_DIM = 128
 NEAR_DEGENERATE_FACTOR = 1e-8
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(BaseModel):
     """Tolerances, iteration caps and the seed for deterministic starts.
 
     max_lanczos caps the operator applications of one ground solve; a dense
-    solve counts as dim applications.
+    solve counts as dim applications.  This is the `solver` section of a run
+    config: construction validates every field and raises ValueError on an
+    unknown field, a non-finite or out-of-range value, or a non-integer cap.
     """
 
-    eig_tol: float = 1e-11
-    max_lanczos: int = 2000
-    cg_tol: float = 1e-11
-    cg_max: int = 20000
-    seed: int = 7
+    model_config = ConfigDict(frozen=True, extra="forbid", allow_inf_nan=False)
 
-    def __post_init__(self):
-        for name in ("eig_tol", "cg_tol"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        for name in ("max_lanczos", "cg_max"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+    eig_tol: float = Field(default=1e-11, gt=0, lt=1)
+    max_lanczos: int = Field(default=2000, ge=1)
+    cg_tol: float = Field(default=1e-11, gt=0, lt=1)
+    cg_max: int = Field(default=20000, ge=1)
+    seed: int = 7
 
 
 class NonConverged(RuntimeError):

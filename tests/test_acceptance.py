@@ -145,7 +145,7 @@ def test_04_ground_state_projection_bound(cfg):
         run_cfg = cli.load_config(EXAMPLES / name)
         grid = cli.build_grid(run_cfg)
         m = cli.build_model(run_cfg, grid)
-        gs = solve_model(m, run_cfg.solver.to_solver(None))
+        gs = solve_model(m, run_cfg.solver)
         rep = absence_lower_bound(m, gs, np.ones(grid.n_modes), cfg)
         scale = max(abs(rep.lhs), abs(rep.rhs), 1.0)
         assert rep.lhs >= rep.rhs - 1e-9 * scale, (name, rep.lhs, rep.rhs)

@@ -574,6 +574,41 @@ class TestFailureExits:
         assert "config schema violation" in result.output
         assert f"{field}: Input should be a finite number" in result.output
 
+    @pytest.mark.parametrize("section, entry, line", [
+        ("solver", {"eig_tol": 2}, "solver.eig_tol: Input should be less than 1"),
+        ("solver", {"foo": 1}, "solver.foo: Extra inputs are not permitted"),
+        ("solver", {"cg_tol": math.nan}, "solver.cg_tol: Input should be a finite number"),
+        ("solver", {"seed": "abc"}, "solver.seed: Input should be a valid integer, "
+                                    "unable to parse string as an integer"),
+        ("solver", {"max_lanczos": 2.5}, "solver.max_lanczos: Input should be a valid "
+                                         "integer, got a number with a fractional part"),
+        ("coupling", {"rho0": -1}, "coupling.0.rho0: Input should be greater than or equal to 0"),
+        ("coupling", {"profile": "box"},
+         "coupling.0.profile: Input should be 'hard-cutoff' or 'gaussian'"),
+        ("coupling", {"p": math.inf}, "coupling.0.p: Input should be a finite number"),
+        ("coupling", {"x": 1}, "coupling.0.x: Extra inputs are not permitted"),
+    ])
+    def test_solver_and_coupling_errors_are_one_line(self, tmp_path, section, entry, line):
+        # the solver and coupling sections are the library's SolverConfig and
+        # CouplingFamily, validated by the rules a library caller meets
+        cfg = base_config(output=str(tmp_path / "out"))
+        if section == "solver":
+            cfg["solver"] = entry
+        else:
+            cfg["coupling"][0].update(entry)
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == ["error: config schema violation:", f"  {line}"]
+
+    def test_higher_order_above_n_max_is_two(self, tmp_path):
+        # <N(N-1)(N-2)> vanishes identically at n_max = 2, so the check could never pass
+        cfg = json.loads((EXAMPLES / "van_hove_single_mode.json").read_text())
+        cfg.update(n_max=2, checks=[{"kind": "higher", "n": 3}])
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == ["error: order must lie in [1, n_max=2], got 3"]
+
     def test_bad_check_entry_reported_under_its_kind(self, tmp_path):
         # checks is discriminated on kind: a NaN in a moment column is
         # reported against the moment check alone, not once per check kind

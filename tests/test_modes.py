@@ -123,6 +123,15 @@ class TestCouplingFamily:
         with pytest.raises(ValueError):
             CouplingFamily(rho0=-1.0, p=0.0, uv=1.0, profile="hard-cutoff")
 
+    @pytest.mark.parametrize("field", [{"rho0": math.inf}, {"p": math.inf}, {"uv": math.nan},
+                                       {"profile": "box"}, {"x": 1.0}])
+    def test_rejects_what_the_run_config_rejects(self, field):
+        with pytest.raises(ValueError):
+            CouplingFamily(**{"rho0": 1.0, "uv": 1.0, **field})
+
+    def test_p_defaults_to_zero(self):
+        assert CouplingFamily(rho0=1.0, uv=1.0).p == 0.0
+
 
 class TestModeSet:
     def test_channel_round_trip(self):
@@ -190,6 +199,21 @@ class TestIrClassification:
         crit = l2_criteria(grid)
         assert crit.norm_lam_over_w == pytest.approx(2.0)
         assert crit.ir_class == "singular"
+
+    @pytest.mark.parametrize("p0, p1, expected", [
+        (1.0, 0.0, "singular"), (1.0, None, "unknown"),
+        (0.0, None, "singular"), (1.0, 1.0, "regular"),
+    ])
+    def test_l2_criteria_cover_every_channel(self, p0, p1, expected):
+        # singular when any channel is, unknown when a column has no family
+        grid = build_radial_grid(3, 0.1, 1.0, 4, rule="log-midpoint")
+        lam = eval_coupling(hard_family(), grid)
+        one = grid.with_coupling(lam, hard_family(p=p0))
+        two = one.with_coupling(lam, None if p1 is None else hard_family(p=p1))
+        crit = l2_criteria(two)
+        assert crit.ir_class == expected
+        assert crit.norm_lam_over_w == pytest.approx(2 * l2_criteria(one).norm_lam_over_w,
+                                                     rel=1e-15)
 
     def test_l2_norm_values_match_sums(self):
         grid = build_radial_grid(3, 0.1, 1.0, 9, rule="log-midpoint")

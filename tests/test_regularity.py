@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gsblab import (
     CouplingFamily,
@@ -515,6 +516,20 @@ class TestCcrSuite:
         for name, r in exact.items():
             assert r.rel_err <= 1e-13, name
 
+    def test_no_dense_copy(self, monkeypatch):
+        # every commutator maximum is taken on the sparse matrix: a dense
+        # copy would be len(basis) squared entries per commutator
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dense copy of a sparse operator")
+
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        basis = enumerate_basis(2, 4)
+        grid = build_radial_grid(3, 0.3, 1.1, 2)
+        grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
+        reports = ccr_and_bound_suite(basis, grid, seed=7, n_draws=20)
+        assert len(reports) == 6 and all(r.passed for r in reports)
+
 
 def sweep_ladder(fams, sigmas, shells_per_decade, nu=3, Lambda=1.0):
     """(sigma, grid) rungs: log-midpoint on [sigma, Lambda], one channel per family."""
@@ -668,6 +683,18 @@ class TestIrSweep:
             assert row.E == gs.energy
             assert row.expectation_N == absence_lower_bound(m, gs, np.ones(grid.n_modes),
                                                             CFG).lhs
+
+    def test_two_channel_sweep_judges_every_channel(self):
+        # channel 1 is infrared singular (nu 3, p 0) while channel 0 is
+        # regular: the model is singular, and the norm sums both channels
+        A = np.diag([0.0, 1.0])
+        B = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
+        fams = [hard_family(rho0=0.5, p=1.0), hard_family(rho0=0.3, p=0.0)]
+        ladder = sweep_ladder(fams, [0.1, 0.01, 0.001, 1e-4], 2)
+        rows, verdict = ir_sweep(ladder, A, B, 0.3, 3, CFG)
+        assert verdict.analytic_ir_class == "singular"
+        norms = [r.lam_over_w_norm for r in rows]
+        assert all(b > a + 0.1 for a, b in zip(norms, norms[1:])), norms
 
 
 def test_resolvent_tol_capped_below_one():

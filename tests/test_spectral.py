@@ -1,5 +1,7 @@
 """Dense/eigsh ground states and conjugate-gradient resolvent solves."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,11 @@ class TestSolverConfig:
             SolverConfig(eig_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_max=0)
+
+    @pytest.mark.parametrize("field", [{"max_lanczos": 2.5}, {"foo": 1}, {"cg_tol": math.nan}])
+    def test_rejects_what_the_run_config_rejects(self, field):
+        with pytest.raises(ValueError):
+            SolverConfig(**field)
 
 
 class TestEigshPath:
