@@ -26,6 +26,7 @@ from typing import Annotated, List, Literal, Optional, Union, get_args
 import click
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
+from pydantic_core import InitErrorDetails, PydanticCustomError
 
 from . import fock, model as model_mod, modes, regularity, spectral
 
@@ -210,6 +211,33 @@ class RunConfig(_Strict):
             )
         return self
 
+    @model_validator(mode="after")
+    def _checks_fit_the_model(self):
+        """Refuse, before any solve, a check this model cannot run: a higher order
+        above n_max or its mode cap, or an explicit column of the wrong length."""
+        n_modes, misfits = self.grid.n_shells, []
+        for i, chk in enumerate(self.checks):
+            if isinstance(chk, HigherCheck):
+                cap = regularity.HIGHER_MODE_CAPS[chk.n]
+                if chk.n > self.n_max:
+                    misfits.append((i, chk, "n", f"order must lie in [1, n_max={self.n_max}], "
+                                                 f"got {chk.n}"))
+                elif n_modes > cap:
+                    misfits.append((i, chk, "n", f"cost guard: order {chk.n} allows at most "
+                                                 f"{cap} modes, got {n_modes}"))
+            for field in ("f", "G"):
+                col = getattr(chk, field, None)
+                if isinstance(col, list) and len(col) != n_modes:
+                    misfits.append((i, chk, field, f"explicit column has {len(col)} entries "
+                                                   f"for {n_modes} modes"))
+        if misfits:
+            # a ValidationError raised here keeps each error's field path
+            raise ValidationError.from_exception_data(type(self).__name__, [
+                InitErrorDetails(type=PydanticCustomError("check_misfit", msg),
+                                 loc=("checks", i, chk.kind, field), input=getattr(chk, field))
+                for i, chk, field, msg in misfits])
+        return self
+
 
 class ConfigError(Exception):
     """Invalid configuration; mapped to exit code 2."""
@@ -276,14 +304,10 @@ class _Run:
         return spectral.solve_model(self.model, self.solver)
 
     def column(self, selector) -> np.ndarray:
+        """The column a check's f or G names; RunConfig has checked an explicit one's length."""
         grid = self.grid
         if isinstance(selector, list):
-            col = np.asarray(selector, dtype=float)
-            if len(col) != grid.n_modes:
-                raise ConfigError(
-                    f"explicit column has {len(col)} entries for {grid.n_modes} modes"
-                )
-            return col
+            return np.asarray(selector, dtype=float)
         omega = np.asarray(grid.omega)
         return {"ones": np.ones(grid.n_modes), "omega": omega, "omega_sq": omega**2,
                 "coupling": np.asarray(grid.channel(0))}[selector]

@@ -607,7 +607,37 @@ class TestFailureExits:
         result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
                           "--out", str(tmp_path / "out")])
         self.assert_one_line_error(result)
-        assert result.stderr.splitlines() == ["error: order must lie in [1, n_max=2], got 3"]
+        assert result.stderr.splitlines() == [
+            "error: config schema violation:",
+            "  checks.0.higher.n: order must lie in [1, n_max=2], got 3"]
+
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"]])
+    @pytest.mark.parametrize("update, extra, line", [
+        ({"n_max": 2}, {"kind": "higher", "n": 3},
+         "checks.5.higher.n: order must lie in [1, n_max=2], got 3"),
+        ({"grid": {"n_shells": 5}}, {"kind": "higher", "n": 3},
+         "checks.5.higher.n: cost guard: order 3 allows at most 4 modes, got 5"),
+        ({}, {"kind": "moment", "G": [1.0, 2.0, 3.0]},
+         "checks.5.moment.G: explicit column has 3 entries for 1 modes"),
+        ({"grid": {"n_shells": 2}}, {"kind": "pullthrough", "f": [1.0]},
+         "checks.5.pullthrough.f: explicit column has 1 entries for 2 modes"),
+    ])
+    def test_check_that_cannot_run_is_refused_before_any_solve(
+            self, tmp_path, monkeypatch, command, update, extra, line):
+        def no_model(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "build_model", no_model)
+        cfg = json.loads((EXAMPLES / "van_hove_single_mode.json").read_text())
+        for key, value in update.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        cfg["checks"].append(extra)
+        out = tmp_path / "out"
+        result = run_cli([*command, "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(out)])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == ["error: config schema violation:", f"  {line}"]
+        assert not (out / "report.csv").exists()
 
     def test_bad_check_entry_reported_under_its_kind(self, tmp_path):
         # checks is discriminated on kind: a NaN in a moment column is
