@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import Annotated, List, Literal, Optional, Union, get_args
@@ -47,24 +48,12 @@ class GridConfig(_Strict):
     Lambda: float = Field(gt=0)
     n_shells: int = Field(ge=1)
     rule: Literal["midpoint", "log-midpoint"] = "midpoint"
+    mass: float = Field(default=0.0, ge=0)
 
     @model_validator(mode="after")
     def _ordered(self):
         if self.Lambda <= self.sigma:
             raise ValueError("Lambda must exceed sigma")
-        return self
-
-
-class DispersionConfig(_Strict):
-    law: Literal["massless", "massive"] = "massless"
-    mass: float = Field(default=0.0, ge=0)
-
-    @model_validator(mode="after")
-    def _mass_consistent(self):
-        if self.law == "massive" and self.mass <= 0:
-            raise ValueError("massive dispersion requires mass > 0")
-        if self.law == "massless" and self.mass != 0:
-            raise ValueError("massless dispersion requires mass = 0")
         return self
 
 
@@ -75,9 +64,11 @@ class ModelConfig(_Strict):
     B: Optional[List[List[List[float]]]] = None
 
     @model_validator(mode="after")
-    def _custom_needs_matrices(self):
+    def _matrices_iff_custom(self):
         if self.preset == "gsb_custom" and (self.A is None or self.B is None):
             raise ValueError("gsb_custom requires explicit A and B matrices")
+        if self.preset != "gsb_custom" and (self.A is not None or self.B is not None):
+            raise ValueError(f"preset {self.preset} fixes A and B; give neither")
         return self
 
     def matter(self):
@@ -193,13 +184,11 @@ class RunConfig(_Strict):
     model: ModelConfig
     grid: GridConfig
     coupling: List[modes.CouplingFamily] = Field(min_length=1)
-    dispersion: DispersionConfig = DispersionConfig()
     alpha: float
     n_max: int = Field(ge=0)
     solver: spectral.SolverConfig = spectral.SolverConfig()
     checks: List[CheckConfig] = Field(default_factory=list)
     output: Optional[str] = None
-    seed: Optional[int] = None
 
     @model_validator(mode="after")
     def _channels_match(self):
@@ -273,7 +262,7 @@ def load_config(path) -> RunConfig:
 def build_grid(cfg: RunConfig) -> modes.ModeSet:
     g = cfg.grid
     grid = modes.build_radial_grid(
-        g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=cfg.dispersion.mass
+        g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=g.mass
     )
     for fam in cfg.coupling:
         grid = grid.with_coupling(modes.eval_coupling(fam, grid), fam)
@@ -292,8 +281,7 @@ class _Run:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.grid = build_grid(cfg)
-        self.solver = (cfg.solver if cfg.seed is None
-                       else cfg.solver.model_copy(update={"seed": cfg.seed}))
+        self.solver = cfg.solver
 
     @cached_property
     def model(self) -> model_mod.GsbModel:
@@ -344,23 +332,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_json(payload, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["check_name", "lhs", "rhs", "rel_err", "w_top", "pass"])
-        for r in reports:
-            w.writerow([_fmt(v) for v in r.to_row()])
+    _write_csv(path, ["check_name", "lhs", "rhs", "rel_err", "w_top", "pass"],
+               (r.to_row() for r in reports))
 
 
-def write_sweep_csv(sweeps, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["sigma", "n_shells", "E", "expectation_N", "absence_bound",
-                    "lam_over_w_norm", "max_w_top", "verdict"])
-        for sweep in sweeps:
-            # a row dict holds the IrSweepRow fields in the header's order
-            for r in sweep["rows"]:
-                w.writerow([_fmt(v) for v in [*r.values(), sweep["verdict"]["kind"]]])
+def write_sweep_csv(reports, path) -> None:
+    """One row per rung of each ir_sweep_verdict report, read from its metadata."""
+    # a row dict holds the IrSweepRow fields in the header's order
+    _write_csv(path, ["sigma", "n_shells", "E", "expectation_N", "absence_bound",
+                      "lam_over_w_norm", "max_w_top", "verdict"],
+               ([*row.values(), r.metadata["verdict"]["kind"]]
+                for r in reports for row in r.metadata["rows"]))
 
 
 def _solve_json(gs) -> dict | None:
@@ -375,50 +371,24 @@ def _solve_json(gs) -> dict | None:
     }
 
 
-def write_report_json(reports, sweeps, meta, path, gs=None) -> None:
-    payload = {
-        "metadata": meta,
-        "solve": _solve_json(gs),
-        "reports": [r.to_json() for r in reports],
-        "sweeps": [{"verdict": s["verdict"], "rows": s["rows"]} for s in sweeps],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _resolved_config(cfg: RunConfig) -> dict:
-    resolved = cfg.model_dump(mode="json")
-    if resolved["seed"] is not None:
-        resolved["solver"]["seed"] = resolved["seed"]
-    return resolved
+def write_report_json(reports, meta, path, gs=None) -> None:
+    _write_json({"metadata": meta, "solve": _solve_json(gs),
+                 "reports": [r.to_json() for r in reports]}, path)
 
 
 # ---------------------------------------------------------------------------
 # Command-line interface
 
 
-def _common_run(config, out, seed, dry_run, selected=None):
+@contextmanager
+def _exit_on_failure():
+    """Turn a failure into one line on stderr and its exit code: 2 for a config
+    or input error, 3 for a solver failure."""
     try:
-        cfg = load_config(config)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    if seed is not None:
-        cfg = cfg.model_copy(update={"seed": seed})
-    out_dir = Path(out or cfg.output or "gsblab_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = _resolved_config(cfg)
-    with open(out_dir / "resolved_config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if dry_run:
-        click.echo(f"dry run: resolved config written to {out_dir}")
-        sys.exit(0)
-    try:
-        reports, gs = execute_run(cfg, selected_kinds=selected)
+        yield
     except (ConfigError, ValueError) as exc:
-        # ValueError covers BasisSizeError and inputs the schema cannot see
+        # ValueError covers BasisSizeError, a malformed GSB_MAX_DIM and inputs
+        # the schema cannot see
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except spectral.NonConverged as exc:
@@ -428,23 +398,42 @@ def _common_run(config, out, seed, dry_run, selected=None):
         # a Python float power (alpha**2 and up) past the float range while H is finite
         click.echo(f"solver failure: float overflow: {exc}", err=True)
         sys.exit(3)
-    # the verdict reports carry their sweeps' verdict and rows in the metadata
-    sweeps = [r.metadata for r in reports if r.check_name == "ir_sweep_verdict"]
-    meta = {"seed": resolved["solver"]["seed"], "config": resolved}
+
+
+def _load(config, out, seed=None):
+    """The config with --seed applied, and its output directory, created."""
+    cfg = load_config(config)
+    if seed is not None:
+        cfg = cfg.model_copy(update={"solver": cfg.solver.model_copy(update={"seed": seed})})
+    out_dir = Path(out or cfg.output or "gsblab_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir
+
+
+def _common_run(config, out, seed, dry_run, selected=None):
+    with _exit_on_failure():
+        cfg, out_dir = _load(config, out, seed)
+        resolved = cfg.model_dump(mode="json")
+        _write_json(resolved, out_dir / "resolved_config.json")
+        if dry_run:
+            click.echo(f"dry run: resolved config written to {out_dir}")
+            return
+        reports, gs = execute_run(cfg, selected_kinds=selected)
     write_report_csv(reports, out_dir / "report.csv")
-    write_report_json(reports, sweeps, meta, out_dir / "report.json", gs)
+    write_report_json(reports, {"seed": cfg.solver.seed, "config": resolved},
+                      out_dir / "report.json", gs)
+    sweeps = [r for r in reports if r.check_name == "ir_sweep_verdict"]
     if sweeps:
         write_sweep_csv(sweeps, out_dir / "sweep.csv")
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.check_name}: lhs={r.lhs:.12g} rhs={r.rhs:.12g} "
                    f"rel_err={r.rel_err:.3g} w_top={r.w_top:.3g}")
-    if all(r.passed for r in reports):
-        click.echo(f"all {len(reports)} checks passed")
-        sys.exit(0)
     failed = sum(1 for r in reports if not r.passed)
-    click.echo(f"{failed} of {len(reports)} checks failed", err=True)
-    sys.exit(1)
+    if failed:
+        click.echo(f"{failed} of {len(reports)} checks failed", err=True)
+        sys.exit(1)
+    click.echo(f"all {len(reports)} checks passed")
 
 
 @click.group()
@@ -493,47 +482,27 @@ def check(name, config, out, seed):
 @click.option("--out", default=None, type=click.Path())
 def dump(what, config, out):
     """Dump the basis, the Hamiltonian (MatrixMarket), or the grid."""
-    try:
-        cfg = load_config(config)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    try:
+    with _exit_on_failure():
+        cfg, out_dir = _load(config, out)
         grid = build_grid(cfg)
-        if what == "basis":
+        if what == "grid":
+            path = out_dir / "grid.csv"
+            channels = range(grid.n_channels)
+            _write_csv(path, ["i", "r", "w", "omega"] + [f"lambda_{j + 1}" for j in channels],
+                       zip(range(grid.n_modes), grid.points, grid.weights, grid.omega,
+                           *(grid.channel(j) for j in channels)))
+            click.echo(f"wrote {path}")
+        elif what == "basis":
             basis = fock.enumerate_basis(grid.n_modes, cfg.n_max)
-        elif what == "operator":
-            gsb = build_model(cfg, grid)
-    except ValueError as exc:
-        # BasisSizeError, a malformed GSB_MAX_DIM, inputs the schema cannot see
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    out_dir = Path(out or cfg.output or "gsblab_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if what == "grid":
-        path = out_dir / "grid.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["i", "r", "w", "omega"]
-                       + [f"lambda_{j + 1}" for j in range(grid.n_channels)])
-            for i in range(grid.n_modes):
-                row = [i, grid.points[i], grid.weights[i], grid.omega[i]]
-                row += [grid.channel(j)[i] for j in range(grid.n_channels)]
-                w.writerow([_fmt(v) for v in row])
-        click.echo(f"wrote {path}")
-    elif what == "basis":
-        path = out_dir / "basis.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["index"] + [f"n_{i + 1}" for i in range(grid.n_modes)] + ["total"])
-            for t, occ in enumerate(basis.occupations.tolist()):
-                w.writerow([t, *occ, sum(occ)])
-        click.echo(f"wrote {path} ({len(basis)} states)")
-    else:
-        path = out_dir / "hamiltonian.mtx"
-        fock.write_matrix_market(gsb.H, path)
-        click.echo(f"wrote {path}")
-    sys.exit(0)
+            path = out_dir / "basis.csv"
+            _write_csv(path, ["index"] + [f"n_{i + 1}" for i in range(grid.n_modes)]
+                       + ["total"],
+                       ([t, *occ, sum(occ)] for t, occ in enumerate(basis.occupations.tolist())))
+            click.echo(f"wrote {path} ({len(basis)} states)")
+        else:
+            path = out_dir / "hamiltonian.mtx"
+            fock.write_matrix_market(build_model(cfg, grid).H, path)
+            click.echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -307,8 +307,19 @@ def annihilator(i: int, basis: FockBasis) -> sp.csr_matrix:
 
 
 def creator(i: int, basis: FockBasis) -> sp.csr_matrix:
-    """Truncated creator P a_i* P, the adjoint of the annihilator."""
-    return basis.lowering(i).conj().T.tocsr()
+    """Truncated creator P a_i* P: |..., n_i, ...> -> sqrt(n_i + 1) |..., n_i + 1, ...>
+    below the top grade, zero on it.  Built from the occupation table, not from
+    the annihilator, so the CCR suite's adjoint pairing compares two constructions.
+    """
+    if not 0 <= i < basis.n_modes:
+        raise ValueError(f"mode index {i} out of range for {basis.n_modes} modes")
+    cols = np.flatnonzero(basis.interior_mask)
+    raised = basis.occupations[cols]
+    raised[:, i] += 1
+    n = len(basis)
+    return sp.csr_matrix(
+        (np.sqrt(raised[:, i]), (basis.rank(raised), cols)), shape=(n, n), dtype=float
+    )
 
 
 def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:

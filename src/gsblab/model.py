@@ -158,7 +158,7 @@ class VanHoveValues:
     a_expectation: np.ndarray
 
 
-def van_hove_oracle(grid: ModeSet, alpha: float, channel: int = 0) -> VanHoveValues:
+def van_hove_oracle(grid: ModeSet, alpha: float) -> VanHoveValues:
     """Exact ground-state values for d = 1, B = [1]: coherent displacement.
 
     Completing the square in (a, a*) displaces each mode by
@@ -167,7 +167,7 @@ def van_hove_oracle(grid: ModeSet, alpha: float, channel: int = 0) -> VanHoveVal
     <N> = alpha^2 sum_i lambda_i^2 w_i / (2 omega_i^2),
     <a_i> = c_i on the ground state.
     """
-    lam = grid.channel(channel)
+    lam = grid.channel(0)
     w, om = grid.weights, grid.omega
     E = -(alpha**2) * float(np.sum(lam * lam * w / (2.0 * om)))
     N = alpha**2 * float(np.sum(lam * lam * w / (2.0 * om * om)))

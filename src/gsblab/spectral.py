@@ -162,7 +162,11 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
         raise ValueError("ground_state requires a hermitian operator")
     if not np.all(np.isfinite(H.mat.data)):
         raise NonConverged("H has a non-finite entry", float("inf"))
-    row_sums = np.asarray(abs(H.mat).sum(axis=1)).ravel()
+    # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H
+    indptr = H.mat.indptr
+    nonempty = np.flatnonzero(np.diff(indptr))
+    row_sums = np.zeros(H.dim)
+    row_sums[nonempty] = np.add.reduceat(np.abs(H.mat.data), indptr[nonempty])
     if H.dim <= DENSE_MAX_DIM:
         method, (vals, vec, applied) = "dense", _dense_ground(H, cfg)
     else:

@@ -269,7 +269,7 @@ class TestArtifacts:
         path = write_config(tmp_path, base_config(output=str(out)))
         run_cli(["run", "--config", str(path)])
         payload = json.loads((out / "report.json").read_text())
-        assert {"metadata", "reports", "sweeps"} <= payload.keys()
+        assert payload.keys() == {"metadata", "solve", "reports"}
         rep = payload["reports"][0]
         assert rep["check_name"] == "moment_identity"
         assert rep["pass"] is True
@@ -281,8 +281,11 @@ class TestArtifacts:
         run_cli(["run", "--config", str(path), "--dry-run"])
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["solver"]["eig_tol"] == 1e-11
-        assert resolved["dispersion"] == {"law": "massless", "mass": 0.0}
+        assert resolved["grid"]["mass"] == 0.0
+        assert resolved["model"] == {"preset": "van_hove", "delta": 1.0, "A": None, "B": None}
         assert "threads" not in resolved
+        # each setting has one field: the seed is solver.seed, the mass grid.mass
+        assert "seed" not in resolved and "dispersion" not in resolved
 
     def test_resolved_config_round_trip(self, tmp_path):
         out1 = tmp_path / "a"
@@ -321,6 +324,34 @@ class TestArtifacts:
         run_cli(["run", "--config", str(path), "--seed", "123", "--dry-run"])
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["solver"]["seed"] == 123
+
+    @pytest.mark.parametrize("example", sorted(p.name for p in EXAMPLES.glob("*.json")))
+    def test_seed_override_reruns_from_resolved_config(self, tmp_path, example):
+        # --seed sets solver.seed, so the resolved config alone reproduces the run
+        first, second = tmp_path / "first", tmp_path / "second"
+        result = run_cli(["run", "--config", str(EXAMPLES / example), "--out", str(first),
+                          "--seed", "123"])
+        assert json.loads((first / "report.json").read_text())["metadata"]["seed"] == 123
+        rerun = run_cli(["run", "--config", str(first / "resolved_config.json"),
+                         "--out", str(second)])
+        assert rerun.exit_code == result.exit_code
+        assert (second / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+        assert ((second / "resolved_config.json").read_bytes()
+                == (first / "resolved_config.json").read_bytes())
+
+    def test_sweep_csv_rows_are_the_verdict_report_rows(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli(["sweep", "--config", str(EXAMPLES / "ir_sweep_nu1_p0.json"),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((out / "report.json").read_text())
+        assert "sweeps" not in payload
+        sweep = payload["reports"][0]["metadata"]
+        with open(out / "sweep.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-1] == "verdict"
+        assert rows == [[cli._fmt(r[k]) for k in header[:-1]] + [sweep["verdict"]["kind"]]
+                        for r in sweep["rows"]]
 
     def test_sweep_csv_written(self, tmp_path):
         out = tmp_path / "out"
@@ -374,7 +405,7 @@ class TestMultiChannelSweep:
         result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
-        sweep = report["sweeps"][0]
+        sweep = report["reports"][0]["metadata"]
         assert sweep["verdict"]["kind"] == "converging"
         assert [r["n_shells"] for r in sweep["rows"]] == [2, 4, 6]
         # the first rung is the config's grid, so it solves the run's model
@@ -457,6 +488,34 @@ class TestDump:
         assert len(rows) == 2
         assert float(rows[1][1]) == pytest.approx(1.0)
         assert float(rows[1][2]) == pytest.approx(2.0)
+
+    def test_grid_mass_sets_omega_in_runs_and_sweep_rungs(self, tmp_path, monkeypatch):
+        # grid.mass gives omega = sqrt(r^2 + m^2) on the run's grid, on every
+        # sweep rung, and in the dumped grid
+        grids = []
+        assemble, ir_sweep = cli.model_mod.assemble, cli.regularity.ir_sweep
+        monkeypatch.setattr(cli.model_mod, "assemble",
+                            lambda A, B, grid, *a: grids.append(grid) or assemble(A, B, grid, *a))
+        monkeypatch.setattr(cli.regularity, "ir_sweep", lambda ladder, *a, **k: (
+            grids.extend(g for _, g in ladder) or ir_sweep(ladder, *a, **k)))
+        out = tmp_path / "out"
+        cfg = base_config(output=str(out), alpha=0.3, checks=[
+            {"kind": "moment"},
+            {"kind": "ir_sweep", "sigmas": [0.5, 0.05, 0.005, 0.0005], "shells_per_decade": 2,
+             "ctol": 0.01}])
+        cfg["grid"]["mass"] = 0.5
+        path = write_config(tmp_path, cfg)
+        # massive, the model is infrared regular and its sweep converges
+        result = run_cli(["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert run_cli(["dump", "grid", "--config", str(path)]).exit_code == 0
+        with open(out / "grid.csv") as fh:
+            dumped = list(csv.DictReader(fh))
+        assert len(grids) == 5 and len(dumped) == 1
+        for grid in grids:
+            assert grid.mass == 0.5
+            assert np.array_equal(grid.omega, np.sqrt(grid.points**2 + 0.25))
+        assert float(dumped[0]["omega"]) == math.sqrt(float(dumped[0]["r"]) ** 2 + 0.25)
 
     def test_dump_basis_row_count(self, tmp_path):
         out = tmp_path / "out"
@@ -597,6 +656,26 @@ class TestFailureExits:
         else:
             cfg["coupling"][0].update(entry)
         result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == ["error: config schema violation:", f"  {line}"]
+
+    @pytest.mark.parametrize("update, line", [
+        # the seed is solver.seed and the mass grid.mass; the old keys are unknown
+        ({"seed": 5}, "seed: Extra inputs are not permitted"),
+        ({"dispersion": {"law": "massive", "mass": 0.5}},
+         "dispersion: Extra inputs are not permitted"),
+        # a preset fixes its matrices, so an A or B under it would be ignored
+        ({"model": {"preset": "spin_boson_2level", "A": [[5.0, 0.0], [0.0, -3.0]],
+                    "B": [[[0.0, 2.0], [2.0, 0.0]]]}},
+         "model: Value error, preset spin_boson_2level fixes A and B; give neither"),
+        ({"model": {"preset": "van_hove", "B": [[[2.0]]]}},
+         "model: Value error, preset van_hove fixes A and B; give neither"),
+    ])
+    def test_removed_or_ignored_setting_is_one_line(self, tmp_path, update, line):
+        cfg = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
+        cfg.update(update)
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
         self.assert_one_line_error(result)
         assert result.stderr.splitlines() == ["error: config schema violation:", f"  {line}"]
 

@@ -143,6 +143,22 @@ class TestLadderOperators:
             c = creator(i, basis).toarray()
             np.testing.assert_allclose(c, a.conj().T, atol=1e-15)
 
+    def test_creator_is_built_apart_from_the_annihilator(self, monkeypatch):
+        # so the CCR suite's creator_adjoint_pairing compares two constructions
+        def refuse(i, basis):
+            raise AssertionError("creator built from the annihilator")
+
+        basis = enumerate_basis(3, 3)
+        with monkeypatch.context() as m:
+            m.setattr(fock, "annihilator", refuse)
+            built = [creator(i, basis) for i in range(3)]
+            with pytest.raises(ValueError, match="out of range"):
+                creator(3, basis)
+        for i, c in enumerate(built):
+            adjoint = annihilator(i, basis).conj().T.tocsr()
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(c, field), getattr(adjoint, field))
+
     def test_creator_kills_top_grade(self):
         basis = enumerate_basis(2, 2)
         v = np.zeros(len(basis), dtype=complex)

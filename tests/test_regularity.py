@@ -516,6 +516,25 @@ class TestCcrSuite:
         for name, r in exact.items():
             assert r.rel_err <= 1e-13, name
 
+    def test_wrong_creator_entry_fails_adjoint_pairing(self, monkeypatch):
+        # the creator is built apart from the annihilator, so the pairing can fail
+        creator = regularity.fock.creator
+
+        def one_wrong_entry(i, basis):
+            c = creator(i, basis)
+            if i == 1:
+                c.data[-1] += 1e-9
+            return c
+
+        monkeypatch.setattr(regularity.fock, "creator", one_wrong_entry)
+        basis = enumerate_basis(2, 4)
+        grid = build_radial_grid(3, 0.3, 1.1, 2)
+        grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
+        reports = {r.check_name: r for r in ccr_and_bound_suite(basis, grid, seed=7, n_draws=20)}
+        pairing = reports["creator_adjoint_pairing"]
+        assert not pairing.passed
+        assert pairing.lhs == pytest.approx(1e-9, rel=1e-6)
+
     def test_no_dense_copy(self, monkeypatch):
         # every commutator maximum is taken on the sparse matrix: a dense
         # copy would be len(basis) squared entries per commutator
