@@ -12,6 +12,7 @@ from .modes import (
     CouplingFamily,
     L2Criteria,
     ModeSet,
+    RadialGrid,
     build_radial_grid,
     eval_coupling,
     ir_class_of,
@@ -78,6 +79,7 @@ __all__ = [
     "ModeSet",
     "NonConverged",
     "NonPositiveShift",
+    "RadialGrid",
     "RegularityReport",
     "SolverConfig",
     "SweepVerdict",

@@ -26,7 +26,8 @@ from typing import Annotated, List, Literal, Optional, Union, get_args
 
 import click
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
+from pydantic import (BaseModel, ConfigDict, Field, PositiveFloat, ValidationError,
+                      model_validator)
 from pydantic_core import InitErrorDetails, PydanticCustomError
 
 from . import fock, model as model_mod, modes, regularity, spectral
@@ -42,41 +43,39 @@ class _Strict(BaseModel):
     model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
-class GridConfig(_Strict):
-    nu: int = Field(ge=1, le=3)
-    sigma: float = Field(gt=0)
-    Lambda: float = Field(gt=0)
-    n_shells: int = Field(ge=1)
-    rule: Literal["midpoint", "log-midpoint"] = "midpoint"
-    mass: float = Field(default=0.0, ge=0)
+class VanHoveMatter(_Strict):
+    """One level, A = 0 and B = 1: the exactly solvable van Hove model."""
 
-    @model_validator(mode="after")
-    def _ordered(self):
-        if self.Lambda <= self.sigma:
-            raise ValueError("Lambda must exceed sigma")
-        return self
-
-
-class ModelConfig(_Strict):
-    preset: Literal["van_hove", "spin_boson_2level", "gsb_custom"]
-    delta: float = Field(default=1.0, ge=0)
-    A: Optional[List[List[float]]] = None
-    B: Optional[List[List[List[float]]]] = None
-
-    @model_validator(mode="after")
-    def _matrices_iff_custom(self):
-        if self.preset == "gsb_custom" and (self.A is None or self.B is None):
-            raise ValueError("gsb_custom requires explicit A and B matrices")
-        if self.preset != "gsb_custom" and (self.A is not None or self.B is not None):
-            raise ValueError(f"preset {self.preset} fixes A and B; give neither")
-        return self
+    preset: Literal["van_hove"]
 
     def matter(self):
-        if self.preset == "van_hove":
-            return model_mod.preset_van_hove()
-        if self.preset == "spin_boson_2level":
-            return model_mod.preset_spin_boson(self.delta)
+        return model_mod.preset_van_hove()
+
+
+class SpinBosonMatter(_Strict):
+    """A two-level atom with level splitting delta, coupled through sigma_x."""
+
+    preset: Literal["spin_boson_2level"]
+    delta: float = Field(default=1.0, ge=0)
+
+    def matter(self):
+        return model_mod.preset_spin_boson(self.delta)
+
+
+class CustomMatter(_Strict):
+    """Explicit matter matrices: A and one B_j per coupling channel."""
+
+    preset: Literal["gsb_custom"]
+    A: List[List[float]]
+    B: List[List[List[float]]]
+
+    def matter(self):
         return np.asarray(self.A, dtype=float), [np.asarray(b, dtype=float) for b in self.B]
+
+
+# discriminated on preset: each preset takes only its own fields
+ModelConfig = Annotated[Union[VanHoveMatter, SpinBosonMatter, CustomMatter],
+                        Field(discriminator="preset")]
 
 
 ColumnSpec = Union[Literal["ones", "omega", "omega_sq", "coupling"], List[float]]
@@ -127,20 +126,18 @@ class AppendixCheck(_Strict):
 class CcrCheck(_Strict):
     kind: Literal["ccr"]
     draws: int = Field(default=200, ge=1)
-    n_modes: Optional[int] = Field(default=None, ge=1)
-    n_max: Optional[int] = Field(default=None, ge=1)
 
     def reports(self, run: _Run) -> list:
-        k = self.n_modes or min(run.grid.n_modes, 3)
-        small_grid = run.grid.head(k)
-        small_basis = fock.enumerate_basis(k, max(self.n_max or min(run.cfg.n_max, 4), 1))
-        return regularity.ccr_and_bound_suite(small_basis, small_grid,
-                                              seed=run.solver.seed, n_draws=self.draws)
+        # the suite runs on the first three modes with at most four quanta
+        k = min(run.grid.n_modes, 3)
+        basis = fock.enumerate_basis(k, max(min(run.cfg.n_max, 4), 1))
+        return regularity.ccr_and_bound_suite(basis, run.grid.head(k), seed=run.solver.seed,
+                                              n_draws=self.draws)
 
 
 class IrSweepCheck(_Strict):
     kind: Literal["ir_sweep"]
-    sigmas: List[float] = Field(min_length=2)
+    sigmas: List[PositiveFloat] = Field(min_length=2)
     shells_per_decade: int = Field(default=16, ge=1)
     ctol: float = Field(default=1e-3, gt=0)
     n_max: Optional[int] = Field(default=None, ge=0)
@@ -149,26 +146,26 @@ class IrSweepCheck(_Strict):
     def _decreasing(self):
         if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
             raise ValueError("sigmas must be strictly decreasing")
-        if self.sigmas[0] <= 0 or self.sigmas[-1] <= 0:
-            raise ValueError("sigmas must be positive")
         return self
+
+    def rungs(self, grid: modes.RadialGrid) -> list:
+        """(sigma, grid) per rung: the run's grid on [sigma, Lambda], log-midpoint,
+        each validated, so a rung at or above Lambda raises ValueError."""
+        out = []
+        for sigma in self.sigmas:
+            n_shells = max(1, math.ceil(self.shells_per_decade * math.log10(grid.Lambda / sigma)))
+            out.append((sigma, modes.RadialGrid(**{**grid.model_dump(), "sigma": sigma,
+                                                   "n_shells": n_shells, "rule": "log-midpoint"})))
+        return out
 
     def reports(self, run: _Run) -> list:
         cfg = run.cfg
-        ladder = []
-        for sigma in self.sigmas:
-            # the run's grid on [sigma, Lambda], log-midpoint, every coupling channel;
-            # model_copy skips validation: build_radial_grid refuses sigma >= Lambda
-            n_shells = max(1, math.ceil(self.shells_per_decade
-                                        * math.log10(cfg.grid.Lambda / sigma)))
-            grid = cfg.grid.model_copy(
-                update={"sigma": sigma, "n_shells": n_shells, "rule": "log-midpoint"})
-            ladder.append((sigma, build_grid(cfg.model_copy(update={"grid": grid}))))
+        # every coupling channel on every rung
+        ladder = [(sigma, build_grid(grid, cfg.coupling)) for sigma, grid in self.rungs(cfg.grid)]
         A, B = cfg.model.matter()
-        rows, verdict = regularity.ir_sweep(
-            ladder, A, B, cfg.alpha, self.n_max if self.n_max is not None else cfg.n_max,
-            run.solver, ctol=self.ctol,
-        )
+        n_max = self.n_max if self.n_max is not None else cfg.n_max
+        rows, verdict = regularity.ir_sweep(ladder, A, B, cfg.alpha, n_max, run.solver,
+                                            ctol=self.ctol)
         return [regularity.sweep_verdict_report(rows, verdict, self.ctol)]
 
 
@@ -182,7 +179,7 @@ CheckConfig = Annotated[Union[_CHECK_TYPES], Field(discriminator="kind")]
 
 class RunConfig(_Strict):
     model: ModelConfig
-    grid: GridConfig
+    grid: modes.RadialGrid
     coupling: List[modes.CouplingFamily] = Field(min_length=1)
     alpha: float
     n_max: int = Field(ge=0)
@@ -192,18 +189,17 @@ class RunConfig(_Strict):
 
     @model_validator(mode="after")
     def _channels_match(self):
-        d = {"van_hove": 1, "spin_boson_2level": 1}.get(self.model.preset)
-        expected = d if d is not None else (len(self.model.B) if self.model.B else None)
-        if expected is not None and len(self.coupling) != expected:
-            raise ValueError(
-                f"model has {expected} coupling channel(s) but {len(self.coupling)} were given"
-            )
+        expected = len(self.model.matter()[1])
+        if len(self.coupling) != expected:
+            raise ValueError(f"model has {expected} coupling channel(s) but "
+                             f"{len(self.coupling)} were given")
         return self
 
     @model_validator(mode="after")
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
-        above n_max or its mode cap, or an explicit column of the wrong length."""
+        above n_max or its mode cap, an explicit column of the wrong length, an
+        explicit G with a negative entry, or a sweep rung at or above grid.Lambda."""
         n_modes, misfits = self.grid.n_shells, []
         for i, chk in enumerate(self.checks):
             if isinstance(chk, HigherCheck):
@@ -219,6 +215,13 @@ class RunConfig(_Strict):
                 if isinstance(col, list) and len(col) != n_modes:
                     misfits.append((i, chk, field, f"explicit column has {len(col)} entries "
                                                    f"for {n_modes} modes"))
+                elif field == "G" and isinstance(col, list) and min(col) < 0:
+                    misfits.append((i, chk, field, "G must be entrywise >= 0"))
+            if isinstance(chk, IrSweepCheck):
+                try:
+                    chk.rungs(self.grid)
+                except ValidationError as exc:
+                    misfits.append((i, chk, "sigmas", exc.errors()[0]["msg"]))
         if misfits:
             # a ValidationError raised here keeps each error's field path
             raise ValidationError.from_exception_data(type(self).__name__, [
@@ -248,10 +251,8 @@ def load_config(path) -> RunConfig:
     try:
         return RunConfig.model_validate(raw)
     except ValidationError as exc:
-        lines = []
-        for err in exc.errors():
-            loc = ".".join(str(x) for x in err["loc"]) or "<root>"
-            lines.append(f"  {loc}: {err['msg']}")
+        lines = [f"  {'.'.join(map(str, err['loc'])) or '<root>'}: {err['msg']}"
+                 for err in exc.errors()]
         raise ConfigError("config schema violation:\n" + "\n".join(lines)) from exc
 
 
@@ -259,12 +260,10 @@ def load_config(path) -> RunConfig:
 # Building and running
 
 
-def build_grid(cfg: RunConfig) -> modes.ModeSet:
-    g = cfg.grid
-    grid = modes.build_radial_grid(
-        g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=g.mass
-    )
-    for fam in cfg.coupling:
+def build_grid(g: modes.RadialGrid, coupling) -> modes.ModeSet:
+    """The grid g describes, with one coupling column per family."""
+    grid = modes.build_radial_grid(g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=g.mass)
+    for fam in coupling:
         grid = grid.with_coupling(modes.eval_coupling(fam, grid), fam)
     return grid
 
@@ -280,7 +279,7 @@ class _Run:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.grid = build_grid(cfg)
+        self.grid = build_grid(cfg.grid, cfg.coupling)
         self.solver = cfg.solver
 
     @cached_property
@@ -293,12 +292,11 @@ class _Run:
 
     def column(self, selector) -> np.ndarray:
         """The column a check's f or G names; RunConfig has checked an explicit one's length."""
-        grid = self.grid
         if isinstance(selector, list):
             return np.asarray(selector, dtype=float)
-        omega = np.asarray(grid.omega)
-        return {"ones": np.ones(grid.n_modes), "omega": omega, "omega_sq": omega**2,
-                "coupling": np.asarray(grid.channel(0))}[selector]
+        omega = self.grid.omega
+        return {"ones": np.ones(self.grid.n_modes), "omega": omega, "omega_sq": omega**2,
+                "coupling": self.grid.channel(0)}[selector]
 
 
 def execute_run(cfg: RunConfig, selected_kinds=None):
@@ -312,9 +310,7 @@ def execute_run(cfg: RunConfig, selected_kinds=None):
     if selected_kinds is not None:
         checks = [c for c in checks if c.kind in selected_kinds]
         if not checks:
-            raise ConfigError(
-                f"no checks of kind {sorted(selected_kinds)} in the config"
-            )
+            raise ConfigError(f"no checks of kind {sorted(selected_kinds)} in the config")
     reports = [r for chk in checks for r in chk.reports(run)]
     # a cached_property lives in the instance dict once it has been computed
     return reports, vars(run).get("gs")
@@ -371,9 +367,8 @@ def _solve_json(gs) -> dict | None:
     }
 
 
-def write_report_json(reports, meta, path, gs=None) -> None:
-    _write_json({"metadata": meta, "solve": _solve_json(gs),
-                 "reports": [r.to_json() for r in reports]}, path)
+def write_report_json(reports, path, gs=None) -> None:
+    _write_json({"solve": _solve_json(gs), "reports": [r.to_json() for r in reports]}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +408,13 @@ def _load(config, out, seed=None):
 def _common_run(config, out, seed, dry_run, selected=None):
     with _exit_on_failure():
         cfg, out_dir = _load(config, out, seed)
-        resolved = cfg.model_dump(mode="json")
-        _write_json(resolved, out_dir / "resolved_config.json")
+        _write_json(cfg.model_dump(mode="json"), out_dir / "resolved_config.json")
         if dry_run:
             click.echo(f"dry run: resolved config written to {out_dir}")
             return
         reports, gs = execute_run(cfg, selected_kinds=selected)
     write_report_csv(reports, out_dir / "report.csv")
-    write_report_json(reports, {"seed": cfg.solver.seed, "config": resolved},
-                      out_dir / "report.json", gs)
+    write_report_json(reports, out_dir / "report.json", gs)
     sweeps = [r for r in reports if r.check_name == "ir_sweep_verdict"]
     if sweeps:
         write_sweep_csv(sweeps, out_dir / "sweep.csv")
@@ -484,7 +477,7 @@ def dump(what, config, out):
     """Dump the basis, the Hamiltonian (MatrixMarket), or the grid."""
     with _exit_on_failure():
         cfg, out_dir = _load(config, out)
-        grid = build_grid(cfg)
+        grid = build_grid(cfg.grid, cfg.coupling)
         if what == "grid":
             path = out_dir / "grid.csv"
             channels = range(grid.n_channels)

@@ -19,24 +19,17 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field
+from pydantic import BaseModel, ConfigDict, Field, model_validator
 
 __all__ = [
     "CouplingFamily",
     "ModeSet",
+    "RadialGrid",
     "L2Criteria",
-    "surface_area",
     "build_radial_grid",
     "eval_coupling",
     "l2_criteria",
 ]
-
-
-def surface_area(nu: int) -> float:
-    """Surface measure of the unit sphere in R^nu: 2*pi^(nu/2)/Gamma(nu/2)."""
-    if nu < 1:
-        raise ValueError(f"spatial dimension must be >= 1, got {nu}")
-    return 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
 
 
 def _readonly(a) -> np.ndarray:
@@ -160,14 +153,33 @@ class ModeSet:
         return self._slice(slice(0, k))
 
 
-def build_radial_grid(
-    nu: int,
-    sigma: float,
-    Lambda: float,
-    n_shells: int,
-    rule: str = "midpoint",
-    mass: float = 0.0,
-) -> ModeSet:
+class RadialGrid(BaseModel):
+    """The radial grid build_radial_grid builds: the `grid` section of a run config.
+
+    Construction (by keyword) validates every field and raises ValueError on an
+    unknown field, a non-finite value, nu outside 1..3, sigma <= 0, Lambda <= sigma,
+    n_shells < 1, an unknown rule or mass < 0.
+    """
+
+    model_config = ConfigDict(frozen=True, extra="forbid", allow_inf_nan=False)
+
+    nu: int = Field(ge=1, le=3)
+    sigma: float = Field(gt=0)
+    Lambda: float = Field(gt=0)
+    n_shells: int = Field(ge=1)
+    rule: Literal["midpoint", "log-midpoint"] = "midpoint"
+    mass: float = Field(default=0.0, ge=0)
+
+    @model_validator(mode="after")
+    def _ordered(self):
+        if self.Lambda <= self.sigma:
+            raise ValueError(f"need Lambda > sigma, got Lambda={self.Lambda}, "
+                             f"sigma={self.sigma}")
+        return self
+
+
+def build_radial_grid(nu: int, sigma: float, Lambda: float, n_shells: int,
+                      rule: str = "midpoint", mass: float = 0.0) -> ModeSet:
     """Build a radial quadrature grid on [sigma, Lambda].
 
     rule "midpoint" places r_i = sigma + (i - 1/2) * dr with uniform dr;
@@ -175,27 +187,19 @@ def build_radial_grid(
     r_{i+1}/r_i), which is what resolves logarithmically divergent infrared
     sweeps.  Weights are w_i = surface(nu) * r_i^(nu-1) * dr_i.  The
     dispersion is omega = r for mass 0 and omega = sqrt(r^2 + mass^2)
-    otherwise.
+    otherwise.  The arguments are validated as a RadialGrid.
     """
-    if sigma <= 0:
-        raise ValueError(f"infrared cutoff sigma must be > 0, got {sigma}")
-    if Lambda <= sigma:
-        raise ValueError(f"need Lambda > sigma, got Lambda={Lambda}, sigma={sigma}")
-    if n_shells < 1:
-        raise ValueError(f"n_shells must be >= 1, got {n_shells}")
-    if mass < 0:
-        raise ValueError(f"mass must be >= 0, got {mass}")
-    s = surface_area(nu)
-    if rule == "midpoint":
+    g = RadialGrid(nu=nu, sigma=sigma, Lambda=Lambda, n_shells=n_shells, rule=rule, mass=mass)
+    nu, sigma, Lambda, n_shells, mass = g.nu, g.sigma, g.Lambda, g.n_shells, g.mass
+    s = 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)  # area of the unit sphere
+    if g.rule == "midpoint":
         dr = (Lambda - sigma) / n_shells
         r = sigma + (np.arange(1, n_shells + 1) - 0.5) * dr
         widths = np.full(n_shells, dr)
-    elif rule == "log-midpoint":
+    else:
         edges = sigma * (Lambda / sigma) ** (np.arange(n_shells + 1) / n_shells)
         r = np.sqrt(edges[:-1] * edges[1:])
         widths = np.diff(edges)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
     w = s * r ** (nu - 1) * widths
     omega = r if mass == 0.0 else np.sqrt(r * r + mass * mass)
     return ModeSet(nu=nu, points=r, weights=w, omega=omega, mass=mass)

@@ -143,7 +143,7 @@ def test_03_weighted_number_identity_and_additivity(cfg, spin_boson_ladder):
 def test_04_ground_state_projection_bound(cfg):
     for name in MODEL_CONFIGS:
         run_cfg = cli.load_config(EXAMPLES / name)
-        grid = cli.build_grid(run_cfg)
+        grid = cli.build_grid(run_cfg.grid, run_cfg.coupling)
         m = cli.build_model(run_cfg, grid)
         gs = solve_model(m, run_cfg.solver)
         rep = absence_lower_bound(m, gs, np.ones(grid.n_modes), cfg)

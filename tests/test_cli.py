@@ -269,7 +269,8 @@ class TestArtifacts:
         path = write_config(tmp_path, base_config(output=str(out)))
         run_cli(["run", "--config", str(path)])
         payload = json.loads((out / "report.json").read_text())
-        assert payload.keys() == {"metadata", "solve", "reports"}
+        # the config lives in resolved_config.json only
+        assert payload.keys() == {"solve", "reports"}
         rep = payload["reports"][0]
         assert rep["check_name"] == "moment_identity"
         assert rep["pass"] is True
@@ -282,7 +283,8 @@ class TestArtifacts:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["solver"]["eig_tol"] == 1e-11
         assert resolved["grid"]["mass"] == 0.0
-        assert resolved["model"] == {"preset": "van_hove", "delta": 1.0, "A": None, "B": None}
+        # each preset writes only its own fields
+        assert resolved["model"] == {"preset": "van_hove"}
         assert "threads" not in resolved
         # each setting has one field: the seed is solver.seed, the mass grid.mass
         assert "seed" not in resolved and "dispersion" not in resolved
@@ -331,7 +333,7 @@ class TestArtifacts:
         first, second = tmp_path / "first", tmp_path / "second"
         result = run_cli(["run", "--config", str(EXAMPLES / example), "--out", str(first),
                           "--seed", "123"])
-        assert json.loads((first / "report.json").read_text())["metadata"]["seed"] == 123
+        assert json.loads((first / "resolved_config.json").read_text())["solver"]["seed"] == 123
         rerun = run_cli(["run", "--config", str(first / "resolved_config.json"),
                          "--out", str(second)])
         assert rerun.exit_code == result.exit_code
@@ -610,12 +612,12 @@ class TestFailureExits:
         self.assert_one_line_error(result)
 
     def test_value_error_is_two(self, tmp_path):
-        # an explicit negative moment weight passes the schema, then the check rejects it
+        # an explicit negative moment weight is refused by the schema, before any solve
         cfg = base_config(output=str(tmp_path / "out"),
                           checks=[{"kind": "moment", "G": [-1.0]}])
         result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
         self.assert_one_line_error(result)
-        assert "G must be entrywise >= 0" in result.output
+        assert "checks.0.moment.G: G must be entrywise >= 0" in result.output
 
     @pytest.mark.parametrize("example, old, new, field", [
         # 1e999 is valid JSON and parses to inf
@@ -664,12 +666,21 @@ class TestFailureExits:
         ({"seed": 5}, "seed: Extra inputs are not permitted"),
         ({"dispersion": {"law": "massive", "mass": 0.5}},
          "dispersion: Extra inputs are not permitted"),
-        # a preset fixes its matrices, so an A or B under it would be ignored
-        ({"model": {"preset": "spin_boson_2level", "A": [[5.0, 0.0], [0.0, -3.0]],
-                    "B": [[[0.0, 2.0], [2.0, 0.0]]]}},
-         "model: Value error, preset spin_boson_2level fixes A and B; give neither"),
+        # each preset takes only its own fields: one that it would ignore is unknown
+        ({"model": {"preset": "spin_boson_2level", "A": [[5.0, 0.0], [0.0, -3.0]]}},
+         "model.spin_boson_2level.A: Extra inputs are not permitted"),
         ({"model": {"preset": "van_hove", "B": [[[2.0]]]}},
-         "model: Value error, preset van_hove fixes A and B; give neither"),
+         "model.van_hove.B: Extra inputs are not permitted"),
+        ({"model": {"preset": "van_hove", "delta": 7.0}},
+         "model.van_hove.delta: Extra inputs are not permitted"),
+        ({"model": {"preset": "gsb_custom", "A": [[0.0, 0.0], [0.0, 1.0]],
+                    "B": [[[0.0, 1.0], [1.0, 0.0]]], "delta": 7.0}},
+         "model.gsb_custom.delta: Extra inputs are not permitted"),
+        ({"model": {"preset": "gsb_custom", "A": [[0.0]]}},
+         "model.gsb_custom.B: Field required"),
+        # the ccr suite's size is fixed: its first three modes, at most four quanta
+        ({"checks": [{"kind": "ccr", "n_modes": 2}]},
+         "checks.0.ccr.n_modes: Extra inputs are not permitted"),
     ])
     def test_removed_or_ignored_setting_is_one_line(self, tmp_path, update, line):
         cfg = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
@@ -690,7 +701,8 @@ class TestFailureExits:
             "error: config schema violation:",
             "  checks.0.higher.n: order must lie in [1, n_max=2], got 3"]
 
-    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"]])
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"],
+                                         ["sweep", "--dry-run"]])
     @pytest.mark.parametrize("update, extra, line", [
         ({"n_max": 2}, {"kind": "higher", "n": 3},
          "checks.5.higher.n: order must lie in [1, n_max=2], got 3"),
@@ -700,6 +712,15 @@ class TestFailureExits:
          "checks.5.moment.G: explicit column has 3 entries for 1 modes"),
         ({"grid": {"n_shells": 2}}, {"kind": "pullthrough", "f": [1.0]},
          "checks.5.pullthrough.f: explicit column has 1 entries for 2 modes"),
+        ({}, {"kind": "moment", "G": [-1.0]}, "checks.5.moment.G: G must be entrywise >= 0"),
+        ({}, {"kind": "absence", "G": [-0.5]}, "checks.5.absence.G: G must be entrywise >= 0"),
+        # every sweep rung is a grid on [sigma, Lambda], validated like grid itself
+        ({}, {"kind": "ir_sweep", "sigmas": [1.5, 0.1]},
+         "checks.5.ir_sweep.sigmas: Value error, need Lambda > sigma, got Lambda=1.5, "
+         "sigma=1.5"),
+        ({}, {"kind": "ir_sweep", "sigmas": [2.0, 0.1]},
+         "checks.5.ir_sweep.sigmas: Value error, need Lambda > sigma, got Lambda=1.5, "
+         "sigma=2.0"),
     ])
     def test_check_that_cannot_run_is_refused_before_any_solve(
             self, tmp_path, monkeypatch, command, update, extra, line):

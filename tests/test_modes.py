@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gsblab import (
     CouplingFamily,
     ModeSet,
+    RadialGrid,
     build_radial_grid,
     eval_coupling,
     ir_class_of,
@@ -68,6 +69,22 @@ class TestRadialGrid:
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):
             build_radial_grid(3, 1.0, 0.5, 4)
+
+    @pytest.mark.parametrize("args, kwargs, field", [
+        ((4, 0.1, 1.0, 4), {}, "nu"),
+        ((3, math.nan, 1.0, 4), {}, "sigma"),
+        ((3, 0.1, math.inf, 4), {}, "Lambda"),
+        ((3, 0.1, 1.0, 0), {}, "n_shells"),
+        ((3, 0.1, 1.0, 4), {"mass": math.nan}, "mass"),
+        ((3, 0.1, 1.0, 4), {"rule": "trapezoid"}, "rule"),
+    ])
+    def test_refuses_every_grid_the_config_refuses(self, args, kwargs, field):
+        # the arguments are validated as the config's grid section, a RadialGrid
+        with pytest.raises(ValueError, match=field):
+            build_radial_grid(*args, **kwargs)
+        nu, sigma, Lambda, n_shells = args
+        with pytest.raises(ValueError, match=field):
+            RadialGrid(nu=nu, sigma=sigma, Lambda=Lambda, n_shells=n_shells, **kwargs)
 
     @given(
         nu=st.sampled_from([1, 2, 3]),
