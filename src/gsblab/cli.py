@@ -198,8 +198,9 @@ class RunConfig(_Strict):
     @model_validator(mode="after")
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
-        above n_max or its mode cap, an explicit column of the wrong length, an
-        explicit G with a negative entry, or a sweep rung at or above grid.Lambda."""
+        above n_max or its mode cap, an appendix at n_max = 0, an explicit column
+        of the wrong length, an explicit G with a negative entry, or a sweep rung
+        at or above grid.Lambda."""
         n_modes, misfits = self.grid.n_shells, []
         for i, chk in enumerate(self.checks):
             if isinstance(chk, HigherCheck):
@@ -210,6 +211,10 @@ class RunConfig(_Strict):
                 elif n_modes > cap:
                     misfits.append((i, chk, "n", f"cost guard: order {chk.n} allows at most "
                                                  f"{cap} modes, got {n_modes}"))
+            if isinstance(chk, AppendixCheck) and self.n_max == 0:
+                # the suite caps its order at n_max, and no order fits below 1
+                misfits.append((i, chk, "order", "the factorial moment order is capped at "
+                                                 "n_max, which must be >= 1, got n_max=0"))
             for field in ("f", "G"):
                 col = getattr(chk, field, None)
                 if isinstance(col, list) and len(col) != n_modes:

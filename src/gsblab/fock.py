@@ -44,6 +44,7 @@ __all__ = [
     "enumerate_basis",
     "annihilator",
     "creator",
+    "smearing_coefficients",
     "smeared_annihilator",
     "dgamma",
     "field_operator",
@@ -69,7 +70,7 @@ class FockBasis:
     `occupations` holds one row per state in basis order, and `rank` maps
     occupation rows back to their indices.  Annihilators are built once per
     mode and kept (`lowering`), and so are their nonzero entries
-    (`lowering_entries`).
+    (`lowering_entries`) and their grade blocks (`lowering_block`).
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -92,6 +93,7 @@ class FockBasis:
         self.interior_mask = self.totals <= n_max - 1
         self._lowering: dict = {}
         self._entries: dict = {}
+        self._blocks: dict = {}
 
     def rank(self, occupations) -> np.ndarray:
         """Basis index of each occupation row (combinatorial number system).
@@ -121,6 +123,25 @@ class FockBasis:
             coo = self.lowering(i).tocoo()
             self._entries[i] = (coo.row, coo.col, coo.data)
         return self._entries[i]
+
+    def lowering_block(self, i: int, g: int) -> sp.csr_matrix:
+        """a_i from grades <= g to grades <= g - 1, kept like `lowering`.
+
+        The basis is grade ordered and a_i lowers the grade by one, so this
+        is exactly the leading (end(g - 1), end(g)) block of `lowering(i)`,
+        with end(g) = C(M + g, M) the number of states of grade <= g: its
+        rows hold every entry of those columns, and no other.
+        """
+        if not 0 <= g <= self.n_max:
+            raise ValueError(f"grade must lie in [0, n_max={self.n_max}], got {g}")
+        if (i, g) not in self._blocks:
+            a = self.lowering(i)
+            rows = math.comb(self.n_modes + g - 1, self.n_modes)
+            stop = a.indptr[rows]
+            self._blocks[i, g] = sp.csr_matrix(
+                (a.data[:stop], a.indices[:stop], a.indptr[:rows + 1]),
+                shape=(rows, math.comb(self.n_modes + g, self.n_modes)))
+        return self._blocks[i, g]
 
     def w_top(self, psi) -> float:
         """Probability weight of a composite vector on the top grade.
@@ -322,16 +343,23 @@ def creator(i: int, basis: FockBasis) -> sp.csr_matrix:
     )
 
 
-def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
-    """a(f) = sum_i conj(f_i) sqrt(w_i) a_i, anti-linear in f.
+def smearing_coefficients(f, grid: ModeSet) -> np.ndarray:
+    """The coefficients conj(f_i) sqrt(w_i) of the a_i in a(f).
 
     f is a complex column of function values on the grid points; the
     sqrt(w_i) factor is the cell-normalization convention of the mode set.
     """
     f = np.asarray(f, dtype=complex)
-    if len(f) != grid.n_modes or grid.n_modes != basis.n_modes:
+    if f.shape != (grid.n_modes,):
         raise ValueError("column length must match grid and basis mode count")
-    coeff = np.conj(f) * np.sqrt(grid.weights)
+    return np.conj(f) * np.sqrt(grid.weights)
+
+
+def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
+    """a(f) = sum_i conj(f_i) sqrt(w_i) a_i, anti-linear in f (see smearing_coefficients)."""
+    if grid.n_modes != basis.n_modes:
+        raise ValueError("column length must match grid and basis mode count")
+    coeff = smearing_coefficients(f, grid)
     n = len(basis)
     modes = np.flatnonzero(coeff)
     if not len(modes):

@@ -187,14 +187,23 @@ def _mode_stats(chains: dict) -> list:
             for S, (_, iters, relres) in chains.items()]
 
 
+def _dgamma_form(psi: np.ndarray, g, basis: FockBasis) -> float:
+    """<psi, (1 (x) dGamma(g)) psi> for a matter-major psi, from the occupation table.
+
+    dGamma(g) is the diagonal sum_i g_i n_i, so each matter row of psi is
+    scaled by it entrywise, as a product with fock.dgamma's matrix would.
+    """
+    V = np.reshape(psi, (-1, len(basis)))
+    return float(np.real(np.vdot(V, (basis.occupations @ g) * V)))
+
+
 def _dgamma_expectation(m: GsbModel, gs: GroundState, G):
     """(G as floats, <phi_g, (1 (x) dGamma(G)) phi_g>) for a solved gs and a G >= 0."""
     _require_solved(gs)
     G = np.asarray(G, dtype=float)
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
-    phi = gs.vector
-    return G, float(np.real(np.vdot(phi, apply_fock(fock.dgamma(G, m.basis), phi))))
+    return G, _dgamma_form(gs.vector, G, m.basis)
 
 
 def _bound_violation(value: float, bound: float) -> float:
@@ -352,44 +361,57 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
 # Exact finite-mode decompositions
 
 
+def _fock_columns(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """The real and imaginary parts of psi's matter rows as 2 d real Fock columns.
+
+    1 (x) a_i acts on the Fock factor of each matter component and a_i is
+    real, so one sparse product lowers all of them.
+    """
+    V = np.reshape(psi, (-1, len(basis)))
+    return np.ascontiguousarray(np.concatenate([V.real, V.imag]).T)
+
+
 def number_decomposition(psi: np.ndarray, K, basis: FockBasis,
                          grid: ModeSet) -> RegularityReport:
     """sum_m ||a(conj(K_m) e_m) psi||^2 == <psi, dGamma(|K|^2) psi>.
 
     psi is a matter-major composite vector; e_m is the normalized cell
-    function of mode m.  Exact on the truncated space because annihilators
-    lower the grade without touching the cutoff.
+    function of mode m, so a(conj(K_m) e_m) is its smearing coefficient
+    times a_m, applied through the grade-n_max block of a_m.  Exact on the
+    truncated space because annihilators lower the grade without touching
+    the cutoff.
     """
     K = np.asarray(K, dtype=complex)
+    coeff = fock.smearing_coefficients(np.conj(K) / np.sqrt(grid.weights), grid)
+    cols = _fock_columns(psi, basis)
     lhs = 0.0
     for mo in range(basis.n_modes):
-        f = np.zeros(basis.n_modes, dtype=complex)
-        f[mo] = np.conj(K[mo]) / math.sqrt(grid.weights[mo])
-        a_mat = fock.smeared_annihilator(f, grid, basis)
-        lhs += float(np.linalg.norm(apply_fock(a_mat, psi)) ** 2)
-    dg = fock.dgamma(np.abs(K) ** 2, basis)
-    rhs = float(np.real(np.vdot(psi, apply_fock(dg, psi))))
+        lowered = basis.lowering_block(mo, basis.n_max) @ cols
+        lhs += abs(coeff[mo]) ** 2 * float(np.linalg.norm(lowered) ** 2)
+    rhs = _dgamma_form(psi, np.abs(K) ** 2, basis)
     return _scalar_report("number_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
 def factorial_moment_decomposition(psi: np.ndarray, n: int,
                                    basis: FockBasis) -> RegularityReport:
-    """sum over n-tuples ||a_{i_1} ... a_{i_n} psi||^2 == n-th falling factorial moment."""
+    """sum over n-tuples ||a_{i_1} ... a_{i_n} psi||^2 == n-th falling factorial moment.
+
+    The sum runs over every ordered tuple.  After k lowerings a branch lives
+    on grades <= n_max - k, so the next one multiplies it by the
+    grade-(n_max - k) blocks of the a_i (FockBasis.lowering_block): the
+    products never touch the states the branch has left.
+    """
     if n < 1 or n > basis.n_max:
         raise ValueError(f"order must lie in [1, n_max={basis.n_max}], got {n}")
-    # 1 (x) a_i acts on the Fock factor of each matter component, and a_i is
-    # real: the real and imaginary parts of the components are 2 d real
-    # columns, all lowered by one sparse product per branch.
-    V = np.reshape(psi, (-1, len(basis)))
-    cols = np.ascontiguousarray(np.concatenate([V.real, V.imag]).T)
-    a_mats = [basis.lowering(i) for i in range(basis.n_modes)]
+    blocks = [[basis.lowering_block(i, basis.n_max - k) for i in range(basis.n_modes)]
+              for k in range(n)]
 
     def branch_sum(block: np.ndarray, depth: int) -> float:
         if depth == n:
             return float(np.linalg.norm(block) ** 2)
-        return sum(branch_sum(a @ block, depth + 1) for a in a_mats)
+        return sum(branch_sum(a @ block, depth + 1) for a in blocks[depth])
 
-    lhs = branch_sum(cols, 0)
+    lhs = branch_sum(_fock_columns(psi, basis), 0)
     rhs = _falling_factorial_expectation(psi, basis, n)
     return _scalar_report("factorial_moment_decomposition", lhs, rhs, basis.w_top(psi),
                           EXACT_TOL)
@@ -430,7 +452,8 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     commutators of dGamma against smeared operators on interior states, the
     adjoint pairing of creator and annihilator, and the quadratic bounds
     ||a(f) psi||^2 <= ||f/sqrt(omega)||^2 <psi, dGamma(omega) psi> and its
-    creator counterpart on seeded random draws.  No operator is made dense.
+    creator counterpart on seeded random draws, taken one by one and lowered
+    together, one product per mode.  No operator is made dense.
     """
     rng = np.random.default_rng(seed)
     M = basis.n_modes
@@ -482,24 +505,33 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
                        deviation=True)
     )
 
-    # relative bounds on random draws
+    # relative bounds on random draws, taken one by one in a fixed RNG order
+    # and lowered as one (dim, n_draws) block per mode: a(f) psi is
+    # sum_i c_i a_i psi and a(f)* psi is sum_i conj(c_i) a_i^T psi
     omega = grid.omega
-    dgw = fock.dgamma(omega, basis)
-    worst_a_viol = worst_c_viol = top_weight = 0.0
-    for _ in range(n_draws):
-        psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    n = len(basis)
+    psis = np.empty((n, n_draws), dtype=complex)
+    coeffs = np.empty((M, n_draws), dtype=complex)
+    f_over = np.empty(n_draws)
+    f_norm = np.empty(n_draws)
+    top_weight = 0.0
+    for k in range(n_draws):
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi /= np.linalg.norm(psi)
         f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        f_over = float(np.sum(np.abs(f) ** 2 * grid.weights / omega))
-        f_norm = float(np.sum(np.abs(f) ** 2 * grid.weights))
-        energy_half = float(np.real(np.vdot(psi, dgw @ psi)))
-        a_op = fock.smeared_annihilator(f, grid, basis)
-        lhs_a = float(np.linalg.norm(a_op @ psi) ** 2)
-        lhs_c = float(np.linalg.norm(a_op.conj().T @ psi) ** 2)
-        worst_a_viol = max(worst_a_viol, lhs_a - f_over * energy_half)
-        worst_c_viol = max(worst_c_viol, lhs_c - (f_over * energy_half + f_norm))
+        psis[:, k] = psi
+        coeffs[:, k] = fock.smearing_coefficients(f, grid)
+        f_over[k] = np.sum(np.abs(f) ** 2 * grid.weights / omega)
+        f_norm[k] = np.sum(np.abs(f) ** 2 * grid.weights)
         top_weight = max(top_weight, basis.w_top(psi))
-    # both worst violations start at 0.0, so each deviation is the violation
+    energy_half = (basis.occupations @ omega) @ (np.abs(psis) ** 2)
+    a_psi = sum(c * (a @ psis) for c, a in zip(coeffs, a_ops))
+    c_psi = sum(c.conj() * (a.T @ psis) for c, a in zip(coeffs, a_ops))
+    lhs_a = np.sum(np.abs(a_psi) ** 2, axis=0)
+    lhs_c = np.sum(np.abs(c_psi) ** 2, axis=0)
+    worst_a_viol = max(0.0, float(np.max(lhs_a - f_over * energy_half)))
+    worst_c_viol = max(0.0, float(np.max(lhs_c - (f_over * energy_half + f_norm))))
+    # both worst violations are at least 0.0, so each deviation is the violation
     for name, viol in (("relative_bound_annihilator", worst_a_viol),
                        ("relative_bound_creator", worst_c_viol)):
         reports.append(_scalar_report(name, viol, 0.0, top_weight, 1e-10,

@@ -16,6 +16,8 @@ separable infrared sweep) is solved by one batched eigh.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field
 from scipy.linalg import get_blas_funcs
@@ -247,21 +249,24 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray, cfg: SolverConf
     # astype copies, so the residual r starts as v without touching it
     r = v.astype(np.result_type(H.dtype, v, float))
     x = np.zeros_like(r)
-    bnorm = float(np.linalg.norm(r))
+    # every level-1 call goes to scipy's BLAS (dot is dotc for a complex r):
+    # numpy bundles another OpenBLAS, and two thread pools on the same cores
+    # spin against each other.  axpy and scal overwrite their last argument,
+    # or return a copy when its dtype or layout does not fit: always keep
+    # the returned array
+    axpy, scal, dot = get_blas_funcs(("axpy", "scal", "dot"), dtype=r.dtype)
+    bnorm = math.sqrt(dot(r, r).real)
     if bnorm == 0.0:
         return x, 0, 0.0
     shift = s - E
     # diagonal entries of a hermitian operator are >= E, so pre >= s > 0
     pre = np.real(H.diagonal) + shift
     inv_pre = 1.0 / np.maximum(pre, 0.5 * s)
-    # axpy and scal overwrite their last argument, or return a copy when its
-    # dtype or layout does not fit: always keep the returned array
-    axpy, scal = get_blas_funcs(("axpy", "scal"), dtype=r.dtype)
     z = r * inv_pre
     p = z.copy()
-    rz = np.real(np.vdot(r, z))
+    rz = dot(r, z).real
     tol_abs = cfg.cg_tol * bnorm
-    rnorm = float(np.linalg.norm(r))
+    rnorm = bnorm
     it = 0
     while not rnorm <= tol_abs:
         if it >= cfg.cg_max:
@@ -270,15 +275,15 @@ def resolvent_apply(H: LinOp, E: float, s: float, v: np.ndarray, cfg: SolverConf
                 rnorm / bnorm,
             )
         hp = axpy(p, H.apply(p), a=shift)
-        denom = np.real(np.vdot(p, hp))
+        denom = dot(p, hp).real
         if not denom > 0:
             raise NonConverged("CG lost positive definiteness", rnorm / bnorm)
         a = rz / denom
         x = axpy(p, x, a=a)
         r = axpy(hp, r, a=-a)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(dot(r, r).real)
         np.multiply(r, inv_pre, out=z)
-        rz_new = np.real(np.vdot(r, z))
+        rz_new = dot(r, z).real
         p = axpy(z, scal(rz_new / rz, p))
         rz = rz_new
         it += 1

@@ -701,6 +701,23 @@ class TestFailureExits:
             "error: config schema violation:",
             "  checks.0.higher.n: order must lie in [1, n_max=2], got 3"]
 
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"]])
+    def test_appendix_at_n_max_zero_is_two(self, tmp_path, monkeypatch, command):
+        # the suite caps its factorial order at n_max, and n_max = 0 leaves no order
+        def no_model(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "build_model", no_model)
+        cfg = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
+        cfg.update(n_max=0, checks=[{"kind": "appendix", "draws": 2}])
+        result = run_cli([*command, "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == [
+            "error: config schema violation:",
+            "  checks.0.appendix.order: the factorial moment order is capped at n_max, "
+            "which must be >= 1, got n_max=0"]
+
     @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"],
                                          ["sweep", "--dry-run"]])
     @pytest.mark.parametrize("update, extra, line", [

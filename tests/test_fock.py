@@ -481,6 +481,29 @@ class TestTopWeight:
             basis.w_top(np.ones(3, dtype=complex))
 
 
+class TestLoweringBlocks:
+    @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 4), (5, 2)])
+    def test_block_is_the_leading_slice(self, m, n):
+        basis = enumerate_basis(m, n)
+        for i in range(m):
+            a = basis.lowering(i)
+            for g in range(n + 1):
+                rows, cols = math.comb(m + g - 1, m), math.comb(m + g, m)
+                block = basis.lowering_block(i, g)
+                assert isinstance(block, sp.csr_matrix) and block.shape == (rows, cols)
+                np.testing.assert_array_equal(block.toarray(), a[:rows, :cols].toarray())
+                # a_i sends grade g to g - 1: its rows of grade < g hold no
+                # column of grade > g, and its columns of grade <= g no row of grade >= g
+                assert a[:rows, cols:].nnz == 0 and a[rows:, :cols].nnz == 0
+                assert basis.lowering_block(i, g) is block
+
+    def test_grade_out_of_range(self):
+        basis = enumerate_basis(2, 3)
+        for g in (-1, 4):
+            with pytest.raises(ValueError, match="grade must lie"):
+                basis.lowering_block(0, g)
+
+
 class TestClosedFormRank:
     # (80, 2): a mixed-radix key 3^80 would overflow int64, the rank stays below dim
     SIZES = [(1, 12), (4, 6), (12, 7), (80, 2)]

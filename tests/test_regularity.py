@@ -423,6 +423,64 @@ class TestExactDecompositions:
         assert rep.lhs == pytest.approx(want, rel=1e-13)
 
 
+def full_branch_sum(psi, n, basis):
+    """sum over n-tuples of ||a_{i_1} ... a_{i_n} psi||^2 with the full-size a_i."""
+    a = [basis.lowering(i) for i in range(basis.n_modes)]
+
+    def branch(v, depth):
+        if depth == n:
+            return float(np.linalg.norm(v) ** 2)
+        return sum(branch(apply_fock(x, v), depth + 1) for x in a)
+
+    return branch(psi, 0)
+
+
+class TestGradeBlockDecompositions:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_factorial_equals_full_matrix_branch_sum(self, n_modes, d, n):
+        # n_max = 3, so order 3 lowers down to the vacuum
+        basis = enumerate_basis(n_modes, 3)
+        rng = np.random.default_rng(100 * n_modes + 10 * d + n)
+        v = rng.standard_normal(d * len(basis)) + 1j * rng.standard_normal(d * len(basis))
+        psi = v / np.linalg.norm(v)
+        rep = factorial_moment_decomposition(psi, n, basis)
+        want = full_branch_sum(psi, n, basis)
+        assert abs(rep.lhs - want) <= 1e-15 * want
+        assert rep.passed
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_number_equals_smeared_annihilators(self, d):
+        basis = enumerate_basis(3, 4)
+        grid = build_radial_grid(3, 0.2, 1.1, 3)
+        grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
+        rng = np.random.default_rng(16)
+        v = rng.standard_normal(d * len(basis)) + 1j * rng.standard_normal(d * len(basis))
+        psi = v / np.linalg.norm(v)
+        K = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        want = 0.0
+        for mo in range(3):
+            f = np.zeros(3, dtype=complex)
+            f[mo] = np.conj(K[mo]) / math.sqrt(grid.weights[mo])
+            a = regularity.fock.smeared_annihilator(f, grid, basis)
+            want += float(np.linalg.norm(apply_fock(a, psi)) ** 2)
+        rep = number_decomposition(psi, K, basis, grid)
+        assert rep.lhs == pytest.approx(want, rel=1e-14)
+        dg = float(np.real(np.vdot(psi, apply_fock(dgamma(np.abs(K) ** 2, basis), psi))))
+        assert rep.rhs == dg
+
+    def test_order_three_on_a_wide_basis(self):
+        # 12 modes, n_max 4: 1,728 ordered triples through the grade blocks
+        basis = enumerate_basis(12, 4)
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        psi = v / np.linalg.norm(v)
+        rep = factorial_moment_decomposition(psi, 3, basis)
+        assert rep.passed and rep.rel_err <= 1e-14
+        assert abs(rep.lhs - full_branch_sum(psi, 3, basis)) <= 1e-14 * rep.lhs
+
+
 class TestAppendixSuite:
     def test_reports_are_the_worst_of_the_draws(self):
         m = spin_boson(n_modes=2, n_max=4)
@@ -534,6 +592,43 @@ class TestCcrSuite:
         pairing = reports["creator_adjoint_pairing"]
         assert not pairing.passed
         assert pairing.lhs == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_batched_bounds_match_per_draw_operators(self, monkeypatch, scale):
+        # scale 3 inflates every smearing coefficient, so both bounds break
+        # and the reported violation is the largest per-draw margin
+        smearing = regularity.fock.smearing_coefficients
+        monkeypatch.setattr(regularity.fock, "smearing_coefficients",
+                            lambda f, grid: scale * smearing(f, grid))
+        basis = enumerate_basis(3, 4)
+        grid = build_radial_grid(3, 0.3, 1.1, 3)
+        grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
+        reports = {r.check_name: r for r in ccr_and_bound_suite(basis, grid, seed=7,
+                                                                 n_draws=200)}
+        # replay the suite's draws: the Leibniz g and f, then (psi, f) per draw
+        rng = np.random.default_rng(7)
+        rng.uniform(0.25, 2.0, size=3)
+        rng.standard_normal(3), rng.standard_normal(3)
+        dgw = dgamma(grid.omega, basis)
+        viol_a = viol_c = top = 0.0
+        for _ in range(200):
+            psi = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            psi /= np.linalg.norm(psi)
+            f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            f_over = float(np.sum(np.abs(f) ** 2 * grid.weights / grid.omega))
+            f_norm = float(np.sum(np.abs(f) ** 2 * grid.weights))
+            energy = float(np.real(np.vdot(psi, dgw @ psi)))
+            a = regularity.fock.smeared_annihilator(f, grid, basis)
+            viol_a = max(viol_a, float(np.linalg.norm(a @ psi) ** 2) - f_over * energy)
+            viol_c = max(viol_c, float(np.linalg.norm(a.conj().T @ psi) ** 2)
+                         - (f_over * energy + f_norm))
+            top = max(top, basis.w_top(psi))
+        for name, want in (("relative_bound_annihilator", viol_a),
+                           ("relative_bound_creator", viol_c)):
+            rep = reports[name]
+            assert (want > 0) == (scale > 1) and rep.passed == (want == 0)
+            assert rep.lhs == pytest.approx(want, rel=1e-13, abs=0)
+            assert rep.w_top == top and rep.metadata == {"draws": 200}
 
     def test_no_dense_copy(self, monkeypatch):
         # every commutator maximum is taken on the sparse matrix: a dense

@@ -262,6 +262,25 @@ class TestCgKernel:
         resolvent_apply(m.H, E, 0.5, v, CFG)
         np.testing.assert_array_equal(v, v_copy)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_level_one_calls_stay_in_scipy_blas(self, kind, monkeypatch):
+        # numpy and scipy bundle separate OpenBLAS libraries, each with a
+        # thread pool: a numpy dot or norm between scipy's axpy calls puts
+        # both pools on the same cores
+        m, E, v = cg_problem(kind)
+        want, it_ref, _ = oracle.reference_pcg(m.H.mat, E, 0.5, v, CFG.cg_tol, CFG.cg_max)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy level-1 call in the CG loop")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        u, it, relres = resolvent_apply(m.H, E, 0.5, v, CFG)
+        assert it == it_ref > 0 and relres <= CFG.cg_tol
+        assert u.dtype == want.dtype
+        err = math.sqrt(np.sum(np.abs(u - want) ** 2))
+        assert err <= 1e-14 * math.sqrt(np.sum(np.abs(want) ** 2))
+
     def test_nan_raises(self):
         # a nan right-hand side or operator must not return as a converged solve
         m, E, v = cg_problem("real")
