@@ -6,8 +6,9 @@ report rows; `run` calls it once per configured check, building the model
 and its ground state on first use, and writes resolved_config.json,
 report.json, report.csv (and sweep.csv, read from the ir_sweep_verdict
 reports) into the output directory.  Exit codes: 0 all checks passed, 1 a
-check failed, 2 config/schema violation, 3 solver failure (a solve that
-does not converge, or a float overflow in H or in a check's arithmetic).
+check failed, 2 config/schema violation or an output path that cannot be
+written, 3 solver failure (a solve that does not converge, or a float
+overflow in H or in a check's arithmetic).
 
 Reports are written with deterministic formatting, so identical configs and
 seeds produce byte-identical report.csv files.
@@ -16,6 +17,7 @@ seeds produce byte-identical report.csv files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -86,7 +88,8 @@ class PullthroughCheck(_Strict):
     f: ColumnSpec = "coupling"
 
     def reports(self, run: _Run) -> list:
-        return [regularity.pullthrough_check(run.model, run.gs, run.column(self.f), run.solver)]
+        return [regularity.pullthrough_check(run.model, run.gs, run.column(self.f),
+                                             run.cfg.solver)]
 
 
 class MomentCheck(_Strict):
@@ -94,7 +97,7 @@ class MomentCheck(_Strict):
     G: ColumnSpec = "ones"
 
     def reports(self, run: _Run) -> list:
-        return [regularity.moment_identity(run.model, run.gs, run.column(self.G), run.solver)]
+        return [regularity.moment_identity(run.model, run.gs, run.column(self.G), run.cfg.solver)]
 
 
 class AbsenceCheck(_Strict):
@@ -103,7 +106,7 @@ class AbsenceCheck(_Strict):
 
     def reports(self, run: _Run) -> list:
         return [regularity.absence_lower_bound(run.model, run.gs, run.column(self.G),
-                                               run.solver)]
+                                               run.cfg.solver)]
 
 
 class HigherCheck(_Strict):
@@ -111,7 +114,7 @@ class HigherCheck(_Strict):
     n: int = Field(ge=1, le=3)
 
     def reports(self, run: _Run) -> list:
-        return [regularity.higher_moment_identity(run.model, run.gs, self.n, run.solver)]
+        return [regularity.higher_moment_identity(run.model, run.gs, self.n, run.cfg.solver)]
 
 
 class AppendixCheck(_Strict):
@@ -120,7 +123,7 @@ class AppendixCheck(_Strict):
     order: int = Field(default=2, ge=1)
 
     def reports(self, run: _Run) -> list:
-        return regularity.appendix_suite(run.model, self.draws, self.order, run.solver.seed)
+        return regularity.appendix_suite(run.model, self.draws, self.order, run.cfg.solver.seed)
 
 
 class CcrCheck(_Strict):
@@ -131,8 +134,8 @@ class CcrCheck(_Strict):
         # the suite runs on the first three modes with at most four quanta
         k = min(run.grid.n_modes, 3)
         basis = fock.enumerate_basis(k, max(min(run.cfg.n_max, 4), 1))
-        return regularity.ccr_and_bound_suite(basis, run.grid.head(k), seed=run.solver.seed,
-                                              n_draws=self.draws)
+        return regularity.ccr_and_bound_suite(basis, run.grid.head(k),
+                                              seed=run.cfg.solver.seed, n_draws=self.draws)
 
 
 class IrSweepCheck(_Strict):
@@ -140,7 +143,6 @@ class IrSweepCheck(_Strict):
     sigmas: List[PositiveFloat] = Field(min_length=2)
     shells_per_decade: int = Field(default=16, ge=1)
     ctol: float = Field(default=1e-3, gt=0)
-    n_max: Optional[int] = Field(default=None, ge=0)
 
     @model_validator(mode="after")
     def _decreasing(self):
@@ -163,8 +165,7 @@ class IrSweepCheck(_Strict):
         # every coupling channel on every rung
         ladder = [(sigma, build_grid(grid, cfg.coupling)) for sigma, grid in self.rungs(cfg.grid)]
         A, B = cfg.model.matter()
-        n_max = self.n_max if self.n_max is not None else cfg.n_max
-        rows, verdict = regularity.ir_sweep(ladder, A, B, cfg.alpha, n_max, run.solver,
+        rows, verdict = regularity.ir_sweep(ladder, A, B, cfg.alpha, cfg.n_max, cfg.solver,
                                             ctol=self.ctol)
         return [regularity.sweep_verdict_report(rows, verdict, self.ctol)]
 
@@ -253,6 +254,10 @@ def load_config(path) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _validate(raw)
+
+
+def _validate(raw) -> RunConfig:
     try:
         return RunConfig.model_validate(raw)
     except ValidationError as exc:
@@ -279,13 +284,12 @@ def build_model(cfg: RunConfig, grid: modes.ModeSet) -> model_mod.GsbModel:
 
 
 class _Run:
-    """What the checks of one run share: the config, its grid, its solver config,
-    and the model and its ground state, each built on first use, once per run."""
+    """What the checks of one run share: the config, its grid, and the model
+    and its ground state, each built on first use, once per run."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.grid = build_grid(cfg.grid, cfg.coupling)
-        self.solver = cfg.solver
 
     @cached_property
     def model(self) -> model_mod.GsbModel:
@@ -293,7 +297,7 @@ class _Run:
 
     @cached_property
     def gs(self):
-        return spectral.solve_model(self.model, self.solver)
+        return spectral.solve_model(self.model, self.cfg.solver)
 
     def column(self, selector) -> np.ndarray:
         """The column a check's f or G names; RunConfig has checked an explicit one's length."""
@@ -353,10 +357,9 @@ def write_report_csv(reports, path) -> None:
 
 def write_sweep_csv(reports, path) -> None:
     """One row per rung of each ir_sweep_verdict report, read from its metadata."""
-    # a row dict holds the IrSweepRow fields in the header's order
-    _write_csv(path, ["sigma", "n_shells", "E", "expectation_N", "absence_bound",
-                      "lam_over_w_norm", "max_w_top", "verdict"],
-               ([*row.values(), r.metadata["verdict"]["kind"]]
+    names = [f.name for f in dataclasses.fields(regularity.IrSweepRow)]
+    _write_csv(path, names + ["verdict"],
+               ([row[k] for k in names] + [r.metadata["verdict"]["kind"]]
                 for r in reports for row in r.metadata["rows"]))
 
 
@@ -386,9 +389,9 @@ def _exit_on_failure():
     or input error, 3 for a solver failure."""
     try:
         yield
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         # ValueError covers BasisSizeError, a malformed GSB_MAX_DIM and inputs
-        # the schema cannot see
+        # the schema cannot see; OSError an output path that cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except spectral.NonConverged as exc:
@@ -404,7 +407,8 @@ def _load(config, out, seed=None):
     """The config with --seed applied, and its output directory, created."""
     cfg = load_config(config)
     if seed is not None:
-        cfg = cfg.model_copy(update={"solver": cfg.solver.model_copy(update={"seed": seed})})
+        # through the schema, so --seed meets the bounds of solver.seed
+        cfg = _validate({**cfg.model_dump(), "solver": {**cfg.solver.model_dump(), "seed": seed}})
     out_dir = Path(out or cfg.output or "gsblab_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
@@ -418,11 +422,11 @@ def _common_run(config, out, seed, dry_run, selected=None):
             click.echo(f"dry run: resolved config written to {out_dir}")
             return
         reports, gs = execute_run(cfg, selected_kinds=selected)
-    write_report_csv(reports, out_dir / "report.csv")
-    write_report_json(reports, out_dir / "report.json", gs)
-    sweeps = [r for r in reports if r.check_name == "ir_sweep_verdict"]
-    if sweeps:
-        write_sweep_csv(sweeps, out_dir / "sweep.csv")
+        write_report_csv(reports, out_dir / "report.csv")
+        write_report_json(reports, out_dir / "report.json", gs)
+        sweeps = [r for r in reports if r.check_name == "ir_sweep_verdict"]
+        if sweeps:
+            write_sweep_csv(sweeps, out_dir / "sweep.csv")
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.check_name}: lhs={r.lhs:.12g} rhs={r.rhs:.12g} "

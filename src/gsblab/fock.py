@@ -69,8 +69,7 @@ class FockBasis:
 
     `occupations` holds one row per state in basis order, and `rank` maps
     occupation rows back to their indices.  Annihilators are built once per
-    mode and kept (`lowering`), and so are their nonzero entries
-    (`lowering_entries`) and their grade blocks (`lowering_block`).
+    mode and kept (`lowering`), and so are their grade blocks (`lowering_block`).
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -92,7 +91,6 @@ class FockBasis:
         self.top_mask = self.totals == n_max
         self.interior_mask = self.totals <= n_max - 1
         self._lowering: dict = {}
-        self._entries: dict = {}
         self._blocks: dict = {}
 
     def rank(self, occupations) -> np.ndarray:
@@ -112,17 +110,6 @@ class FockBasis:
         if i not in self._lowering:
             self._lowering[i] = annihilator(i, self)
         return self._lowering[i]
-
-    def lowering_entries(self, i: int) -> tuple:
-        """(rows, cols, values) of the nonzeros of a_i, kept like `lowering`.
-
-        a_i sends state t to t - e_i, so no two modes share an entry: a sum
-        of scaled a_i is the concatenation of their scaled entries.
-        """
-        if i not in self._entries:
-            coo = self.lowering(i).tocoo()
-            self._entries[i] = (coo.row, coo.col, coo.data)
-        return self._entries[i]
 
     def lowering_block(self, i: int, g: int) -> sp.csr_matrix:
         """a_i from grades <= g to grades <= g - 1, kept like `lowering`.
@@ -364,10 +351,11 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
     modes = np.flatnonzero(coeff)
     if not len(modes):
         return sp.csr_matrix((n, n), dtype=complex)
-    entries = [basis.lowering_entries(i) for i in modes]
-    rows = np.concatenate([r for r, _, _ in entries])
-    cols = np.concatenate([c for _, c, _ in entries])
-    data = np.concatenate([coeff[i] * v for i, (_, _, v) in zip(modes, entries)])
+    # a_i sends t to t - e_i, so no two modes share an entry: concatenate the scaled a_i
+    lowerings = [basis.lowering(i) for i in modes]
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.indptr)) for a in lowerings])
+    cols = np.concatenate([a.indices for a in lowerings])
+    data = np.concatenate([coeff[i] * a.data for i, a in zip(modes, lowerings)])
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 

@@ -71,14 +71,14 @@ class RegularityReport:
     """Outcome of one identity check.
 
     lhs and rhs are the two computed values (scalars, or norms for vector
-    identities); passed is decided by rel_err <= tol_used or
-    abs_err <= tol_used * scale with scale = max(|lhs|, |rhs|, 1).
+    identities).  passed is rel_err <= tol_used, or for an identity the
+    distance of its sides (|lhs - rhs|; lhs itself for pull-through) <=
+    tol_used * max(|lhs|, |rhs|, 1); a sweep passes by its verdict.
     """
 
     check_name: str
     lhs: float
     rhs: float
-    abs_err: float
     rel_err: float
     w_top: float
     tol_used: float
@@ -90,7 +90,6 @@ class RegularityReport:
         # the JSON and CSV writers stay format-stable.
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
-        self.abs_err = float(self.abs_err)
         self.rel_err = float(self.rel_err)
         self.w_top = float(self.w_top)
         self.tol_used = float(self.tol_used)
@@ -120,10 +119,8 @@ def _scalar_report(name, lhs, rhs, w_top, tol, metadata=None,
         scale = max(abs(lhs), abs(rhs), 1.0)
         rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
         passed = rel_err <= tol or abs_err <= tol * scale
-    return RegularityReport(
-        check_name=name, lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
-        w_top=w_top, tol_used=tol, passed=passed, metadata=metadata or {},
-    )
+    return RegularityReport(check_name=name, lhs=lhs, rhs=rhs, rel_err=rel_err, w_top=w_top,
+                            tol_used=tol, passed=passed, metadata=metadata or {})
 
 
 def _require_solved(gs: GroundState) -> None:
@@ -241,11 +238,10 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     rel_err = diff / max(rhs_norm, lhs_norm, 1e-300)
     tol = resolvent_tol(gs.w_top, cfg.cg_tol)
     return RegularityReport(
-        check_name="pullthrough", lhs=diff, rhs=rhs_norm, abs_err=diff,
-        rel_err=rel_err, w_top=gs.w_top, tol_used=tol,
+        check_name="pullthrough", lhs=diff, rhs=rhs_norm, rel_err=rel_err,
+        w_top=gs.w_top, tol_used=tol,
         passed=rel_err <= tol or diff <= tol * max(rhs_norm, 1.0),
-        metadata={"mode_solves": _mode_stats(chains), "lhs_norm": lhs_norm,
-                  "alpha": m.alpha, "n_max": m.n_max},
+        metadata={"mode_solves": _mode_stats(chains), "lhs_norm": lhs_norm},
     )
 
 
@@ -260,7 +256,7 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
     tol = resolvent_tol(gs.w_top, cfg.cg_tol)
     return _scalar_report(
         "moment_identity", lhs, rhs, gs.w_top, tol,
-        metadata={"mode_solves": _mode_stats(chains), "alpha": m.alpha, "n_max": m.n_max},
+        metadata={"mode_solves": _mode_stats(chains)},
     )
 
 
@@ -288,14 +284,12 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
     rhs *= m.alpha**2
     violation = _bound_violation(lhs, rhs)
     return RegularityReport(
-        check_name="absence_lower_bound", lhs=lhs, rhs=rhs,
-        abs_err=max(rhs - lhs, 0.0), rel_err=violation, w_top=gs.w_top,
-        tol_used=ABSENCE_TOL, passed=violation <= ABSENCE_TOL,
+        check_name="absence_lower_bound", lhs=lhs, rhs=rhs, rel_err=violation,
+        w_top=gs.w_top, tol_used=ABSENCE_TOL, passed=violation <= ABSENCE_TOL,
         metadata={
             "margin": lhs - rhs,
             "equality_gap": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0),
             "t_expectations_real": [t.real for t in t_expect],
-            "alpha": m.alpha, "n_max": m.n_max,
         },
     )
 
@@ -348,11 +342,10 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     return _scalar_report(
         f"higher_moment_n{n}", lhs, rhs, gs.w_top, tol,
         metadata={
-            "order": n, "resolvent_solves": len(chains),
+            "resolvent_solves": len(chains),
             "cg_iterations": sum(c[1] for c in chains.values()),
             "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0),
             "naive_solves": naive, "memo_hit_rate": 1.0 - len(chains) / naive,
-            "alpha": m.alpha, "n_max": m.n_max,
         },
     )
 
@@ -421,8 +414,7 @@ def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
     """The worst of `draws` seeded draws of each exact decomposition on m's space.
 
     Each draw is a normalized complex composite vector and a complex mode
-    column; the factorial moment is taken at order min(order, n_max).  Both
-    reports record the draw count.
+    column; the factorial moment is taken at order min(order, n_max).
     """
     rng = np.random.default_rng(seed)
     order = min(order, m.n_max)
@@ -434,8 +426,6 @@ def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
         reps = (number_decomposition(psi, K, m.basis, m.grid),
                 factorial_moment_decomposition(psi, order, m.basis))
         worst = [r if w is None or r.rel_err > w.rel_err else w for w, r in zip(worst, reps)]
-    for rep in worst:
-        rep.metadata["draws"] = draws
     return worst
 
 
@@ -534,8 +524,7 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     # both worst violations are at least 0.0, so each deviation is the violation
     for name, viol in (("relative_bound_annihilator", worst_a_viol),
                        ("relative_bound_creator", worst_c_viol)):
-        reports.append(_scalar_report(name, viol, 0.0, top_weight, 1e-10,
-                                      metadata={"draws": n_draws}, deviation=True))
+        reports.append(_scalar_report(name, viol, 0.0, top_weight, 1e-10, deviation=True))
     return reports
 
 
@@ -710,11 +699,10 @@ def sweep_verdict_report(rows, verdict: SweepVerdict, ctol: float) -> Regularity
     violations = [_bound_violation(r.expectation_N, r.absence_bound) for r in rows]
     worst = int(np.argmax(violations))
     last = rows[-1]
-    abs_err = abs(last.expectation_N - last.absence_bound)
     return RegularityReport(
         check_name="ir_sweep_verdict", lhs=last.expectation_N, rhs=last.absence_bound,
-        abs_err=abs_err,
-        rel_err=abs_err / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
+        rel_err=abs(last.expectation_N - last.absence_bound)
+        / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
         w_top=last.max_w_top, tol_used=ctol,
         passed=(expected is None or verdict.kind == expected)
         and violations[worst] <= ABSENCE_TOL,

@@ -58,7 +58,7 @@ class SolverConfig(BaseModel):
     max_lanczos: int = Field(default=2000, ge=1)
     cg_tol: float = Field(default=1e-11, gt=0, lt=1)
     cg_max: int = Field(default=20000, ge=1)
-    seed: int = 7
+    seed: int = Field(default=7, ge=0)
 
 
 class NonConverged(RuntimeError):

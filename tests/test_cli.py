@@ -360,7 +360,7 @@ class TestArtifacts:
         cfg = base_config(
             output=str(out),
             checks=[{"kind": "ir_sweep", "sigmas": [0.2, 0.1],
-                     "shells_per_decade": 2, "n_max": 8}],
+                     "shells_per_decade": 2}],
         )
         path = write_config(tmp_path, cfg)
         result = run_cli(["sweep", "--config", str(path)])
@@ -373,6 +373,23 @@ class TestArtifacts:
         assert rows[0][:5] == ["sigma", "n_shells", "E", "expectation_N",
                                "absence_bound"]
         assert len(rows) == 3
+
+    def test_report_json_entries_hold_no_config_setting(self, tmp_path):
+        # one check of every kind: the settings live in resolved_config.json only
+        out = tmp_path / "out"
+        cfg = base_config(output=str(out), checks=[
+            {"kind": "pullthrough"}, {"kind": "moment"}, {"kind": "absence"},
+            {"kind": "higher", "n": 2}, {"kind": "appendix", "draws": 2},
+            {"kind": "ccr", "draws": 2},
+            {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2}])
+        assert {c["kind"] for c in cfg["checks"]} == set(cli._CHECK_KINDS)
+        run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        assert len(reports) == 13
+        for rep in reports:
+            assert rep.keys() == {"check_name", "lhs", "rhs", "rel_err", "w_top", "tol_used",
+                                  "pass", "metadata"}
+            assert not rep["metadata"].keys() & {"alpha", "n_max", "order", "draws"}
 
     def test_faithful_sweep_passes_and_writes_artifacts(self, tmp_path):
         # van Hove nu = 1, p = 0 with alpha = 0.05 and n_max = 12 stays well
@@ -681,6 +698,9 @@ class TestFailureExits:
         # the ccr suite's size is fixed: its first three modes, at most four quanta
         ({"checks": [{"kind": "ccr", "n_modes": 2}]},
          "checks.0.ccr.n_modes: Extra inputs are not permitted"),
+        # a sweep runs at the config's n_max
+        ({"checks": [{"kind": "ir_sweep", "sigmas": [0.2, 0.1], "n_max": 8}]},
+         "checks.0.ir_sweep.n_max: Extra inputs are not permitted"),
     ])
     def test_removed_or_ignored_setting_is_one_line(self, tmp_path, update, line):
         cfg = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
@@ -817,6 +837,39 @@ class TestFailureExits:
         self.assert_one_line_error(result)
         assert "cannot read config" in result.output
 
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"]])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_negative_seed_is_two(self, tmp_path, command, via):
+        # --seed is validated by the schema, like solver.seed
+        cfg = json.loads((EXAMPLES / "van_hove_single_mode.json").read_text())
+        args = [*command, "--out", str(tmp_path / "out")]
+        if via == "config":
+            cfg["solver"] = {**cfg.get("solver", {}), "seed": -3}
+        else:
+            args += ["--seed", "-3"]
+        result = run_cli([*args, "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == [
+            "error: config schema violation:",
+            "  solver.seed: Input should be greater than or equal to 0"]
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["dump", "grid"]])
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "report_is_dir"])
+    def test_unwritable_output_is_two(self, tmp_path, command, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = {"out_is_file": blocker, "out_under_file": blocker / "sub",
+               "report_is_dir": tmp_path / "out"}[case]
+        if case == "report_is_dir":
+            # the output directory exists, and its first artifact path is a directory
+            for name in ("report.csv", "grid.csv"):
+                (out / name).mkdir(parents=True)
+        result = run_cli([*command, "--config", str(EXAMPLES / "van_hove_single_mode.json"),
+                          "--out", str(out)])
+        self.assert_one_line_error(result)
+        assert len(result.stderr.splitlines()) == 1
+
     def test_shifted_matter_energy_passes(self, tmp_path):
         path = write_config(tmp_path, custom_shifted_config(tmp_path / "out"))
         result = run_cli(["run", "--config", str(path)])
@@ -853,7 +906,7 @@ class TestSolveBlock:
     def test_sweep_has_no_solve_block(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(output=str(out), checks=[
-            {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2, "n_max": 8}])
+            {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2}])
         # truncated like test_sweep_csv_written, so the verdict fails
         assert run_cli(["sweep", "--config", str(write_config(tmp_path, cfg))]).exit_code == 1
         assert json.loads((out / "report.json").read_text())["solve"] is None

@@ -218,7 +218,6 @@ class TestSmearedOperators:
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_array_equal(got.data, want.data)
-        assert basis.lowering_entries(2) is basis.lowering_entries(2)
 
     def test_antilinearity_in_f(self):
         grid = small_grid(2)
