@@ -71,8 +71,13 @@ class CustomMatter(_Strict):
     A: List[List[float]]
     B: List[List[List[float]]]
 
+    @model_validator(mode="after")
+    def _valid_matter(self):
+        self.matter()
+        return self
+
     def matter(self):
-        return np.asarray(self.A, dtype=float), [np.asarray(b, dtype=float) for b in self.B]
+        return model_mod.check_matter(self.A, self.B)
 
 
 # discriminated on preset: each preset takes only its own fields
@@ -190,10 +195,7 @@ class RunConfig(_Strict):
 
     @model_validator(mode="after")
     def _channels_match(self):
-        expected = len(self.model.matter()[1])
-        if len(self.coupling) != expected:
-            raise ValueError(f"model has {expected} coupling channel(s) but "
-                             f"{len(self.coupling)} were given")
+        model_mod.check_matter(*self.model.matter(), len(self.coupling))
         return self
 
     @model_validator(mode="after")

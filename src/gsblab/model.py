@@ -33,14 +33,33 @@ __all__ = [
     "VanHoveValues",
     "preset_van_hove",
     "preset_spin_boson",
-    "is_separable",
+    "check_matter",
 ]
 
 HERMITICITY_TOL = 1e-12
 
 
-def _check_hermitian(name: str, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
+def check_matter(A, B, n_channels=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A and the B_j as float (or complex) arrays, each a finite hermitian matrix of A's shape.
+
+    Hermiticity is checked to 1e-12 times the largest entry (at least 1).
+    With n_channels given, the B_j must number one per coupling column.
+    """
+    A = _check_hermitian("A", A)
+    B = [_check_hermitian(f"B[{j}]", b) for j, b in enumerate(B)]
+    for j, b in enumerate(B):
+        if b.shape != A.shape:
+            raise ValueError(f"B[{j}] has shape {b.shape}, expected {A.shape}")
+    if n_channels is not None and len(B) != n_channels:
+        raise ValueError(f"{len(B)} matter channel(s) but {n_channels} coupling column(s)")
+    return A, B
+
+
+def _check_hermitian(name: str, m) -> np.ndarray:
+    try:
+        m = np.asarray(m)
+    except ValueError:  # numpy refuses ragged nested lists
+        raise ValueError(f"{name} must be a square matrix, got ragged rows") from None
     m = m.astype(np.result_type(m.dtype, float))  # real stays real, complex stays complex
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -101,23 +120,15 @@ class GsbModel:
 def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
-    A and every B_j must be finite, hermitian (checked to 1e-12) and share
-    one dimension; the grid must carry one coupling column per B_j.  H is one
-    CSR matrix, the Kronecker terms summed in the order written above.  Real
+    A and the B_j must pass check_matter, with one coupling column on the
+    grid per B_j.  H is one CSR matrix, the Kronecker terms summed in the
+    order written above.  Real
     A and B_j give a real H, so the ground solve runs in real arithmetic.
     An alpha large enough to overflow an entry of H raises no warning here:
     the ground solvers reject a non-finite H with NonConverged.
     """
-    A = _check_hermitian("A", A)
-    B = [_check_hermitian(f"B[{j}]", b) for j, b in enumerate(B)]
+    A, B = check_matter(A, B, grid.n_channels)
     d = A.shape[0]
-    for j, b in enumerate(B):
-        if b.shape != (d, d):
-            raise ValueError(f"B[{j}] has shape {b.shape}, expected {(d, d)}")
-    if len(B) != grid.n_channels:
-        raise ValueError(
-            f"{len(B)} matter channels but {grid.n_channels} coupling columns on the grid"
-        )
     basis = fock.enumerate_basis(grid.n_modes, n_max)
     nf = len(basis)
 
@@ -193,8 +204,3 @@ def preset_spin_boson(delta: float) -> tuple[np.ndarray, list[np.ndarray]]:
     A = 0.5 * delta * (sigma_z + np.eye(2))
     return A, [sigma_x]
 
-
-def is_separable(A, B) -> bool:
-    """True when the model factorizes over modes: scalar matter, one channel."""
-    A = np.asarray(A)
-    return A.shape == (1, 1) and len(B) == 1 and np.asarray(B[0]).shape == (1, 1)

@@ -4,6 +4,15 @@ Every check compares two independently computed values (or a vector against
 its resolvent reconstruction) and emits a RegularityReport carrying both
 sides, the discrepancy, the truncation weight w_top of the state, and the
 tolerance that was applied.  Each check kind of the CLI is one call here.
+
+Pass rule: a check has an error err (|lhs - rhs| by default) on a scale
+(max(|lhs|, |rhs|) by default), reports rel_err = err / scale and passes
+when rel_err <= tol or err <= tol * max(scale, 1).  Pull-through takes err
+= ||difference|| on the larger of the two sides' norms; the projection
+bound err = max(rhs - lhs, 0) on max(|lhs|, |rhs|, 1); the commutation
+and relative-bound deviations scale 1, so their tolerance is absolute.  A
+sweep passes by its verdict.
+
 The pull-through, moment and higher-moment checks read one memoized solver
 of resolvent chains over mode multisets, _chains; its level 1 is the
 pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
@@ -68,12 +77,12 @@ def resolvent_tol(w_top: float, cg_tol: float) -> float:
 
 @dataclass
 class RegularityReport:
-    """Outcome of one identity check.
+    """Outcome of one identity check, made by _report.
 
     lhs and rhs are the two computed values (scalars, or norms for vector
-    identities).  passed is rel_err <= tol_used, or for an identity the
-    distance of its sides (|lhs - rhs|; lhs itself for pull-through) <=
-    tol_used * max(|lhs|, |rhs|, 1); a sweep passes by its verdict.
+    identities).  rel_err is the check's error err over its scale, and
+    passed is rel_err <= tol_used or err <= tol_used * max(scale, 1); a
+    sweep passes by its verdict instead.
     """
 
     check_name: str
@@ -84,16 +93,6 @@ class RegularityReport:
     tol_used: float
     passed: bool
     metadata: dict = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        # numpy scalars sneak in through accumulations; pin plain types so
-        # the JSON and CSV writers stay format-stable.
-        self.lhs = float(self.lhs)
-        self.rhs = float(self.rhs)
-        self.rel_err = float(self.rel_err)
-        self.w_top = float(self.w_top)
-        self.tol_used = float(self.tol_used)
-        self.passed = bool(self.passed)
 
     def to_row(self) -> list:
         return [self.check_name, self.lhs, self.rhs, self.rel_err, self.w_top, self.passed]
@@ -106,21 +105,24 @@ class RegularityReport:
         return out
 
 
-def _scalar_report(name, lhs, rhs, w_top, tol, metadata=None,
-                   deviation=False) -> RegularityReport:
-    # deviation=True: lhs is itself an error measure against a zero target,
-    # so rel_err is the deviation and the tolerance is absolute.
+def _report(name, lhs, rhs, w_top, tol, metadata=None, err=None, scale=None,
+            passed=None) -> RegularityReport:
+    """The report of a check by the pass rule (module docstring), in plain floats.
+
+    err defaults to |lhs - rhs| and scale to max(|lhs|, |rhs|); passed,
+    when given, overrides the rule.
+    """
+    # numpy scalars sneak in through accumulations; plain types keep the
+    # JSON and CSV writers format-stable
     lhs, rhs = float(lhs), float(rhs)
-    abs_err = abs(lhs - rhs)
-    if deviation:
-        rel_err = abs_err
-        passed = abs_err <= tol
-    else:
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-        passed = rel_err <= tol or abs_err <= tol * scale
-    return RegularityReport(check_name=name, lhs=lhs, rhs=rhs, rel_err=rel_err, w_top=w_top,
-                            tol_used=tol, passed=passed, metadata=metadata or {})
+    err = abs(lhs - rhs) if err is None else float(err)
+    scale = max(abs(lhs), abs(rhs)) if scale is None else float(scale)
+    rel_err = err / max(scale, 1e-300)
+    if passed is None:
+        passed = rel_err <= tol or err <= tol * max(scale, 1.0)
+    return RegularityReport(check_name=name, lhs=lhs, rhs=rhs, rel_err=rel_err,
+                            w_top=float(w_top), tol_used=float(tol), passed=bool(passed),
+                            metadata=metadata or {})
 
 
 def _require_solved(gs: GroundState) -> None:
@@ -178,10 +180,11 @@ def _chain_moment(m: GsbModel, gs: GroundState, cfg: SolverConfig, n: int, G):
     return total * m.alpha ** (2 * n), chains
 
 
-def _mode_stats(chains: dict) -> list:
-    """Per-mode solver stats of level-1 chains, in the order they were solved."""
-    return [{"mode": S[0], "cg_iterations": iters, "cg_relres": relres}
-            for S, (_, iters, relres) in chains.items()]
+def _solve_stats(chains: dict) -> dict:
+    """The solver stats of a check's chain solves: count, CG iterations, worst residual."""
+    return {"resolvent_solves": len(chains),
+            "cg_iterations": sum(c[1] for c in chains.values()),
+            "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0)}
 
 
 def _dgamma_form(psi: np.ndarray, g, basis: FockBasis) -> float:
@@ -198,6 +201,8 @@ def _dgamma_expectation(m: GsbModel, gs: GroundState, G):
     """(G as floats, <phi_g, (1 (x) dGamma(G)) phi_g>) for a solved gs and a G >= 0."""
     _require_solved(gs)
     G = np.asarray(G, dtype=float)
+    if G.shape != (m.grid.n_modes,):
+        raise ValueError("column length must match grid and basis mode count")
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
     return G, _dgamma_form(gs.vector, G, m.basis)
@@ -220,7 +225,7 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     Each mode contributes one sqrt(w_i) from the smearing convention and one
     from the discrete commutator [1 (x) a_i, H_I] = sqrt(w_i) T(k_i).
     The report's lhs is the norm of the difference, rhs the norm of the
-    reconstruction; per-mode solver residuals ride along in the metadata.
+    reconstruction, and the scale the larger of the two sides' norms.
     """
     _require_solved(gs)
     f = np.asarray(f, dtype=complex)
@@ -235,14 +240,9 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     diff = float(np.linalg.norm(lhs_vec - rhs_vec))
     rhs_norm = float(np.linalg.norm(rhs_vec))
     lhs_norm = float(np.linalg.norm(lhs_vec))
-    rel_err = diff / max(rhs_norm, lhs_norm, 1e-300)
-    tol = resolvent_tol(gs.w_top, cfg.cg_tol)
-    return RegularityReport(
-        check_name="pullthrough", lhs=diff, rhs=rhs_norm, rel_err=rel_err,
-        w_top=gs.w_top, tol_used=tol,
-        passed=rel_err <= tol or diff <= tol * max(rhs_norm, 1.0),
-        metadata={"mode_solves": _mode_stats(chains), "lhs_norm": lhs_norm},
-    )
+    return _report("pullthrough", diff, rhs_norm, gs.w_top, resolvent_tol(gs.w_top, cfg.cg_tol),
+                   {**_solve_stats(chains), "lhs_norm": lhs_norm},
+                   err=diff, scale=max(rhs_norm, lhs_norm))
 
 
 def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> RegularityReport:
@@ -253,11 +253,8 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
     """
     G, lhs = _dgamma_expectation(m, gs, G)
     rhs, chains = _chain_moment(m, gs, cfg, 1, G)
-    tol = resolvent_tol(gs.w_top, cfg.cg_tol)
-    return _scalar_report(
-        "moment_identity", lhs, rhs, gs.w_top, tol,
-        metadata={"mode_solves": _mode_stats(chains)},
-    )
+    return _report("moment_identity", lhs, rhs, gs.w_top, resolvent_tol(gs.w_top, cfg.cg_tol),
+                   _solve_stats(chains))
 
 
 def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> RegularityReport:
@@ -282,16 +279,10 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
         t_expect.append(t_phi)
         rhs += G[i] * m.grid.weights[i] * abs(t_phi) ** 2 / float(m.grid.omega[i]) ** 2
     rhs *= m.alpha**2
-    violation = _bound_violation(lhs, rhs)
-    return RegularityReport(
-        check_name="absence_lower_bound", lhs=lhs, rhs=rhs, rel_err=violation,
-        w_top=gs.w_top, tol_used=ABSENCE_TOL, passed=violation <= ABSENCE_TOL,
-        metadata={
-            "margin": lhs - rhs,
-            "equality_gap": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0),
-            "t_expectations_real": [t.real for t in t_expect],
-        },
-    )
+    # a one-sided bound: only a lhs below rhs is an error
+    return _report("absence_lower_bound", lhs, rhs, gs.w_top, ABSENCE_TOL,
+                   {"t_expectations_real": [t.real for t in t_expect]},
+                   err=max(rhs - lhs, 0.0), scale=max(abs(lhs), abs(rhs), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +311,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     The right-hand side is alpha^2n sum_S (n! / prod_l m_l!) prod_{j in S}
     w_j ||v(S)||^2 over the mode multisets S of size n, each chain v(S)
     aggregating all n! permutation chains of a tuple (see _chains).  Solves
-    are memoized per multiset, one solve each, and the hit rate against the
-    naive per-chain count is reported, with the total CG iterations and the
-    worst relative residual of those solves.  n above n_max raises
+    are memoized per multiset, one solve each.  n above n_max raises
     ValueError: the left side then vanishes on the truncated space.
     """
     _require_solved(gs)
@@ -337,17 +326,8 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
         )
     lhs = _falling_factorial_expectation(gs.vector, m.basis, n)
     rhs, chains = _chain_moment(m, gs, cfg, n, np.ones(M))
-    naive = (M**n) * math.factorial(n) * n  # a mode set has at least one mode
-    tol = resolvent_tol(gs.w_top, cfg.cg_tol)
-    return _scalar_report(
-        f"higher_moment_n{n}", lhs, rhs, gs.w_top, tol,
-        metadata={
-            "resolvent_solves": len(chains),
-            "cg_iterations": sum(c[1] for c in chains.values()),
-            "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0),
-            "naive_solves": naive, "memo_hit_rate": 1.0 - len(chains) / naive,
-        },
-    )
+    return _report(f"higher_moment_n{n}", lhs, rhs, gs.w_top,
+                   resolvent_tol(gs.w_top, cfg.cg_tol), _solve_stats(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +362,7 @@ def number_decomposition(psi: np.ndarray, K, basis: FockBasis,
         lowered = basis.lowering_block(mo, basis.n_max) @ cols
         lhs += abs(coeff[mo]) ** 2 * float(np.linalg.norm(lowered) ** 2)
     rhs = _dgamma_form(psi, np.abs(K) ** 2, basis)
-    return _scalar_report("number_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
+    return _report("number_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
 def factorial_moment_decomposition(psi: np.ndarray, n: int,
@@ -406,8 +386,7 @@ def factorial_moment_decomposition(psi: np.ndarray, n: int,
 
     lhs = branch_sum(_fock_columns(psi, basis), 0)
     rhs = _falling_factorial_expectation(psi, basis, n)
-    return _scalar_report("factorial_moment_decomposition", lhs, rhs, basis.w_top(psi),
-                          EXACT_TOL)
+    return _report("factorial_moment_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
 def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
@@ -453,30 +432,24 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     interior_cols = np.where(basis.interior_mask)[0]
     identity = sp.identity(len(basis), format="csr")
 
+    def worst(mats, cols=None):
+        # the largest |entry| of the matrices, on the columns cols when given
+        return max(float(abs(d if cols is None else d[:, cols]).max()) for d in mats)
+
+    def absolute(name, value, w_top=0.0, tol=1e-13):
+        # value is an error measure against a zero target: scale 1 makes tol absolute
+        reports.append(_report(name, value, 0.0, w_top, tol, scale=1.0))
+
+    pairs = [(i, j) for i in range(M) for j in range(M)]
     # [a_i, a_j*] - delta_ij on interior columns
-    worst = 0.0
-    for i in range(M):
-        for j in range(M):
-            dm = (a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i])
-            if i == j:
-                dm = dm - identity
-            worst = max(worst, float(abs(dm[:, interior_cols]).max()))
-    reports.append(_scalar_report("ccr_interior", worst, 0.0, 0.0, 1e-13, deviation=True))
-
+    absolute("ccr_interior", worst(
+        ((a_ops[i] @ c_ops[j]) - (c_ops[j] @ a_ops[i]) - (identity if i == j else 0)
+         for i, j in pairs), interior_cols))
     # [a_i, a_j] and [a_i*, a_j*] on all columns
-    worst = 0.0
-    for i in range(M):
-        for j in range(M):
-            c1 = (a_ops[i] @ a_ops[j]) - (a_ops[j] @ a_ops[i])
-            c2 = (c_ops[i] @ c_ops[j]) - (c_ops[j] @ c_ops[i])
-            worst = max(worst, float(abs(c1).max()), float(abs(c2).max()))
-    reports.append(_scalar_report("ccr_aa_and_creation", worst, 0.0, 0.0, 1e-13, deviation=True))
-
+    absolute("ccr_aa_and_creation", worst(
+        (x[i] @ x[j]) - (x[j] @ x[i]) for i, j in pairs for x in (a_ops, c_ops)))
     # adjoint pairing: creator equals the conjugate transpose of the annihilator
-    worst = 0.0
-    for i in range(M):
-        worst = max(worst, float(abs(c_ops[i] - a_ops[i].conj().T).max()))
-    reports.append(_scalar_report("creator_adjoint_pairing", worst, 0.0, 0.0, 1e-13, deviation=True))
+    absolute("creator_adjoint_pairing", worst(c - a.conj().T for c, a in zip(c_ops, a_ops)))
 
     # Leibniz commutators of dGamma on interior columns
     g = rng.uniform(0.25, 2.0, size=M)
@@ -484,16 +457,10 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     dg = fock.dgamma(g, basis)
     af = fock.smeared_annihilator(f, grid, basis)
     agf = fock.smeared_annihilator(g * f, grid, basis)
-    comm_a = (dg @ af) - (af @ dg) + agf
-    worst_a = float(abs(comm_a[:, interior_cols]).max())
     cf = af.conj().T
     cgf = agf.conj().T
-    comm_c = (dg @ cf) - (cf @ dg) - cgf
-    worst_c = float(abs(comm_c[:, interior_cols]).max())
-    reports.append(
-        _scalar_report("dgamma_leibniz_commutators", max(worst_a, worst_c), 0.0, 0.0, 1e-13,
-                       deviation=True)
-    )
+    absolute("dgamma_leibniz_commutators", worst(
+        [(dg @ af) - (af @ dg) + agf, (dg @ cf) - (cf @ dg) - cgf], interior_cols))
 
     # relative bounds on random draws, taken one by one in a fixed RNG order
     # and lowered as one (dim, n_draws) block per mode: a(f) psi is
@@ -521,10 +488,9 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     lhs_c = np.sum(np.abs(c_psi) ** 2, axis=0)
     worst_a_viol = max(0.0, float(np.max(lhs_a - f_over * energy_half)))
     worst_c_viol = max(0.0, float(np.max(lhs_c - (f_over * energy_half + f_norm))))
-    # both worst violations are at least 0.0, so each deviation is the violation
-    for name, viol in (("relative_bound_annihilator", worst_a_viol),
-                       ("relative_bound_creator", worst_c_viol)):
-        reports.append(_scalar_report(name, viol, 0.0, top_weight, 1e-10, deviation=True))
+    # both worst violations are at least 0.0, so each is its own error
+    absolute("relative_bound_annihilator", worst_a_viol, top_weight, 1e-10)
+    absolute("relative_bound_creator", worst_c_viol, top_weight, 1e-10)
     return reports
 
 
@@ -636,16 +602,13 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
         raise ValueError("need at least two sigma values")
     if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly decreasing")
-    for _, grid in ladder:
-        # assemble's rule; the separable path would read channel 0 alone
-        if grid.n_channels != len(B):
-            raise ValueError(f"{len(B)} matter channels but {grid.n_channels} "
-                             "coupling columns on a rung grid")
-    separable = model_mod.is_separable(A, B)
+    # assemble's rule on every rung; the separable path would read channel 0 alone
+    for n_channels in {grid.n_channels for _, grid in ladder}:
+        A, B = model_mod.check_matter(A, B, n_channels)
+    separable = A.shape == (1, 1) and len(B) == 1
     if separable:
-        # assemble's hermiticity rule; a hermitian 1x1 matrix is real
-        a0 = float(model_mod._check_hermitian("A", A)[0, 0].real)
-        b = float(model_mod._check_hermitian("B[0]", B[0])[0, 0].real)
+        # a hermitian 1x1 matrix is real
+        a0, b = float(A[0, 0].real), float(B[0][0, 0].real)
         ops = _single_mode_operators(n_max)
     rows = []
     for sigma, grid in ladder:
@@ -699,14 +662,9 @@ def sweep_verdict_report(rows, verdict: SweepVerdict, ctol: float) -> Regularity
     violations = [_bound_violation(r.expectation_N, r.absence_bound) for r in rows]
     worst = int(np.argmax(violations))
     last = rows[-1]
-    return RegularityReport(
-        check_name="ir_sweep_verdict", lhs=last.expectation_N, rhs=last.absence_bound,
-        rel_err=abs(last.expectation_N - last.absence_bound)
-        / max(abs(last.expectation_N), abs(last.absence_bound), 1e-300),
-        w_top=last.max_w_top, tol_used=ctol,
-        passed=(expected is None or verdict.kind == expected)
-        and violations[worst] <= ABSENCE_TOL,
+    return _report(
+        "ir_sweep_verdict", last.expectation_N, last.absence_bound, last.max_w_top, ctol,
         # vars gives a dataclass's field dict without dataclasses.asdict's deep copy
-        metadata={"verdict": vars(verdict), "worst_bound_violation": violations[worst],
-                  "worst_bound_sigma": rows[worst].sigma, "rows": [vars(r) for r in rows]},
-    )
+        {"verdict": vars(verdict), "worst_bound_violation": violations[worst],
+         "worst_bound_sigma": rows[worst].sigma, "rows": [vars(r) for r in rows]},
+        passed=(expected is None or verdict.kind == expected) and violations[worst] <= ABSENCE_TOL)

@@ -391,6 +391,34 @@ class TestArtifacts:
                                   "pass", "metadata"}
             assert not rep["metadata"].keys() & {"alpha", "n_max", "order", "draws"}
 
+    def test_report_json_metadata_keys_per_check_kind(self, tmp_path):
+        # chain solves report one shape of solver stats; metadata holds measured values only
+        out = tmp_path / "out"
+        cfg = base_config(output=str(out), checks=[
+            {"kind": "pullthrough"}, {"kind": "moment"}, {"kind": "absence"},
+            {"kind": "higher", "n": 2}, {"kind": "appendix", "draws": 2},
+            {"kind": "ccr", "draws": 2},
+            {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2}])
+        run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        solves = {"resolvent_solves", "cg_iterations", "worst_cg_relres"}
+        assert {r["check_name"]: r["metadata"].keys() for r in reports} == {
+            "pullthrough": solves | {"lhs_norm"},
+            "moment_identity": solves,
+            "absence_lower_bound": {"t_expectations_real"},
+            "higher_moment_n2": solves,
+            "number_decomposition": set(),
+            "factorial_moment_decomposition": set(),
+            "ccr_interior": set(),
+            "ccr_aa_and_creation": set(),
+            "creator_adjoint_pairing": set(),
+            "dgamma_leibniz_commutators": set(),
+            "relative_bound_annihilator": set(),
+            "relative_bound_creator": set(),
+            "ir_sweep_verdict": {"verdict", "worst_bound_violation", "worst_bound_sigma",
+                                 "rows"},
+        }
+
     def test_faithful_sweep_passes_and_writes_artifacts(self, tmp_path):
         # van Hove nu = 1, p = 0 with alpha = 0.05 and n_max = 12 stays well
         # inside the truncation, so the sweep passes
@@ -874,6 +902,24 @@ class TestFailureExits:
         path = write_config(tmp_path, custom_shifted_config(tmp_path / "out"))
         result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 0, result.output
+
+
+    @pytest.mark.parametrize("matter, line", [
+        ({"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[[0.0, 1.0], [1.0, 0.0]]]},
+         "A is not hermitian within 1e-12"),
+        ({"A": [[0.0, 0.0], [0.0, 1.0]], "B": [[[1.0]]]},
+         "B[0] has shape (1, 1), expected (2, 2)"),
+        ({"A": [[0.0, 1.0], [1.0]], "B": [[[0.0, 1.0], [1.0, 0.0]]]},
+         "A must be a square matrix, got ragged rows"),
+    ])
+    def test_bad_custom_matter_fails_dry_run(self, tmp_path, matter, line):
+        # the matter rule of assemble, applied when the config is loaded
+        cfg = base_config(output=str(tmp_path / "out"))
+        cfg["model"] = {"preset": "gsb_custom", **matter}
+        result = run_cli(["run", "--dry-run", "--config", str(write_config(tmp_path, cfg))])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == [
+            "error: config schema violation:", f"  model.gsb_custom: Value error, {line}"]
 
 
 class TestSolveBlock:

@@ -201,13 +201,13 @@ class TestAbsenceBound:
         m = van_hove_unit_model()
         gs = solve_model(m, CFG)
         rep = absence_lower_bound(m, gs, np.ones(1), CFG)
-        assert rep.metadata["equality_gap"] < 1e-8
+        assert abs(rep.lhs - rep.rhs) / max(abs(rep.lhs), abs(rep.rhs), 1.0) < 1e-8
 
     def test_spin_boson_strict_inequality(self):
         m = spin_boson(n_modes=2, n_max=8)
         gs = solve_model(m, CFG)
         rep = absence_lower_bound(m, gs, np.ones(2), CFG)
-        assert rep.metadata["margin"] > 1e-3
+        assert rep.lhs - rep.rhs > 1e-3
 
     def test_rhs_formula(self):
         m = spin_boson(n_modes=2, n_max=8)
@@ -305,7 +305,6 @@ class TestHigherMoments:
         n_multisets = M * (M + 1) // 2
         assert rep.metadata["resolvent_solves"] <= M**2 * n_multisets
         assert rep.metadata["resolvent_solves"] == M + n_multisets
-        assert 0.0 < rep.metadata["memo_hit_rate"] < 1.0
 
     def test_records_cg_work(self):
         # every solve starts cold, so the CG iterations are the H applications
@@ -779,7 +778,7 @@ class TestIrSweep:
         # path must not read channel 0 alone, nor the composite path assemble it
         A, B = preset_van_hove() if preset == "van_hove" else preset_spin_boson(1.0)
         ladder = sweep_ladder([hard_family(p=1.0)] * n_fams, [0.4, 0.2], 2)
-        with pytest.raises(ValueError, match="coupling columns on a rung grid"):
+        with pytest.raises(ValueError, match=r"coupling column\(s\)"):
             ir_sweep(ladder, A, B, 0.5, 6, CFG)
 
     def test_two_channel_sweep_assembles_every_channel(self):
@@ -948,9 +947,19 @@ class TestModeSolves:
             rep = moment_identity(m, gs, col, CFG)
         assert rep.passed
         assert shifts == [float(m.grid.omega[i]) for i in solved]
-        stats = rep.metadata["mode_solves"]
-        assert [s["mode"] for s in stats] == solved
-        assert all(s["cg_iterations"] > 0 and s["cg_relres"] <= CFG.cg_tol for s in stats)
+        stats = rep.metadata
+        assert stats["resolvent_solves"] == len(solved)
+        assert stats["cg_iterations"] >= len(solved)
+        assert stats["worst_cg_relres"] <= CFG.cg_tol
+
+    @pytest.mark.parametrize("check", [moment_identity, absence_lower_bound])
+    @pytest.mark.parametrize("n_weights", [2, 6])
+    def test_g_length_must_match_modes(self, check, n_weights):
+        # the rule smearing_coefficients applies to f, not numpy's matmul error
+        m = spin_boson(n_modes=4, n_max=3)
+        gs = solve_model(m, CFG)
+        with pytest.raises(ValueError, match="column length must match grid and basis mode count"):
+            check(m, gs, np.ones(n_weights), CFG)
 
 
 class TestDtypeRule:
