@@ -151,8 +151,7 @@ class IrSweepCheck(_Strict):
 
     @model_validator(mode="after")
     def _decreasing(self):
-        if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
-            raise ValueError("sigmas must be strictly decreasing")
+        regularity.check_sigma_ladder(self.sigmas)
         return self
 
     def rungs(self, grid: modes.RadialGrid) -> list:
@@ -207,13 +206,10 @@ class RunConfig(_Strict):
         n_modes, misfits = self.grid.n_shells, []
         for i, chk in enumerate(self.checks):
             if isinstance(chk, HigherCheck):
-                cap = regularity.HIGHER_MODE_CAPS[chk.n]
-                if chk.n > self.n_max:
-                    misfits.append((i, chk, "n", f"order must lie in [1, n_max={self.n_max}], "
-                                                 f"got {chk.n}"))
-                elif n_modes > cap:
-                    misfits.append((i, chk, "n", f"cost guard: order {chk.n} allows at most "
-                                                 f"{cap} modes, got {n_modes}"))
+                try:
+                    regularity.check_higher_order(chk.n, self.n_max, n_modes)
+                except ValueError as exc:
+                    misfits.append((i, chk, "n", str(exc)))
             if isinstance(chk, AppendixCheck) and self.n_max == 0:
                 # the suite caps its order at n_max, and no order fits below 1
                 misfits.append((i, chk, "order", "the factorial moment order is capped at "

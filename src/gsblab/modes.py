@@ -28,6 +28,7 @@ __all__ = [
     "L2Criteria",
     "build_radial_grid",
     "eval_coupling",
+    "ir_class_of",
     "l2_criteria",
 ]
 

@@ -52,11 +52,13 @@ __all__ = [
     "pullthrough_check",
     "moment_identity",
     "absence_lower_bound",
+    "check_higher_order",
     "higher_moment_identity",
     "number_decomposition",
     "factorial_moment_decomposition",
     "appendix_suite",
     "ccr_and_bound_suite",
+    "check_sigma_ladder",
     "ir_sweep",
     "sweep_verdict_report",
 ]
@@ -291,6 +293,24 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> R
 HIGHER_MODE_CAPS = {1: 64, 2: 8, 3: 4}
 
 
+def _check_order_range(n: int, n_max: int) -> None:
+    if not 1 <= n <= n_max:
+        raise ValueError(f"order must lie in [1, n_max={n_max}], got {n}")
+
+
+def check_higher_order(n: int, n_max: int, n_modes: int) -> None:
+    """Refuse a higher-moment order this model cannot run: n outside 1..3,
+    above n_max (the left side then vanishes on the truncated space), or on
+    more modes than the order's cost guard allows."""
+    if n not in HIGHER_MODE_CAPS:
+        raise ValueError(f"order n must be 1, 2 or 3, got {n}")
+    _check_order_range(n, n_max)
+    if n_modes > HIGHER_MODE_CAPS[n]:
+        raise ValueError(
+            f"cost guard: order {n} allows at most {HIGHER_MODE_CAPS[n]} modes, got {n_modes}"
+        )
+
+
 def _falling_factorial_expectation(psi: np.ndarray, basis: FockBasis, n: int) -> float:
     """<psi, prod_{j=1..n} (N - j + 1)_+ psi> for a matter-major composite psi.
 
@@ -311,19 +331,12 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     The right-hand side is alpha^2n sum_S (n! / prod_l m_l!) prod_{j in S}
     w_j ||v(S)||^2 over the mode multisets S of size n, each chain v(S)
     aggregating all n! permutation chains of a tuple (see _chains).  Solves
-    are memoized per multiset, one solve each.  n above n_max raises
-    ValueError: the left side then vanishes on the truncated space.
+    are memoized per multiset, one solve each.  An order check_higher_order
+    refuses raises ValueError.
     """
     _require_solved(gs)
-    if not 1 <= n <= 3:
-        raise ValueError(f"order n must be 1, 2 or 3, got {n}")
-    if n > m.n_max:
-        raise ValueError(f"order must lie in [1, n_max={m.n_max}], got {n}")
     M = m.grid.n_modes
-    if M > HIGHER_MODE_CAPS[n]:
-        raise ValueError(
-            f"cost guard: order {n} allows at most {HIGHER_MODE_CAPS[n]} modes, got {M}"
-        )
+    check_higher_order(n, m.n_max, M)
     lhs = _falling_factorial_expectation(gs.vector, m.basis, n)
     rhs, chains = _chain_moment(m, gs, cfg, n, np.ones(M))
     return _report(f"higher_moment_n{n}", lhs, rhs, gs.w_top,
@@ -374,8 +387,7 @@ def factorial_moment_decomposition(psi: np.ndarray, n: int,
     grade-(n_max - k) blocks of the a_i (FockBasis.lowering_block): the
     products never touch the states the branch has left.
     """
-    if n < 1 or n > basis.n_max:
-        raise ValueError(f"order must lie in [1, n_max={basis.n_max}], got {n}")
+    _check_order_range(n, basis.n_max)
     blocks = [[basis.lowering_block(i, basis.n_max - k) for i in range(basis.n_modes)]
               for k in range(n)]
 
@@ -582,6 +594,15 @@ def _solve_sigma_full(grid: ModeSet, A, B, alpha: float, n_max: int, cfg: Solver
     return gs.energy, rep_abs.lhs, rep_abs.rhs, gs.w_top
 
 
+def check_sigma_ladder(sigmas) -> None:
+    """Refuse an infrared ladder of fewer than two cutoffs, or one that is not
+    strictly decreasing."""
+    if len(sigmas) < 2:
+        raise ValueError("need at least two sigma values")
+    if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
+        raise ValueError("sigmas must be strictly decreasing")
+
+
 def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
              ctol: float = 1e-3):
     """Solve the model on a ladder of infrared cutoffs and classify the trend.
@@ -598,10 +619,7 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     Everything else is solved as one composite eigenproblem per rung.
     """
     sigmas = [s for s, _ in ladder]
-    if len(sigmas) < 2:
-        raise ValueError("need at least two sigma values")
-    if any(s2 >= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigmas must be strictly decreasing")
+    check_sigma_ladder(sigmas)
     # assemble's rule on every rung; the separable path would read channel 0 alone
     for n_channels in {grid.n_channels for _, grid in ladder}:
         A, B = model_mod.check_matter(A, B, n_channels)

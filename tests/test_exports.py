@@ -1,5 +1,6 @@
-"""Every name a gsblab module exports in __all__ resolves to an attribute, and no
-module reads another one's private names."""
+"""Every name a gsblab module exports in __all__ resolves to an attribute, the
+package exports exactly its layers' lists, and no module reads another one's
+private names."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import pytest
 
 import gsblab
 
+# the numeric layers the package re-exports, in order
+LAYERS = ["modes", "fock", "model", "spectral", "regularity"]
 MODULES = ["gsblab"] + [f"gsblab.{m.name}" for m in pkgutil.iter_modules(gsblab.__path__)]
 
 
@@ -39,3 +42,28 @@ def test_no_private_name_of_another_module(name):
               if isinstance(node, ast.ImportFrom) and node.level == 1
               for alias in node.names if private(alias.name)]
     assert not reads, f"{name} reads private names of other gsblab modules: {reads}"
+
+
+def test_package_exports_each_layer_all():
+    # the package keeps no list of its own: each name is listed once, in the
+    # layer that defines it, and the package holds that very object
+    layers = [importlib.import_module(f"gsblab.{layer}") for layer in LAYERS]
+    names = [attr for module in layers for attr in module.__all__]
+    assert gsblab.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in layers:
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            assert getattr(gsblab, attr) is obj
+            assert obj.__module__ == module.__name__, f"{module.__name__}.{attr}"
+
+
+def test_readme_python_api_snippet_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    energy, w_top, pull_err, dgamma = capsys.readouterr().out.split()
+    assert abs(float(energy) + 0.85658) < 1e-4
+    assert float(w_top) < 1e-8
+    assert float(pull_err) < 1e-4
+    assert float(dgamma) > 0
