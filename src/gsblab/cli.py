@@ -110,8 +110,7 @@ class AbsenceCheck(_Strict):
     G: ColumnSpec = "ones"
 
     def reports(self, run: _Run) -> list:
-        return [regularity.absence_lower_bound(run.model, run.gs, run.column(self.G),
-                                               run.cfg.solver)]
+        return [regularity.absence_lower_bound(run.model, run.gs, run.column(self.G))]
 
 
 class HigherCheck(_Strict):
@@ -201,37 +200,59 @@ class RunConfig(_Strict):
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
         above n_max or its mode cap, an appendix at n_max = 0, an explicit column
-        of the wrong length, an explicit G with a negative entry, or a sweep rung
-        at or above grid.Lambda."""
+        of the wrong length, an explicit G with a negative entry, a sweep rung
+        at or above grid.Lambda, or a basis over the size guard (the model's,
+        when a check builds it, and each basis a sweep builds)."""
         n_modes, misfits = self.grid.n_shells, []
+
+        def guard(loc, value, n_shells):
+            # fock's size rule on n_shells modes; a malformed GSB_MAX_DIM keeps the
+            # run's message, which pydantic would bury in a schema violation
+            try:
+                fock.check_basis_size(n_shells, self.n_max)
+            except fock.BasisSizeError as exc:
+                misfits.append((loc, value, str(exc)))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+
+        # every check kind but ccr and ir_sweep builds the run's model
+        if any(not isinstance(chk, (CcrCheck, IrSweepCheck)) for chk in self.checks):
+            guard(("n_max",), self.n_max, n_modes)
         for i, chk in enumerate(self.checks):
+            at = ("checks", i, chk.kind)
             if isinstance(chk, HigherCheck):
                 try:
                     regularity.check_higher_order(chk.n, self.n_max, n_modes)
                 except ValueError as exc:
-                    misfits.append((i, chk, "n", str(exc)))
+                    misfits.append((at + ("n",), chk.n, str(exc)))
             if isinstance(chk, AppendixCheck) and self.n_max == 0:
                 # the suite caps its order at n_max, and no order fits below 1
-                misfits.append((i, chk, "order", "the factorial moment order is capped at "
-                                                 "n_max, which must be >= 1, got n_max=0"))
+                misfits.append((at + ("order",), chk.order, "the factorial moment order is "
+                                "capped at n_max, which must be >= 1, got n_max=0"))
             for field in ("f", "G"):
                 col = getattr(chk, field, None)
                 if isinstance(col, list) and len(col) != n_modes:
-                    misfits.append((i, chk, field, f"explicit column has {len(col)} entries "
-                                                   f"for {n_modes} modes"))
+                    misfits.append((at + (field,), col, f"explicit column has {len(col)} "
+                                                        f"entries for {n_modes} modes"))
                 elif field == "G" and isinstance(col, list) and min(col) < 0:
-                    misfits.append((i, chk, field, "G must be entrywise >= 0"))
+                    misfits.append((at + (field,), col, "G must be entrywise >= 0"))
             if isinstance(chk, IrSweepCheck):
                 try:
-                    chk.rungs(self.grid)
+                    rungs = chk.rungs(self.grid)
                 except ValidationError as exc:
-                    misfits.append((i, chk, "sigmas", exc.errors()[0]["msg"]))
+                    misfits.append((at + ("sigmas",), chk.sigmas, exc.errors()[0]["msg"]))
+                    continue
+                # a separable sweep builds one one-mode basis, a composite one each
+                # rung's basis, the largest on the most shells
+                separable = regularity.separable_matter(*self.model.matter())
+                guard(at + ("sigmas",), chk.sigmas,
+                      1 if separable else max(grid.n_shells for _, grid in rungs))
         if misfits:
             # a ValidationError raised here keeps each error's field path
             raise ValidationError.from_exception_data(type(self).__name__, [
                 InitErrorDetails(type=PydanticCustomError("check_misfit", msg),
-                                 loc=("checks", i, chk.kind, field), input=getattr(chk, field))
-                for i, chk, field, msg in misfits])
+                                 loc=loc, input=value)
+                for loc, value, msg in misfits])
         return self
 
 

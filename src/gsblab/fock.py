@@ -41,6 +41,7 @@ __all__ = [
     "FockBasis",
     "LinOp",
     "BasisSizeError",
+    "check_basis_size",
     "enumerate_basis",
     "annihilator",
     "creator",
@@ -130,14 +131,19 @@ class FockBasis:
                 shape=(rows, math.comb(self.n_modes + g, self.n_modes)))
         return self._blocks[i, g]
 
-    def w_top(self, psi) -> float:
-        """Probability weight of a composite vector on the top grade.
+    def diagonal_form(self, psi, f) -> float:
+        """Re <psi, (1 (x) diag f) psi> for a composite vector psi of any matter dimension.
 
-        psi is matter major, so its reshape to (-1, len(self)) holds one
-        Fock row per matter component.  This is the truncation indicator.
+        f holds one entry per basis state (bool, int or float).  psi is
+        matter major, so its reshape to (-1, len(self)) holds one Fock row
+        per matter component, and f weights each row entrywise.
         """
         V = np.reshape(psi, (-1, len(self)))
-        return float(np.sum(np.abs(V[:, self.top_mask]) ** 2))
+        return float(np.real(np.vdot(V, f * V)))
+
+    def w_top(self, psi) -> float:
+        """Probability weight of a composite vector on the top grade: the truncation indicator."""
+        return self.diagonal_form(psi, self.top_mask)
 
     def __len__(self) -> int:
         return len(self.occupations)
@@ -146,35 +152,38 @@ class FockBasis:
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={len(self)})"
 
 
-def max_states_guard() -> int:
-    """The basis size guard: GSB_MAX_DIM when set, else DEFAULT_MAX_STATES."""
-    env = os.environ.get(MAX_DIM_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_STATES
+def check_basis_size(n_modes: int, n_max: int) -> int:
+    """The state count C(n_modes + n_max, n_modes) of a basis, refused above the guard.
 
-
-def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
-    """Enumerate occupation tuples with total quanta <= n_max over n_modes modes.
-
-    The count is C(n_modes + n_max, n_modes); a guard (default 200000,
-    overridable via the GSB_MAX_DIM environment variable) rejects requests
-    that would not fit in memory with a BasisSizeError.
+    The guard is GSB_MAX_DIM when set, else DEFAULT_MAX_STATES (200000); a
+    count above it raises BasisSizeError, and a GSB_MAX_DIM that is not an
+    integer ValueError.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    env = os.environ.get(MAX_DIM_ENV)
+    try:
+        guard = DEFAULT_MAX_STATES if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {env!r}") from None
     count = math.comb(n_modes + n_max, n_modes)
-    guard = max_states_guard()
     if count > guard:
         raise BasisSizeError(
             f"basis with {count} states exceeds the guard of {guard}; "
             f"set {MAX_DIM_ENV} to raise it"
         )
+    return count
+
+
+def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
+    """Enumerate occupation tuples with total quanta <= n_max over n_modes modes.
+
+    The count is C(n_modes + n_max, n_modes); check_basis_size refuses one
+    that would not fit in memory.
+    """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    count = check_basis_size(n_modes, n_max)
     # grow the tuples one mode at a time; FockBasis puts them in basis order
     occ = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n_modes):

@@ -58,6 +58,7 @@ __all__ = [
     "factorial_moment_decomposition",
     "appendix_suite",
     "ccr_and_bound_suite",
+    "separable_matter",
     "check_sigma_ladder",
     "ir_sweep",
     "sweep_verdict_report",
@@ -189,16 +190,6 @@ def _solve_stats(chains: dict) -> dict:
             "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0)}
 
 
-def _dgamma_form(psi: np.ndarray, g, basis: FockBasis) -> float:
-    """<psi, (1 (x) dGamma(g)) psi> for a matter-major psi, from the occupation table.
-
-    dGamma(g) is the diagonal sum_i g_i n_i, so each matter row of psi is
-    scaled by it entrywise, as a product with fock.dgamma's matrix would.
-    """
-    V = np.reshape(psi, (-1, len(basis)))
-    return float(np.real(np.vdot(V, (basis.occupations @ g) * V)))
-
-
 def _dgamma_expectation(m: GsbModel, gs: GroundState, G):
     """(G as floats, <phi_g, (1 (x) dGamma(G)) phi_g>) for a solved gs and a G >= 0."""
     _require_solved(gs)
@@ -207,7 +198,7 @@ def _dgamma_expectation(m: GsbModel, gs: GroundState, G):
         raise ValueError("column length must match grid and basis mode count")
     if np.any(G < 0):
         raise ValueError("G must be entrywise >= 0")
-    return G, _dgamma_form(gs.vector, G, m.basis)
+    return G, m.basis.diagonal_form(gs.vector, m.basis.occupations @ G)
 
 
 def _bound_violation(value: float, bound: float) -> float:
@@ -259,7 +250,7 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
                    _solve_stats(chains))
 
 
-def absence_lower_bound(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> RegularityReport:
+def absence_lower_bound(m: GsbModel, gs: GroundState, G) -> RegularityReport:
     """Projection lower bound under the number-type moment.
 
     Checks <phi_g, (1 (x) dGamma(G)) phi_g> >=
@@ -311,17 +302,9 @@ def check_higher_order(n: int, n_max: int, n_modes: int) -> None:
         )
 
 
-def _falling_factorial_expectation(psi: np.ndarray, basis: FockBasis, n: int) -> float:
-    """<psi, prod_{j=1..n} (N - j + 1)_+ psi> for a matter-major composite psi.
-
-    The operator is diagonal in the occupation basis.
-    """
-    totals = basis.totals.astype(float)
-    ff = np.ones_like(totals)
-    for j in range(1, n + 1):
-        ff *= np.maximum(totals - j + 1, 0.0)
-    V = np.reshape(psi, (-1, len(basis)))
-    return float(np.sum(ff[None, :] * np.abs(V) ** 2))
+def _falling_factorial(basis: FockBasis, n: int) -> np.ndarray:
+    """N (N - 1) ... (N - n + 1) on each basis state, N its total: 0 below grade n."""
+    return np.prod(basis.totals[:, None] - np.arange(n), axis=1)
 
 
 def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
@@ -337,7 +320,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     _require_solved(gs)
     M = m.grid.n_modes
     check_higher_order(n, m.n_max, M)
-    lhs = _falling_factorial_expectation(gs.vector, m.basis, n)
+    lhs = m.basis.diagonal_form(gs.vector, _falling_factorial(m.basis, n))
     rhs, chains = _chain_moment(m, gs, cfg, n, np.ones(M))
     return _report(f"higher_moment_n{n}", lhs, rhs, gs.w_top,
                    resolvent_tol(gs.w_top, cfg.cg_tol), _solve_stats(chains))
@@ -374,7 +357,7 @@ def number_decomposition(psi: np.ndarray, K, basis: FockBasis,
     for mo in range(basis.n_modes):
         lowered = basis.lowering_block(mo, basis.n_max) @ cols
         lhs += abs(coeff[mo]) ** 2 * float(np.linalg.norm(lowered) ** 2)
-    rhs = _dgamma_form(psi, np.abs(K) ** 2, basis)
+    rhs = basis.diagonal_form(psi, basis.occupations @ np.abs(K) ** 2)
     return _report("number_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
@@ -397,7 +380,7 @@ def factorial_moment_decomposition(psi: np.ndarray, n: int,
         return sum(branch_sum(a @ block, depth + 1) for a in blocks[depth])
 
     lhs = branch_sum(_fock_columns(psi, basis), 0)
-    rhs = _falling_factorial_expectation(psi, basis, n)
+    rhs = basis.diagonal_form(psi, _falling_factorial(basis, n))
     return _report("factorial_moment_decomposition", lhs, rhs, basis.w_top(psi), EXACT_TOL)
 
 
@@ -590,8 +573,14 @@ def _single_mode_ground_states(grid: ModeSet, b: float, alpha: float, ops,
 def _solve_sigma_full(grid: ModeSet, A, B, alpha: float, n_max: int, cfg: SolverConfig):
     m = model_mod.assemble(A, B, grid, alpha, n_max)
     gs = spectral.solve_model(m, cfg)
-    rep_abs = absence_lower_bound(m, gs, np.ones(grid.n_modes), cfg)
+    rep_abs = absence_lower_bound(m, gs, np.ones(grid.n_modes))
     return gs.energy, rep_abs.lhs, rep_abs.rhs, gs.w_top
+
+
+def separable_matter(A, B) -> bool:
+    """Whether the model factorizes over modes, so that ir_sweep solves it mode by
+    mode on one one-mode basis: scalar matter (A is 1x1) on one channel."""
+    return A.shape == (1, 1) and len(B) == 1
 
 
 def check_sigma_ladder(sigmas) -> None:
@@ -623,7 +612,7 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     # assemble's rule on every rung; the separable path would read channel 0 alone
     for n_channels in {grid.n_channels for _, grid in ladder}:
         A, B = model_mod.check_matter(A, B, n_channels)
-    separable = A.shape == (1, 1) and len(B) == 1
+    separable = separable_matter(A, B)
     if separable:
         # a hermitian 1x1 matrix is real
         a0, b = float(A[0, 0].real), float(B[0][0, 0].real)

@@ -140,13 +140,13 @@ def test_03_weighted_number_identity_and_additivity(cfg, spin_boson_ladder):
     assert abs(r12.rhs - (r1.rhs + r2.rhs)) <= 1e-12 * scale_r
 
 
-def test_04_ground_state_projection_bound(cfg):
+def test_04_ground_state_projection_bound():
     for name in MODEL_CONFIGS:
         run_cfg = cli.load_config(EXAMPLES / name)
         grid = cli.build_grid(run_cfg.grid, run_cfg.coupling)
         m = cli.build_model(run_cfg, grid)
         gs = solve_model(m, run_cfg.solver)
-        rep = absence_lower_bound(m, gs, np.ones(grid.n_modes), cfg)
+        rep = absence_lower_bound(m, gs, np.ones(grid.n_modes))
         scale = max(abs(rep.lhs), abs(rep.rhs), 1.0)
         assert rep.lhs >= rep.rhs - 1e-9 * scale, (name, rep.lhs, rep.rhs)
         if name.startswith("van_hove"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gsblab import cli
+from gsblab import cli, spectral
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -852,6 +852,45 @@ class TestFailureExits:
                           "--out", str(tmp_path / "out")])
         self.assert_one_line_error(result)
         assert "GSB_MAX_DIM" in result.output
+
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"]])
+    @pytest.mark.parametrize("example, env, lines", [
+        # the model's 1,820 Fock states, built for the pullthrough to appendix checks
+        ("spin_boson_2level", "1000", ["error: config schema violation:",
+                                       "  n_max: basis with 1820 states exceeds the guard "
+                                       "of 1000; set GSB_MAX_DIM to raise it"]),
+        ("spin_boson_2level", "lots", ["error: GSB_MAX_DIM must be an integer, got 'lots'"]),
+        # the biased spin boson's sweep (below): its rungs hold 165, 969 and 2,925 Fock states
+        (None, "1000", ["error: config schema violation:",
+                        "  checks.0.ir_sweep.sigmas: basis with 2925 states exceeds the "
+                        "guard of 1000; set GSB_MAX_DIM to raise it"]),
+        # a van Hove sweep is solved mode by mode, on one 13-state basis at n_max = 12
+        ("ir_sweep_nu3_p1", "10", ["error: config schema violation:",
+                                   "  checks.0.ir_sweep.sigmas: basis with 13 states exceeds "
+                                   "the guard of 10; set GSB_MAX_DIM to raise it"]),
+    ])
+    def test_basis_over_the_guard_is_refused_before_any_solve(
+            self, tmp_path, monkeypatch, command, example, env, lines):
+        def no_solve(*args):
+            raise AssertionError("a model was solved")
+
+        monkeypatch.setattr(spectral, "solve_model", no_solve)
+        monkeypatch.setenv("GSB_MAX_DIM", env)
+        if example:
+            cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
+        else:
+            cfg = base_config(
+                model={"preset": "gsb_custom", "A": [[1.0, 0.25], [0.25, 0.0]],
+                       "B": [[[0.0, 1.0], [1.0, 0.0]]]},
+                grid={"nu": 3, "sigma": 0.1, "Lambda": 1.0, "n_shells": 2},
+                coupling=[{"rho0": 1.0, "p": 0.0, "uv": 10.0}], alpha=0.05, n_max=3,
+                solver={"max_lanczos": 200_000},
+                checks=[{"kind": "ir_sweep", "sigmas": [0.1, 0.01, 0.001],
+                         "shells_per_decade": 8}])
+        result = run_cli([*command, "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == lines
 
     @pytest.mark.parametrize("command", [["run"], ["dump", "grid"]])
     @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])

@@ -1,6 +1,6 @@
 """Every name a gsblab module exports in __all__ resolves to an attribute, the
-package exports exactly its layers' lists, and no module reads another one's
-private names."""
+package exports exactly its layers' lists, no module reads another one's
+private names, and no function takes a parameter it never reads."""
 
 import ast
 import importlib
@@ -42,6 +42,26 @@ def test_no_private_name_of_another_module(name):
               if isinstance(node, ast.ImportFrom) and node.level == 1
               for alias in node.names if private(alias.name)]
     assert not reads, f"{name} reads private names of other gsblab modules: {reads}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_parameter_is_read(name):
+    # a parameter the body never reads does nothing but widen the signature;
+    # self and cls are bound by the call, not chosen by the caller
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        reads = {node.id for stmt in body for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        args = fn.args
+        params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if p is not None]
+        unread += [f"{getattr(fn, 'name', '<lambda>')}.{p}" for p in params
+                   if p not in reads and p not in ("self", "cls")]
+    assert not unread, f"{name} has parameters that are never read: {unread}"
 
 
 def test_package_exports_each_layer_all():

@@ -480,6 +480,28 @@ class TestTopWeight:
             basis.w_top(np.ones(3, dtype=complex))
 
 
+class TestDiagonalForm:
+    basis = enumerate_basis(3, 3)
+
+    def psi(self):
+        rng = np.random.default_rng(5)
+        n = 2 * len(self.basis)
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("column", ["top_mask", "totals", "float"])
+    def test_matches_dense_form(self, column):
+        f = {"top_mask": self.basis.top_mask, "totals": self.basis.totals,
+             "float": self.basis.occupations @ np.array([0.3, 1.7, 2.9])}[column]
+        psi = self.psi()
+        dense = np.kron(np.eye(2), np.diag(f.astype(float)))
+        want = np.vdot(psi, dense @ psi).real
+        assert self.basis.diagonal_form(psi, f) == pytest.approx(want, rel=1e-14)
+
+    def test_w_top_is_the_top_mask_form(self):
+        psi = self.psi()
+        assert self.basis.w_top(psi) == self.basis.diagonal_form(psi, self.basis.top_mask) > 0
+
+
 class TestLoweringBlocks:
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 4), (5, 2)])
     def test_block_is_the_leading_slice(self, m, n):

@@ -423,6 +423,27 @@ class TestEigshPath:
         assert gs.energy == pytest.approx(0.0, abs=1e-12)
         assert gs.gap == pytest.approx(5.0 / (DENSE_MAX_DIM + 171), rel=1e-8)
 
+    def test_exact_degeneracy_found(self):
+        """At delta = 0 the spin boson's ground level is exactly twice degenerate.
+
+        H = dGamma(omega) + alpha sigma_x (x) phi splits into sigma_x = +1 and
+        -1 sectors, which (-1)^N maps onto each other.  A Lanczos run from one
+        start vector sees one vector per eigenvalue, so it finds the partner
+        only through rounding, over a long run at tight tolerance.  A two-stage
+        solve (eigsh k=2 to sqrt(eig_tol), then k=1 from its Ritz vector)
+        reported a gap of 0.5-0.7 and no near-degeneracy on such models.
+        """
+        grid = build_radial_grid(3, 0.4, 2.0, 4, rule="midpoint")
+        fam = CouplingFamily(rho0=0.9, p=1.0, uv=10.0)
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        A, B = preset_spin_boson(0.0)
+        m = assemble(A, B, grid, 0.3, 6)
+        assert m.dim == 420 > DENSE_MAX_DIM
+        gs = solve_model(m, CFG)
+        assert gs.method == "eigsh"
+        assert gs.gap <= 1e-12
+        assert gs.near_degenerate
+
     def test_dense_path_counts_dimension(self):
         gs = ground_state(LinOp(sp.diags(np.array([3.0, 1.0, 2.0])), hermitian=True), CFG)
         assert (gs.method, gs.iterations, gs.energy, gs.gap) == ("dense", 3, 1.0, 1.0)
