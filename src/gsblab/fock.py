@@ -16,24 +16,18 @@ Every Fock operator is a scipy CSR matrix and every vector a numpy array;
 `LinOp` wraps only a model's assembled H.  A composite vector over
 matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
 `apply_fock` and `apply_matter` apply 1 (x) X and T (x) 1 to it by
-reshaping it to (d_matter, fock_dim).
-
-`LinOp.apply` multiplies H in row blocks on a thread pool, one block per
-usable core, and gives the result of `mat @ v` bit for bit.  It stays
-serial on one core and below MIN_BLOCK_NNZ stored entries per block; there
-is no setting for it.
+reshaping it to (d_matter, fock_dim).  `LinOp.apply` is the plain `mat @ v`;
+what runs in parallel is a level of resolvent solves, in regularity.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import os
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .modes import ModeSet
 
@@ -56,9 +50,6 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 200_000
 MAX_DIM_ENV = "GSB_MAX_DIM"
-# Fewest stored entries per row block of a parallel `LinOp.apply`: below
-# about this many, handing a block to a worker thread costs more than it saves.
-MIN_BLOCK_NNZ = 50_000
 
 
 class BasisSizeError(ValueError):
@@ -200,48 +191,15 @@ def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
 # Linear operators
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@cache
-def _pool() -> concurrent.futures.ThreadPoolExecutor:
-    """The workers of a blocked `LinOp.apply`: one per usable core but the caller's.
-
-    concurrent.futures loads its thread module on this first use, so a run
-    with no blocked product does not pay for it.
-    """
-    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
-
-
-def _matvec_into(block: tuple, v: np.ndarray, out: np.ndarray) -> None:
-    """Add a row block (lo, hi, indptr, indices, data) of H times v to out[lo:hi].
-
-    csr_matvec is the kernel of `mat @ v`: it sums each row in stored order
-    onto its out entry, so a zeroed out gets the rows of `mat @ v` exactly.
-    It releases the GIL while it runs.
-    """
-    lo, hi, indptr, indices, data = block
-    _sparsetools.csr_matvec(hi - lo, len(v), indptr, indices, data, v, out[lo:hi])
-
-
 class LinOp:
     """A model's assembled H: a square scipy CSR matrix `mat` with a hermiticity flag.
 
     The solvers read `hermitian` and the cached `diagonal`.  `mat` is never
     modified after construction.  The solvers apply H to vectors only
     through `apply`, so a caller can replace it on one instance (to count
-    applications, for example).
-
-    `apply` multiplies row blocks of about equal stored entries in
-    parallel, one per usable core and at most one per MIN_BLOCK_NNZ
-    entries: the caller takes the first, a module-wide thread pool the
-    rest.  The result is bitwise that of `mat @ v`, which one block (one
-    core, or a small H) runs without a thread.
+    applications, for example).  `apply` reads `mat` and nothing else, so
+    the resolvent solves of a chain level in regularity share one H across
+    threads.
     """
 
     def __init__(self, mat, hermitian: bool = False):
@@ -258,42 +216,9 @@ class LinOp:
     def dtype(self) -> np.dtype:
         return self.mat.dtype
 
-    @cached_property
-    def blocks(self) -> list:
-        """(lo, hi, indptr, indices, data) of each row block lo..hi-1 `apply` multiplies.
-
-        indices and data are views of `mat`'s (a csr_matrix made from them
-        would copy a slice under half its base).
-        """
-        mat = self.mat
-        n = max(1, min(_usable_cores(), mat.nnz // MIN_BLOCK_NNZ))
-        # the first row at which 1/n, 2/n, ... of the stored entries lie above
-        cuts = np.searchsorted(mat.indptr, np.arange(1, n) * (mat.nnz / n))
-        rows = np.unique(np.concatenate(([0], cuts, [self.dim]))).tolist()
-        blocks = []
-        for lo, hi in zip(rows, rows[1:]):
-            a, b = mat.indptr[lo], mat.indptr[hi]
-            blocks.append((lo, hi, mat.indptr[lo:hi + 1] - a,
-                           mat.indices[a:b], mat.data[a:b]))
-        return blocks
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v as a new array, bitwise equal to `mat @ v`.
-
-        Any v but one vector of length dim goes to `mat @ v`, which checks
-        its shape (csr_matvec does not).  A block's error is raised here.
-        """
-        v = np.asarray(v)
-        blocks = self.blocks
-        if len(blocks) < 2 or v.shape != (self.dim,):
-            return self.mat @ v
-        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, v))
-        pool = _pool()
-        futures = [pool.submit(_matvec_into, block, v, out) for block in blocks[1:]]
-        _matvec_into(blocks[0], v, out)
-        for future in futures:
-            future.result()
-        return out
+        """H v as a new array: `mat @ v`, which refuses a v of the wrong length."""
+        return self.mat @ v
 
     @cached_property
     def diagonal(self) -> np.ndarray:

@@ -15,7 +15,9 @@ sweep passes by its verdict.
 
 The pull-through, moment and higher-moment checks read one memoized solver
 of resolvent chains over mode multisets, _chains; its level 1 is the
-pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
+pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.  The solves of one
+level are independent and run on up to one thread per usable core, with
+results bitwise those of the serial loop.
 
 Tolerance ladder: identities that are exact on the truncated space (the
 finite-mode decompositions, interior commutation relations) are held to
@@ -32,7 +34,9 @@ cutoff is swept to zero; sweep_verdict_report turns a sweep into one report.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -71,6 +75,12 @@ RESOLVENT_TOL_FLOOR = 1e-7
 RESOLVENT_TOL_CAP = 0.5
 ABSENCE_TOL = 1e-9
 GROUND_RESIDUAL_CAP = 1e-10
+# Fewest stored entries of H per thread of a chain level.  Measured on 2
+# cores with one BLAS thread only: two threads ran a level slower than one
+# at 30,000 entries and below, mixed at 44,000-47,000 and faster from
+# 72,000 up, as CG's BLAS calls hold the GIL.  More than two threads, or
+# threads each running a multithreaded BLAS, were not measured.
+MIN_THREAD_NNZ = 25_000
 
 
 def resolvent_tol(w_top: float, cg_tol: float) -> float:
@@ -139,6 +149,57 @@ def _require_solved(gs: GroundState) -> None:
         )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """The workers of a parallel chain level: one per usable core but the caller's.
+    concurrent.futures is imported here, so a run with no parallel level never loads it."""
+    import concurrent.futures
+
+    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
+
+
+def _solve_level(solve, level: list, threads: int) -> list:
+    """[solve(S) for S in level], on `threads` threads (the caller alone under 2).
+
+    The caller and threads - 1 workers of _pool take the multisets in order
+    and start none once a solve has failed.  When all have stopped, the
+    error of the first failing multiset is raised, as in the serial loop:
+    every multiset before it was solved, since one left unsolved was taken
+    after a failure of an earlier one.  Solves are deterministic, so the
+    results are bitwise those of the loop.
+    """
+    out = [None] * len(level)
+    pending = enumerate(level)  # next() on it runs whole under the GIL
+    failed = []
+
+    def work():
+        for i, S in pending:
+            if failed:
+                return
+            try:
+                out[i] = solve(S)
+            except BaseException as exc:  # raised below, once every thread stopped
+                out[i] = exc
+                failed.append(i)
+
+    workers = [_pool().submit(work) for _ in range(threads - 1)]
+    work()
+    for worker in workers:
+        worker.result()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
+
+
 def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     """{S: (v(S), cg_iterations, cg_relres)} for each multiset S solved, sub-multisets included.
 
@@ -146,18 +207,26 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     copy of j), v(()) = phi_g: one solve per multiset S (a sorted tuple of
     modes), level by level from a memo, aggregates all orderings of its
     chains.  Level 1 is the pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
+    A level reads only the levels below it, so it runs on one thread per
+    usable core and per MIN_THREAD_NNZ stored entries of H, at most.
     """
     t_ops = {j: t_operator(m, j) for j in sorted(set().union(*multisets))}
     memo = {(): (gs.vector, 0, 0.0)}
-    # the nonempty sub-multisets of the requested ones, fewest modes first
-    subs = {sub for S in multisets for k in range(1, len(S) + 1) for sub in combinations(S, k)}
-    for S in sorted(subs, key=lambda S: (len(S), S)):
+
+    def solve(S):
         rhs = np.zeros_like(gs.vector)
         for j in sorted(set(S)):
             k = S.index(j)  # S minus one copy of j, still sorted
             rhs += S.count(j) * apply_matter(t_ops[j], memo[S[:k] + S[k + 1:]][0])
         shift = float(sum(m.grid.omega[j] for j in S))
-        memo[S] = resolvent_apply(m.H, gs.energy, shift, rhs, cfg)
+        return resolvent_apply(m.H, gs.energy, shift, rhs, cfg)
+
+    # the nonempty sub-multisets of the requested ones, level by level
+    subs = {sub for S in multisets for k in range(1, len(S) + 1) for sub in combinations(S, k)}
+    for n in sorted({len(S) for S in subs}):
+        level = sorted(S for S in subs if len(S) == n)
+        threads = min(_usable_cores(), m.H.mat.nnz // MIN_THREAD_NNZ, len(level))
+        memo.update(zip(level, _solve_level(solve, level, threads)))
     del memo[()]
     return memo
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gsblab import cli, spectral
+from gsblab import cli, regularity, spectral
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -995,3 +996,48 @@ class TestSolveBlock:
         # truncated like test_sweep_csv_written, so the verdict fails
         assert run_cli(["sweep", "--config", str(write_config(tmp_path, cfg))]).exit_code == 1
         assert json.loads((out / "report.json").read_text())["solve"] is None
+
+
+class TestChainThreads:
+    """Chain levels run on threads only above the size rule, and fail as the serial loop does."""
+
+    def test_failed_level_exits_three_on_any_core_count(self, tmp_path, chain_cores, monkeypatch):
+        # spin boson M=8, n_max=7: 108,965 stored entries, above the size rule
+        cfg = {
+            "model": {"preset": "spin_boson_2level", "delta": 1.0},
+            "grid": {"nu": 3, "sigma": 0.4, "Lambda": 2.0, "n_shells": 8, "rule": "midpoint"},
+            "coupling": [{"rho0": 0.9, "p": 1.0, "uv": 10.0}],
+            "alpha": 0.3,
+            "n_max": 7,
+            "solver": {"cg_max": 2},
+            "checks": [{"kind": "pullthrough"}],
+        }
+        path = write_config(tmp_path, cfg)
+        pool = regularity._pool
+        used = []
+        monkeypatch.setattr(regularity, "_pool", lambda: used.append(1) or pool())
+        errors = []
+        for cores in (1, 2):
+            chain_cores(cores)
+            used.clear()
+            result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+            assert result.exit_code == 3
+            assert bool(used) == (cores > 1)
+            errors.append(result.stderr)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("solver failure: CG did not reach cg_tol")
+        assert errors[0].count("\n") == 1 and "Traceback" not in errors[0]
+
+    @pytest.mark.parametrize("command, example", [
+        ("run", "spin_boson_2level.json"),
+        ("sweep", "ir_sweep_nu3_p1.json"),
+    ])
+    def test_small_runs_start_no_thread(self, tmp_path, chain_cores, command, example):
+        # the benchmark's small configs stay serial whatever the core count:
+        # its traced counts and the sweep's memory rest on that
+        chain_cores(8)
+        before = threading.active_count()
+        result = run_cli([command, "--config", str(EXAMPLES / example),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert threading.active_count() == before

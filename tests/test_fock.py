@@ -1,8 +1,6 @@
-"""Basis enumeration, ladder operators, the truncation convention and the blocked product of H."""
+"""Basis enumeration, ladder operators, the truncation convention and the product of H."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from gsblab import (
     BasisSizeError,
     CouplingFamily,
     LinOp,
-    SolverConfig,
     annihilator,
     apply_fock,
     apply_matter,
@@ -24,7 +21,6 @@ from gsblab import (
     enumerate_basis,
     eval_coupling,
     field_operator,
-    resolvent_apply,
     smeared_annihilator,
 )
 from gsblab import fock
@@ -280,19 +276,10 @@ class TestLinOpAlgebra:
         np.testing.assert_allclose(op.apply(np.ones(3, dtype=complex)), d)
 
 
-def blocked_op(monkeypatch, mat, cores=3, min_nnz=20):
-    """A LinOp whose apply takes the blocked path on a small matrix."""
-    monkeypatch.setattr(fock, "MIN_BLOCK_NNZ", min_nnz)
-    monkeypatch.setattr(fock, "_usable_cores", lambda: cores)
-    return LinOp(mat)
-
-
 def sparse_matrix(kind, dtype, n=60, per_row=5, seed=0):
     """A random CSR matrix with per_row entries in each row that is not empty.
 
-    "gap" empties rows 20-39, so rows 0-19 hold exactly half the entries and
-    a cut in two lands on the first empty row; "edges" empties the first
-    and the last 7 rows.
+    "gap" empties rows 20-39; "edges" empties the first and the last 7 rows.
     """
     rng = np.random.default_rng(seed)
     keep = np.ones(n, dtype=bool)
@@ -308,115 +295,47 @@ def sparse_matrix(kind, dtype, n=60, per_row=5, seed=0):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-class TestBlockedApply:
-    """LinOp.apply on row blocks in parallel against the serial mat @ v."""
+class TestLinOpApply:
+    """LinOp.apply is the serial product mat @ v."""
 
     @pytest.mark.parametrize("kind", ["random", "gap", "edges"])
     @pytest.mark.parametrize("h_dtype", [float, complex])
     @pytest.mark.parametrize("v_dtype", [float, complex])
-    def test_bitwise_equal_to_serial(self, monkeypatch, kind, h_dtype, v_dtype):
+    def test_equal_to_mat_times_v(self, kind, h_dtype, v_dtype):
         mat = sparse_matrix(kind, h_dtype)
-        op = blocked_op(monkeypatch, mat)
-        assert len(op.blocks) == 3
         rng = np.random.default_rng(1)
         v = rng.standard_normal(mat.shape[0])
         if v_dtype is complex:
             v = v + 1j * rng.standard_normal(mat.shape[0])
-        got, want = op.apply(v), mat @ v
+        got, want = LinOp(mat).apply(v), mat @ v
         assert got.shape == want.shape == (mat.shape[0],)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         # a strided view of a vector, as a solver may pass
         w = np.repeat(v, 2)[::2]
-        np.testing.assert_array_equal(op.apply(w), mat @ w)
+        np.testing.assert_array_equal(LinOp(mat).apply(w), mat @ w)
 
-    def test_cut_on_empty_rows(self, monkeypatch):
-        # half the entries lie in rows 0-19, so the one cut is the first empty row
-        mat = sparse_matrix("gap", float)
-        op = blocked_op(monkeypatch, mat, cores=2)
-        assert [block[:2] for block in op.blocks] == [(0, 20), (20, 60)]
-        v = np.random.default_rng(2).standard_normal(mat.shape[0])
-        np.testing.assert_array_equal(op.apply(v), mat @ v)
-
-    def test_blocks_are_views_of_mat(self, monkeypatch):
-        mat = sparse_matrix("random", float)
-        op = blocked_op(monkeypatch, mat)
-        rows = [block[:2] for block in op.blocks]
-        assert rows[0][0] == 0 and rows[-1][1] == mat.shape[0]
-        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-        assert sum(len(data) for *_, data in op.blocks) == mat.nnz
-        for lo, hi, indptr, indices, data in op.blocks:
-            assert np.shares_memory(data, op.mat.data)
-            assert np.shares_memory(indices, op.mat.indices)
-            block = sp.csr_matrix((data, indices, indptr), shape=(hi - lo, mat.shape[1]))
-            assert (block != op.mat[lo:hi]).nnz == 0
-            # about equal entries per block: a cut misses by at most one row
-            assert abs(len(data) - mat.nnz / 3) <= np.diff(mat.indptr).max()
-
-    @pytest.mark.parametrize("cores, min_nnz", [(1, 20), (4, 10**9)])
-    def test_one_block_uses_no_thread(self, monkeypatch, cores, min_nnz):
-        mat = sparse_matrix("random", float)
-        op = blocked_op(monkeypatch, mat, cores=cores, min_nnz=min_nnz)
-
-        def no_pool():
-            raise AssertionError("a single block must not touch the thread pool")
-
-        monkeypatch.setattr(fock, "_pool", no_pool)
-        v = np.arange(mat.shape[0], dtype=float)
-        np.testing.assert_array_equal(op.apply(v), mat @ v)
-        assert len(op.blocks) == 1
-
-    def test_other_shapes_go_to_the_serial_product(self, monkeypatch):
-        # csr_matvec reads v without a bounds check, so a wrong length must not reach it
-        mat = sparse_matrix("random", float)
-        op = blocked_op(monkeypatch, mat)
-        column = np.ones((mat.shape[0], 1))
-        np.testing.assert_array_equal(op.apply(column), mat @ column)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            op.apply(np.ones(mat.shape[0] + 1))
-
-    def test_each_call_returns_a_new_array(self, monkeypatch):
+    def test_each_call_returns_a_new_array(self):
         # the CG loop overwrites H.apply's result in place with axpy
-        op = blocked_op(monkeypatch, sparse_matrix("random", float))
+        op = LinOp(sp.random(40, 40, density=0.2, format="csr", random_state=2))
         v = np.ones(op.dim)
         first, second = op.apply(v), op.apply(v)
         assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, v)
         first[:] = np.nan
         np.testing.assert_array_equal(second, op.mat @ v)
 
-    def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
-        # eight blocks share one output and one v across the pool's threads
-        mat = sparse_matrix("random", complex)
-        op = blocked_op(monkeypatch, mat, cores=8)
-        assert len(op.blocks) == 8
-        vs = np.random.default_rng(4).standard_normal((200, mat.shape[0]))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for v in vs:
-                np.testing.assert_array_equal(op.apply(v), mat @ v)
-        finally:
-            sys.setswitchinterval(interval)
+    def test_wrong_length_refused(self):
+        op = LinOp(sp.identity(5, format="csr"))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.apply(np.ones(6))
 
-    def test_worker_error_reaches_caller(self, monkeypatch):
+    def test_column_as_mat_times_column(self):
         mat = sparse_matrix("random", float)
-        op = blocked_op(monkeypatch, (mat + mat.T + 60 * sp.identity(60)).tocsr())
-        matvec = fock._matvec_into
-        failed_on = []
-
-        def failing(block, v, out):
-            if block is op.blocks[0]:
-                return matvec(block, v, out)
-            failed_on.append(threading.current_thread() is threading.main_thread())
-            raise MemoryError("block product failed")
-
-        monkeypatch.setattr(fock, "_matvec_into", failing)
-        with pytest.raises(MemoryError, match="block product failed"):
-            op.apply(np.ones(60))
-        with pytest.raises(MemoryError, match="block product failed"):
-            resolvent_apply(op, 0.0, 1.0, np.ones(60), SolverConfig())
-        # the failing blocks ran on the pool's worker threads
-        assert failed_on and not any(failed_on)
+        column = np.ones((mat.shape[0], 1))
+        got = LinOp(mat).apply(column)
+        assert got.shape == (mat.shape[0], 1)
+        np.testing.assert_array_equal(got, mat @ column)
 
 
 class TestTensorLayout:

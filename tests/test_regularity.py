@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1002,3 +1006,120 @@ class TestDtypeRule:
         gs, seen = self.record_rhs_dtypes(monkeypatch, m)
         assert gs.vector.dtype == np.complex128
         assert seen and set(seen) == {np.dtype(np.complex128)}
+
+
+class TestParallelLevels:
+    """The solves of one chain level on several threads give the serial loop's results."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        # M=8, n_max=7: 108,965 stored entries, above the size rule
+        m = spin_boson(n_modes=8, n_max=7)
+        return m, solve_model(m, CFG)
+
+    @staticmethod
+    def reports(m, gs):
+        return [pullthrough_check(m, gs, m.grid.channel(0), CFG),
+                moment_identity(m, gs, m.grid.omega, CFG),
+                higher_moment_identity(m, gs, 2, CFG)]
+
+    def test_reports_bitwise_equal_on_any_thread_count(self, solved, chain_cores, monkeypatch):
+        m, gs = solved
+        # one thread per multiset of a level, up to the core count
+        monkeypatch.setattr(regularity, "MIN_THREAD_NNZ", 1)
+        solve = regularity.resolvent_apply
+        threads = set()
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return solve(*args)
+
+        monkeypatch.setattr(regularity, "resolvent_apply", recording)
+        runs = []
+        for cores in (1, 2, 8):
+            chain_cores(cores)
+            threads.clear()
+            runs.append(self.reports(m, gs))
+            assert len(threads) == 1 if cores == 1 else len(threads) > 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs.append(self.reports(m, gs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.passed for r in runs[0])
+        for run in runs[1:]:
+            assert [vars(r) for r in run] == [vars(r) for r in runs[0]]
+
+    @pytest.mark.parametrize("case", ["one_multiset_level", "small_h"])
+    def test_serial_levels_never_touch_the_pool(self, solved, chain_cores, monkeypatch, case):
+        def no_pool():
+            raise AssertionError("a serial level must not touch the thread pool")
+
+        chain_cores(8)
+        monkeypatch.setattr(regularity, "_pool", no_pool)
+        m, gs = solved
+        if case == "one_multiset_level":
+            # one weighted mode: a level of one multiset
+            f = np.zeros(m.grid.n_modes)
+            f[3] = 1.0
+            assert pullthrough_check(m, gs, f, CFG).metadata["resolvent_solves"] == 1
+        else:
+            # M=4, n_max=12: 25,479 stored entries, under two threads' worth
+            small = spin_boson(n_modes=4, n_max=12)
+            assert small.H.mat.nnz < 2 * regularity.MIN_THREAD_NNZ
+            assert all(r.passed for r in self.reports(small, solve_model(small, CFG)))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_first_failure_in_order_raised_once_every_solve_stopped(self, chain_cores, threads):
+        chain_cores(threads)
+        level = [(i,) for i in range(12)]
+        running, done = [], []
+
+        def solve(S):
+            running.append(S)
+            # (3,) fails at once, (2,) only after 0.1 s: the later multiset fails first
+            if S != (3,):
+                time.sleep(0.1)
+            running.remove(S)
+            done.append(S)
+            if S in [(2,), (3,)]:
+                raise NonConverged(f"no convergence on {S}", 1.0)
+            return S
+
+        with pytest.raises(NonConverged, match=r"on \(2,\)"):
+            regularity._solve_level(solve, level, threads)
+        assert not running
+        # no multiset is started after a failure: only the failing prefix
+        # and, on 4 threads, the solves in flight when (3,) failed ran
+        assert sorted(done) == level[:max(3, threads)]
+        time.sleep(0.15)
+        assert len(done) == max(3, threads)
+
+    def test_workers_start_nothing_after_a_failure(self, chain_cores, monkeypatch):
+        chain_cores(4)
+        pool, started = regularity._pool(), threading.Event()
+
+        class LateWorkers:
+            """Workers that start only once the caller waits for them."""
+
+            @staticmethod
+            def submit(fn):
+                future = pool.submit(lambda: started.wait() and fn())
+
+                def result():
+                    started.set()
+                    return future.result()
+
+                return SimpleNamespace(result=result)
+
+        monkeypatch.setattr(regularity, "_pool", LateWorkers)
+        done = []
+
+        def solve(S):
+            done.append(S)
+            raise NonConverged(f"no convergence on {S}", 1.0)
+
+        with pytest.raises(NonConverged, match=r"on \(0,\)"):
+            regularity._solve_level(solve, [(i,) for i in range(12)], 4)
+        assert done == [(0,)]

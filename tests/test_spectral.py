@@ -21,7 +21,6 @@ from gsblab import (
     resolvent_apply,
     solve_model,
 )
-from gsblab import fock
 from gsblab.spectral import DENSE_MAX_DIM, stacked_ground_states
 import scipy.sparse as sp
 
@@ -298,27 +297,6 @@ class TestCgKernel:
         s = 0.5
         with pytest.raises(NonConverged, match="CG lost positive definiteness"):
             resolvent_apply(m.H, gs.energy + 2 * s, s, gs.vector, CFG)
-
-
-class TestBlockedProduct:
-    def test_solvers_unchanged(self, monkeypatch):
-        # M=8, n_max=7: about 109k stored entries, two blocks of H on two cores
-        m = spin_boson_model(n_modes=8, n_max=7, alpha=0.3)
-        assert m.H.mat.nnz >= 2 * fock.MIN_BLOCK_NNZ
-        v = np.random.default_rng(3).standard_normal(m.dim)
-        runs = []
-        for cores in (1, 2):
-            monkeypatch.setattr(fock, "_usable_cores", lambda: cores)
-            H = LinOp(m.H.mat, hermitian=True)
-            gs = ground_state(H, CFG)
-            assert len(H.blocks) == cores
-            runs.append((gs, *resolvent_apply(H, gs.energy, 0.5, v, CFG)))
-        (gs1, u1, it1, res1), (gs2, u2, it2, res2) = runs
-        assert gs1.energy == gs2.energy and gs1.iterations == gs2.iterations
-        assert gs1.residual == gs2.residual and gs1.gap == gs2.gap
-        np.testing.assert_array_equal(gs1.vector, gs2.vector)
-        assert it1 == it2 > 0 and res1 == res2
-        np.testing.assert_array_equal(u1, u2)
 
 
 class TestStackedGroundStates:
