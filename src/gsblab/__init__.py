@@ -8,6 +8,15 @@ moment identities, and lower bounds that witness the absence of a ground
 state when the coupling is infrared singular.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: the chain solves of a check
+# run on threads of their own, and a multithreaded BLAS in each of them
+# oversubscribes the cores.  BLAS reads these when numpy is first imported,
+# so they reach a library caller only when gsblab is imported first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import modes, fock, model, spectral, regularity
 from .modes import *
 from .fock import *

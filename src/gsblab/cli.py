@@ -17,7 +17,6 @@ seeds produce byte-identical report.csv files.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -168,9 +167,7 @@ class IrSweepCheck(_Strict):
         # every coupling channel on every rung
         ladder = [(sigma, build_grid(grid, cfg.coupling)) for sigma, grid in self.rungs(cfg.grid)]
         A, B = cfg.model.matter()
-        rows, verdict = regularity.ir_sweep(ladder, A, B, cfg.alpha, cfg.n_max, cfg.solver,
-                                            ctol=self.ctol)
-        return [regularity.sweep_verdict_report(rows, verdict, self.ctol)]
+        return [regularity.ir_sweep(ladder, A, B, cfg.alpha, cfg.n_max, cfg.solver, self.ctol)]
 
 
 # each check kind is one class, and its reports method is what the kind runs;
@@ -376,9 +373,8 @@ def write_report_csv(reports, path) -> None:
 
 def write_sweep_csv(reports, path) -> None:
     """One row per rung of each ir_sweep_verdict report, read from its metadata."""
-    names = [f.name for f in dataclasses.fields(regularity.IrSweepRow)]
-    _write_csv(path, names + ["verdict"],
-               ([row[k] for k in names] + [r.metadata["verdict"]["kind"]]
+    _write_csv(path, [*reports[0].metadata["rows"][0], "verdict"],
+               ([*row.values(), r.metadata["verdict"]["kind"]]
                 for r in reports for row in r.metadata["rows"]))
 
 

@@ -28,7 +28,9 @@ capped at 0.5: sides of size 1 or more must agree within a factor 2.
 A finite truncation always has a ground state, so the absence-type results
 are verified through their computable content: the proof inequality at
 fixed cutoff, and the divergence of the number expectation as the infrared
-cutoff is swept to zero; sweep_verdict_report turns a sweep into one report.
+cutoff is swept to zero.  ir_sweep returns a sweep's one report, which
+expects divergence only where the projection bound forces it: a singular
+coupling and a bound above round-off on every rung.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from .spectral import SolverConfig, resolvent_apply
 
 __all__ = [
     "RegularityReport",
-    "IrSweepRow",
-    "SweepVerdict",
     "resolvent_tol",
     "pullthrough_check",
     "moment_identity",
@@ -65,7 +65,6 @@ __all__ = [
     "separable_matter",
     "check_sigma_ladder",
     "ir_sweep",
-    "sweep_verdict_report",
 ]
 
 EXACT_TOL = 1e-12
@@ -74,6 +73,9 @@ RESOLVENT_TOL_FLOOR = 1e-7
 # then passes at rel_err = 1, its sides arbitrarily far apart
 RESOLVENT_TOL_CAP = 0.5
 ABSENCE_TOL = 1e-9
+# a sweep's projection bound at or below this share of alpha^2 lam_over_w_norm
+# max_j ||B_j||^2 is round-off, and forces no divergence
+BOUND_FLOOR = 1e-16
 GROUND_RESIDUAL_CAP = 1e-10
 # Fewest stored entries of H per thread of a chain level.  Measured on 2
 # cores with one BLAS thread only: two threads ran a level slower than one
@@ -94,8 +96,10 @@ class RegularityReport:
 
     lhs and rhs are the two computed values (scalars, or norms for vector
     identities).  rel_err is the check's error err over its scale, and
-    passed is rel_err <= tol_used or err <= tol_used * max(scale, 1); a
-    sweep passes by its verdict instead.
+    passed is rel_err <= tol_used or err <= tol_used * max(scale, 1).  A
+    sweep passes instead when its verdict is the expected one (if any) and
+    every rung keeps the projection bound; its metadata holds the verdict,
+    the expected kind and the rows as plain dicts.
     """
 
     check_name: str
@@ -562,38 +566,6 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
 # Infrared sweep
 
 
-@dataclass
-class IrSweepRow:
-    sigma: float
-    n_shells: int
-    E: float
-    expectation_N: float
-    absence_bound: float
-    lam_over_w_norm: float
-    max_w_top: float
-
-
-@dataclass
-class SweepVerdict:
-    """Divergence call for a sweep plus the fit diagnostics behind it.
-
-    kind is "converging" when the number expectation is Cauchy along the
-    sigma ladder (shrinking increments, final increment below ctol), else
-    "diverging" when it grows like a + b log(1/sigma) with a solid linear
-    fit, or grows super-logarithmically (increments not shrinking); kind
-    "inconclusive" is reserved for data matching neither pattern.
-    """
-
-    kind: str
-    slope_b: float
-    intercept_a: float
-    r_squared: float
-    final_increment: float
-    final_increment_rel: float
-    divergence_kind: str = ""
-    analytic_ir_class: str = "unknown"
-
-
 def _fit_log(sigmas, values):
     x = np.log(1.0 / np.asarray(sigmas))
     y = np.asarray(values)
@@ -662,22 +634,22 @@ def check_sigma_ladder(sigmas) -> None:
 
 
 def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
-             ctol: float = 1e-3):
-    """Solve the model on a ladder of infrared cutoffs and classify the trend.
+             ctol: float) -> RegularityReport:
+    """Solve the model on a ladder of infrared cutoffs; the report of _sweep_report.
 
     ladder holds (sigma, grid) rungs, sigma strictly decreasing, each grid
     carrying one coupling column per B_j; A, B, alpha and n_max are as for
     model.assemble.  Each row records the ground energy, the number
     expectation (the moment-identity left side), the projection lower bound
-    with G = 1, and the discrete ||lambda/omega||^2 summed over channels,
-    whose analytic infrared class (singular when any channel is) the verdict
-    must match.  Scalar-matter single-channel models factorize over modes:
-    their single-mode operators are built once per call, and each rung
-    solves all single-mode Hamiltonians as one stacked dense eigenproblem.
-    Everything else is solved as one composite eigenproblem per rung.
+    with G = 1, and the discrete ||lambda/omega||^2 summed over channels.
+    The verdict is judged against the analytic infrared class of the
+    smallest cutoff's grid (singular when any channel is).  Scalar-matter
+    single-channel models factorize over modes: their single-mode operators
+    are built once per call, and each rung solves all single-mode
+    Hamiltonians as one stacked dense eigenproblem.  Everything else is
+    solved as one composite eigenproblem per rung.
     """
-    sigmas = [s for s, _ in ladder]
-    check_sigma_ladder(sigmas)
+    check_sigma_ladder([s for s, _ in ladder])
     # assemble's rule on every rung; the separable path would read channel 0 alone
     for n_channels in {grid.n_channels for _, grid in ladder}:
         A, B = model_mod.check_matter(A, B, n_channels)
@@ -696,15 +668,34 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
         else:
             E, N, absence, w_top = _solve_sigma_full(grid, A, B, alpha, n_max, cfg)
         crit = l2_criteria(grid)
-        rows.append(IrSweepRow(
-            sigma=sigma, n_shells=grid.n_modes, E=E, expectation_N=N,
-            absence_bound=absence, lam_over_w_norm=crit.norm_lam_over_w,
-            max_w_top=w_top,
-        ))
+        rows.append({"sigma": sigma, "n_shells": grid.n_modes, "E": E, "expectation_N": N,
+                     "absence_bound": absence, "lam_over_w_norm": crit.norm_lam_over_w,
+                     "max_w_top": w_top})
+    return _sweep_report(rows, crit.ir_class, alpha, B, ctol)
 
-    values = [r.expectation_N for r in rows]
+
+def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> RegularityReport:
+    """A sweep's report: the verdict on its rows, and <N> against the projection
+    bound at the smallest sigma.
+
+    The verdict is "converging" when <N> is Cauchy along the sigma ladder
+    (shrinking increments, final increment below ctol relative), else
+    "diverging" when it grows like a + b log(1/sigma) with a solid linear
+    fit, or grows super-logarithmically (increments not shrinking), else
+    "inconclusive".  A regular class expects "converging".  A singular one
+    expects "diverging" only when on every row the projection bound, which
+    <N> cannot fall below, exceeds BOUND_FLOOR alpha^2 lam_over_w_norm
+    max_j ||B_j||_2^2; on one channel the bound is alpha^2 |<phi, B phi>|^2
+    lam_over_w_norm / 2, so that reads |<phi, B phi>| > 1.4e-8 ||B||.
+    Otherwise nothing is expected: parity-symmetric matter such as the
+    unbiased spin boson has <phi, B phi> = 0 and may keep a ground state with
+    no infrared regularization.  The report passes when the verdict is the
+    expected one, if any, and every row keeps <N> >= the bound within
+    ABSENCE_TOL, as absence_lower_bound does; truncation breaks the bound.
+    """
+    values = [r["expectation_N"] for r in rows]
     increments = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
-    slope_b, intercept_a, r2 = _fit_log(sigmas, values)
+    slope_b, intercept_a, r2 = _fit_log([r["sigma"] for r in rows], values)
     final_inc = increments[-1]
     final_rel = final_inc / max(abs(values[-1]), 1e-300)
     shrinking = all(i2 < i1 for i1, i2 in zip(increments, increments[1:]))
@@ -718,29 +709,20 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
         kind, div_kind = "diverging", "super-logarithmic"
     else:
         kind, div_kind = "inconclusive", ""
-    verdict = SweepVerdict(
-        kind=kind, slope_b=slope_b, intercept_a=intercept_a, r_squared=r2,
-        final_increment=final_inc, final_increment_rel=final_rel,
-        divergence_kind=div_kind,
-        analytic_ir_class=crit.ir_class,
-    )
-    return rows, verdict
-
-
-def sweep_verdict_report(rows, verdict: SweepVerdict, ctol: float) -> RegularityReport:
-    """A sweep's report: <N> against the projection bound at the smallest sigma.
-
-    It passes when the verdict matches the analytic infrared class (any
-    verdict does for "unknown") and every row keeps <N> >= the bound within
-    ABSENCE_TOL, as absence_lower_bound does; truncation breaks the bound.
-    """
-    expected = {"singular": "diverging", "regular": "converging"}.get(verdict.analytic_ir_class)
-    violations = [_bound_violation(r.expectation_N, r.absence_bound) for r in rows]
+    floor = BOUND_FLOOR * alpha**2 * max(float(np.linalg.norm(b, 2)) for b in B) ** 2
+    expected = {"regular": "converging", "singular": "diverging"}.get(ir_class)
+    if expected == "diverging" and any(r["absence_bound"] <= floor * r["lam_over_w_norm"]
+                                       for r in rows):
+        expected = None
+    violations = [_bound_violation(r["expectation_N"], r["absence_bound"]) for r in rows]
     worst = int(np.argmax(violations))
     last = rows[-1]
     return _report(
-        "ir_sweep_verdict", last.expectation_N, last.absence_bound, last.max_w_top, ctol,
-        # vars gives a dataclass's field dict without dataclasses.asdict's deep copy
-        {"verdict": vars(verdict), "worst_bound_violation": violations[worst],
-         "worst_bound_sigma": rows[worst].sigma, "rows": [vars(r) for r in rows]},
-        passed=(expected is None or verdict.kind == expected) and violations[worst] <= ABSENCE_TOL)
+        "ir_sweep_verdict", last["expectation_N"], last["absence_bound"], last["max_w_top"],
+        ctol, {"verdict": {"kind": kind, "slope_b": slope_b, "intercept_a": intercept_a,
+                           "r_squared": r2, "final_increment": final_inc,
+                           "final_increment_rel": final_rel, "divergence_kind": div_kind,
+                           "analytic_ir_class": ir_class},
+               "expected": expected, "worst_bound_violation": violations[worst],
+               "worst_bound_sigma": rows[worst]["sigma"], "rows": rows},
+        passed=expected in (None, kind) and violations[worst] <= ABSENCE_TOL)

@@ -416,8 +416,8 @@ class TestArtifacts:
             "dgamma_leibniz_commutators": set(),
             "relative_bound_annihilator": set(),
             "relative_bound_creator": set(),
-            "ir_sweep_verdict": {"verdict", "worst_bound_violation", "worst_bound_sigma",
-                                 "rows"},
+            "ir_sweep_verdict": {"verdict", "expected", "worst_bound_violation",
+                                 "worst_bound_sigma", "rows"},
         }
 
     def test_faithful_sweep_passes_and_writes_artifacts(self, tmp_path):
@@ -461,6 +461,27 @@ class TestMultiChannelSweep:
         assert first["E"] == report["solve"]["energy"]
         assert first["expectation_N"] == absence["lhs"]
         assert first["absence_bound"] == absence["rhs"]
+
+
+class TestSweepExpectation:
+    @pytest.mark.parametrize("example, update, kind, expected", [
+        # <phi, sigma_x phi> = 0 by parity: the bound is round-off (3.9e-32), and
+        # <N> converges to 3.15e-3 although the coupling is infrared singular
+        ("ir_sweep_spin_boson_unbiased", {}, "converging", None),
+        ("ir_sweep_spin_boson_biased", {}, "diverging", "diverging"),
+        # no coupling: <N> and the bound are 0 on every rung
+        ("ir_sweep_nu3_p0", {"alpha": 0.0}, "inconclusive", None),
+    ])
+    def test_divergence_expected_only_where_the_bound_forces_it(
+            self, tmp_path, example, update, kind, expected):
+        cfg = {**json.loads((EXAMPLES / f"{example}.json").read_text()), **update}
+        out = tmp_path / "out"
+        result = run_cli(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        sweep = json.loads((out / "report.json").read_text())["reports"][0]["metadata"]
+        assert sweep["verdict"]["analytic_ir_class"] == "singular"
+        assert (sweep["verdict"]["kind"], sweep["expected"]) == (kind, expected)
 
 
 class TestCheckSubcommand:

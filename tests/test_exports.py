@@ -1,10 +1,14 @@
 """Every name a gsblab module exports in __all__ resolves to an attribute, the
 package exports exactly its layers' lists, no module reads another one's
-private names, and no function takes a parameter it never reads."""
+private names, no function takes a parameter it never reads, and importing
+the package pins one BLAS thread unless a count is set."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,17 @@ def test_readme_python_api_snippet_runs(capsys):
     assert float(w_top) < 1e-8
     assert float(pull_err) < 1e-4
     assert float(dgamma) > 0
+
+
+@pytest.mark.parametrize("preset, want", [({}, ["1", "1", "1"]),
+                                          ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+def test_import_pins_one_blas_thread_unless_set(preset, want):
+    # a fresh interpreter: BLAS reads these once, when numpy is first imported
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(gsblab.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    code = f"import os, gsblab; print(*(os.environ[n] for n in {names}))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == want

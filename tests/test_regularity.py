@@ -14,10 +14,8 @@ import scipy.sparse as sp
 
 from gsblab import (
     CouplingFamily,
-    IrSweepRow,
     NonConverged,
     SolverConfig,
-    SweepVerdict,
     absence_lower_bound,
     apply_fock,
     apply_matter,
@@ -513,34 +511,44 @@ class TestAppendixSuite:
             regularity.appendix_suite(spin_boson(n_modes=2, n_max=0), 1, 2, seed=1)
 
 
-def sweep_row(sigma, N, bound):
-    return IrSweepRow(sigma=sigma, n_shells=4, E=-1.0, expectation_N=N, absence_bound=bound,
-                      lam_over_w_norm=1.0, max_w_top=1e-12)
-
-
-def sweep_verdict(kind, ir_class):
-    return SweepVerdict(kind=kind, slope_b=0.0, intercept_a=0.0, r_squared=1.0,
-                        final_increment=0.0, final_increment_rel=0.0,
-                        analytic_ir_class=ir_class)
+def sweep_row(sigma, N, bound, lam=1.0):
+    return {"sigma": sigma, "n_shells": 4, "E": -1.0, "expectation_N": N, "absence_bound": bound,
+            "lam_over_w_norm": lam, "max_w_top": 1e-12}
 
 
 class TestSweepVerdictReport:
-    ROWS = [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4)]
+    # rows whose <N> reads each verdict kind, each keeping <N> >= the bound
+    ROWS = {
+        "diverging": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4)],
+        "converging": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4),
+                       sweep_row(1e-3, 1.5001, 1.4)],
+        "inconclusive": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4),
+                         sweep_row(1e-3, 1.2, 1.1)],
+    }
+    B = [np.array([[1.0]])]
+
+    def report(self, rows, ir_class, alpha=1.0, B=None):
+        return regularity._sweep_report(rows, ir_class, alpha, B or self.B, 1e-3)
 
     @pytest.mark.parametrize("kind, ir_class", [
         ("converging", "singular"), ("diverging", "regular"), ("inconclusive", "singular"),
     ])
     def test_verdict_against_the_class_fails(self, kind, ir_class):
-        rep = regularity.sweep_verdict_report(self.ROWS, sweep_verdict(kind, ir_class), 1e-3)
+        rep = self.report(self.ROWS[kind], ir_class)
+        assert rep.metadata["verdict"]["kind"] == kind
+        assert rep.metadata["expected"] == {"singular": "diverging",
+                                            "regular": "converging"}[ir_class]
         assert not rep.passed
         assert rep.metadata["worst_bound_violation"] == 0.0
 
     def test_row_below_the_bound_fails(self):
-        rows = [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.0, 1.2), sweep_row(1e-3, 2.0, 1.0)]
-        rep = regularity.sweep_verdict_report(rows, sweep_verdict("diverging", "singular"), 1e-3)
+        # the verdict is the expected one, so the bound alone fails the sweep
+        rows = [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.2, 1.4), sweep_row(1e-3, 2.0, 1.0)]
+        rep = self.report(rows, "singular")
+        assert rep.metadata["verdict"]["kind"] == rep.metadata["expected"] == "diverging"
         assert not rep.passed
         assert rep.metadata["worst_bound_sigma"] == 0.01
-        assert rep.metadata["worst_bound_violation"] == pytest.approx(0.2 / 1.2, rel=1e-14)
+        assert rep.metadata["worst_bound_violation"] == pytest.approx(0.2 / 1.4, rel=1e-14)
         # lhs and rhs come from the smallest sigma, not from the worst row
         assert (rep.lhs, rep.rhs) == (2.0, 1.0)
 
@@ -548,12 +556,46 @@ class TestSweepVerdictReport:
         ("diverging", "singular"), ("converging", "regular"), ("inconclusive", "unknown"),
     ])
     def test_agreement_with_the_bound_held_passes(self, kind, ir_class):
-        rep = regularity.sweep_verdict_report(self.ROWS, sweep_verdict(kind, ir_class), 1e-3)
+        rows = self.ROWS[kind]
+        rep = self.report(rows, ir_class)
         assert rep.passed
         assert rep.check_name == "ir_sweep_verdict" and rep.tol_used == 1e-3
-        assert (rep.lhs, rep.rhs, rep.w_top) == (1.5, 1.4, 1e-12)
+        assert (rep.lhs, rep.rhs, rep.w_top) == (rows[-1]["expectation_N"],
+                                                 rows[-1]["absence_bound"], 1e-12)
         assert rep.metadata["verdict"]["kind"] == kind
-        assert [r["expectation_N"] for r in rep.metadata["rows"]] == [1.0, 1.5]
+        assert rep.metadata["verdict"]["analytic_ir_class"] == ir_class
+        assert rep.metadata["rows"] == rows
+
+    @pytest.mark.parametrize("kind", ["converging", "diverging", "inconclusive"])
+    @pytest.mark.parametrize("alpha, bounds", [
+        (0.05, [1.3e-38, 5.7e-36, 3.9e-32]),  # the unbiased spin boson's rungs
+        (1.0, [0.0, 1.4, 0.9]),  # one rung at round-off is enough
+    ])
+    def test_singular_class_with_a_bound_at_round_off_expects_nothing(self, kind, alpha,
+                                                                      bounds):
+        rows = [{**r, "absence_bound": b} for r, b in zip(self.ROWS[kind], bounds)]
+        rep = self.report(rows, "singular", alpha=alpha)
+        assert rep.metadata["verdict"]["kind"] == kind
+        assert rep.metadata["expected"] is None
+        assert rep.passed
+
+    def test_alpha_zero_sweep_passes_as_inconclusive(self):
+        # <N> = 0 on every rung: the log fit is flat, and nothing is expected
+        rows = [sweep_row(s, 0.0, 0.0) for s in (0.1, 0.01, 1e-3)]
+        rep = self.report(rows, "singular", alpha=0.0)
+        assert rep.metadata["verdict"]["kind"] == "inconclusive"
+        assert rep.metadata["expected"] is None and rep.passed
+
+    @pytest.mark.parametrize("factor, expected", [(0.9, None), (1.1, "diverging")])
+    def test_round_off_floor_scales_with_the_largest_spectral_norm(self, factor, expected):
+        # floor 1e-16 alpha^2 lam_over_w_norm max_j ||B_j||_2^2 = 1e-16 * 4 * 3 * 2;
+        # B_0 has spectral norm sqrt(2), Frobenius norm 2 and largest entry 1
+        B = [np.array([[1.0, 1.0], [1.0, -1.0]]), 0.5 * np.eye(2)]
+        rows = [sweep_row(0.1, 1.0, factor * 2.4e-15, lam=3.0),
+                sweep_row(0.01, 1.5, factor * 2.4e-15, lam=3.0)]
+        rep = self.report(rows, "singular", alpha=2.0, B=B)
+        assert rep.metadata["expected"] == expected
+        assert rep.passed
 
 
 class TestCcrSuite:
@@ -660,6 +702,12 @@ def sweep_ladder(fams, sigmas, shells_per_decade, nu=3, Lambda=1.0):
     return ladder
 
 
+def sweep(ladder, A, B, alpha, n_max, cfg=CFG):
+    """The rows and verdict of ir_sweep's report, at the config's default ctol."""
+    meta = ir_sweep(ladder, A, B, alpha, n_max, cfg, 1e-3).metadata
+    return meta["rows"], meta["verdict"]
+
+
 class TestIrSweep:
     @pytest.mark.parametrize(
         "nu,p,alpha,sigmas,expected_kind,expected_div",
@@ -674,42 +722,42 @@ class TestIrSweep:
     def test_family_verdicts(self, nu, p, alpha, sigmas, expected_kind, expected_div):
         A, B = preset_van_hove()
         ladder = sweep_ladder([hard_family(p=p)], sigmas, 8, nu=nu)
-        rows, verdict = ir_sweep(ladder, A, B, alpha, 12, CFG)
-        assert verdict.kind == expected_kind
-        assert verdict.divergence_kind == expected_div
+        rows, verdict = sweep(ladder, A, B, alpha, 12)
+        assert verdict["kind"] == expected_kind
+        assert verdict["divergence_kind"] == expected_div
         expected_class = "singular" if 2 * p <= 3 - nu else "regular"
-        assert verdict.analytic_ir_class == expected_class
+        assert verdict["analytic_ir_class"] == expected_class
 
     def test_rows_match_closed_form(self):
         A, B = preset_van_hove()
         fam = hard_family(p=1.0)
         sigmas = [1e-1, 1e-2]
-        rows, _ = ir_sweep(sweep_ladder([fam], sigmas, 8), A, B, 0.5, 12, CFG)
+        rows, _ = sweep(sweep_ladder([fam], sigmas, 8), A, B, 0.5, 12)
         for row, s in zip(rows, sigmas):
-            grid = build_radial_grid(3, s, 1.0, row.n_shells, rule="log-midpoint")
+            grid = build_radial_grid(3, s, 1.0, row["n_shells"], rule="log-midpoint")
             grid = grid.with_coupling(eval_coupling(fam, grid), fam)
             vh = van_hove_oracle(grid, 0.5)
-            assert row.E == pytest.approx(vh.E_exact, rel=1e-12)
-            assert row.expectation_N == pytest.approx(vh.N_exact, rel=1e-12)
+            assert row["E"] == pytest.approx(vh.E_exact, rel=1e-12)
+            assert row["expectation_N"] == pytest.approx(vh.N_exact, rel=1e-12)
             # scalar matter makes the projection bound an equality
-            assert row.absence_bound == pytest.approx(vh.N_exact, rel=1e-12)
+            assert row["absence_bound"] == pytest.approx(vh.N_exact, rel=1e-12)
 
     def test_separable_matches_full_solve(self):
         # scalar matter factorizes; the per-mode path must agree with the
         # composite Hamiltonian on a small instance
         A, B = preset_van_hove()
         fam = hard_family(p=1.0)
-        rows, _ = ir_sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.5, 10, CFG)
+        rows, _ = sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.5, 10)
         for row, s in zip(rows, [0.4, 0.2]):
-            grid = build_radial_grid(3, s, 1.0, row.n_shells, rule="log-midpoint")
+            grid = build_radial_grid(3, s, 1.0, row["n_shells"], rule="log-midpoint")
             grid = grid.with_coupling(eval_coupling(fam, grid), fam)
             m = assemble(np.asarray(A, dtype=float), [np.asarray(b) for b in B],
                          grid, 0.5, 10)
             gs = solve_model(m, CFG)
-            assert row.E == pytest.approx(gs.energy, abs=1e-8)
+            assert row["E"] == pytest.approx(gs.energy, abs=1e-8)
             n_op = dgamma(np.ones(grid.n_modes), m.basis)
             n_val = float(np.real(np.vdot(gs.vector, n_op @ gs.vector)))
-            assert row.expectation_N == pytest.approx(n_val, abs=1e-7)
+            assert row["expectation_N"] == pytest.approx(n_val, abs=1e-7)
 
     @pytest.mark.parametrize("nu,p", [(3, 0.0), (1, 0.0)])
     def test_stacked_matches_per_mode_solves(self, nu, p):
@@ -739,17 +787,16 @@ class TestIrSweep:
         rows = []
         ladder = sweep_ladder([fam], [0.4, 0.2], 4)
         for a0 in (0.0, 2.5):
-            rows.append(ir_sweep(ladder, np.array([[a0]]), [np.array([[1.0]])],
-                                 0.5, 12, CFG)[0])
+            rows.append(sweep(ladder, np.array([[a0]]), [np.array([[1.0]])], 0.5, 12)[0])
         for r0, r1 in zip(*rows):
-            assert r1.E == pytest.approx(r0.E + 2.5, rel=1e-14)
-            assert r1.expectation_N == r0.expectation_N
+            assert r1["E"] == pytest.approx(r0["E"] + 2.5, rel=1e-14)
+            assert r1["expectation_N"] == r0["expectation_N"]
 
     def test_stacked_solve_respects_max_lanczos(self):
         A, B = preset_van_hove()
         ladder = sweep_ladder([hard_family()], [0.4, 0.2], 4)
         with pytest.raises(NonConverged, match="max_lanczos=5"):
-            ir_sweep(ladder, A, B, 0.5, 12, SolverConfig(max_lanczos=5))
+            sweep(ladder, A, B, 0.5, 12, SolverConfig(max_lanczos=5))
 
     @pytest.mark.parametrize("A,B", [
         ([[0.0]], [[1j]]),
@@ -758,22 +805,22 @@ class TestIrSweep:
     def test_non_hermitian_scalar_matter_rejected(self, A, B):
         ladder = sweep_ladder([hard_family()], [0.4, 0.2], 4)
         with pytest.raises(ValueError, match="not hermitian"):
-            ir_sweep(ladder, np.array(A), [np.array(B)], 0.5, 6, CFG)
+            sweep(ladder, np.array(A), [np.array(B)], 0.5, 6)
 
     def test_spin_boson_sweep_uses_full_solver(self):
         A, B = preset_spin_boson(1.0)
         fam = hard_family(rho0=0.5, p=1.0)
-        rows, verdict = ir_sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.3, 6, CFG)
+        rows, verdict = sweep(sweep_ladder([fam], [0.4, 0.2], 2), A, B, 0.3, 6)
         assert len(rows) == 2
-        assert all(r.expectation_N > 0 for r in rows)
+        assert all(r["expectation_N"] > 0 for r in rows)
 
     def test_input_validation(self):
         A, B = preset_van_hove()
         fam = hard_family()
         with pytest.raises(ValueError):
-            ir_sweep(sweep_ladder([fam], [0.1], 4), A, B, 0.5, 6, CFG)
+            sweep(sweep_ladder([fam], [0.1], 4), A, B, 0.5, 6)
         with pytest.raises(ValueError):
-            ir_sweep(sweep_ladder([fam], [0.1, 0.2], 4), A, B, 0.5, 6, CFG)
+            sweep(sweep_ladder([fam], [0.1, 0.2], 4), A, B, 0.5, 6)
 
     @pytest.mark.parametrize("preset,n_fams", [("van_hove", 2), ("spin_boson", 2),
                                                ("spin_boson", 0)])
@@ -783,7 +830,7 @@ class TestIrSweep:
         A, B = preset_van_hove() if preset == "van_hove" else preset_spin_boson(1.0)
         ladder = sweep_ladder([hard_family(p=1.0)] * n_fams, [0.4, 0.2], 2)
         with pytest.raises(ValueError, match=r"coupling column\(s\)"):
-            ir_sweep(ladder, A, B, 0.5, 6, CFG)
+            sweep(ladder, A, B, 0.5, 6)
 
     def test_two_channel_sweep_assembles_every_channel(self):
         # a ladder whose rungs carry both channels solves each rung as the
@@ -792,13 +839,13 @@ class TestIrSweep:
         B = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
         fams = [hard_family(rho0=0.5, p=1.0), hard_family(rho0=0.3, p=1.0)]
         ladder = sweep_ladder(fams, [0.1, 0.01], 2)
-        rows, verdict = ir_sweep(ladder, A, B, 0.3, 3, CFG)
-        assert verdict.analytic_ir_class == "regular"
+        rows, verdict = sweep(ladder, A, B, 0.3, 3)
+        assert verdict["analytic_ir_class"] == "regular"
         for row, (_, grid) in zip(rows, ladder):
             m = assemble(A, B, grid, 0.3, 3)
             gs = solve_model(m, CFG)
-            assert row.E == gs.energy
-            assert row.expectation_N == absence_lower_bound(m, gs, np.ones(grid.n_modes)).lhs
+            assert row["E"] == gs.energy
+            assert row["expectation_N"] == absence_lower_bound(m, gs, np.ones(grid.n_modes)).lhs
 
     def test_two_channel_sweep_judges_every_channel(self):
         # channel 1 is infrared singular (nu 3, p 0) while channel 0 is
@@ -807,9 +854,9 @@ class TestIrSweep:
         B = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
         fams = [hard_family(rho0=0.5, p=1.0), hard_family(rho0=0.3, p=0.0)]
         ladder = sweep_ladder(fams, [0.1, 0.01, 0.001, 1e-4], 2)
-        rows, verdict = ir_sweep(ladder, A, B, 0.3, 3, CFG)
-        assert verdict.analytic_ir_class == "singular"
-        norms = [r.lam_over_w_norm for r in rows]
+        rows, verdict = sweep(ladder, A, B, 0.3, 3)
+        assert verdict["analytic_ir_class"] == "singular"
+        norms = [r["lam_over_w_norm"] for r in rows]
         assert all(b > a + 0.1 for a, b in zip(norms, norms[1:])), norms
 
 
