@@ -17,7 +17,7 @@ Every Fock operator is a scipy CSR matrix and every vector a numpy array;
 matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
 `apply_fock` and `apply_matter` apply 1 (x) X and T (x) 1 to it by
 reshaping it to (d_matter, fock_dim).  `LinOp.apply` is the plain `mat @ v`;
-what runs in parallel is a level of resolvent solves, in regularity.
+what runs in parallel is whole solves, through `spectral.parallel_map`.
 """
 
 from __future__ import annotations
@@ -194,19 +194,22 @@ def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
 class LinOp:
     """A model's assembled H: a square scipy CSR matrix `mat` with a hermiticity flag.
 
-    The solvers read `hermitian` and the cached `diagonal`.  `mat` is never
-    modified after construction.  The solvers apply H to vectors only
-    through `apply`, so a caller can replace it on one instance (to count
-    applications, for example).  `apply` reads `mat` and nothing else, so
-    the resolvent solves of a chain level in regularity share one H across
-    threads.
+    The solvers read `hermitian`, the cached `diagonal` and `sectors`: None,
+    or two index arrays that partition the basis with no entry of `mat`
+    between them (the matter parity sectors `model.assemble` finds).  `mat`
+    is never modified after construction.  The solvers apply H to vectors
+    only through `apply`, so a caller can replace it on one instance (to
+    count applications, for example).  `apply` reads `mat` and nothing
+    else, so the resolvent solves of a chain level in regularity share one
+    H across threads.
     """
 
-    def __init__(self, mat, hermitian: bool = False):
+    def __init__(self, mat, hermitian: bool = False, sectors=None):
         self.mat = sp.csr_matrix(mat)
         if self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {self.mat.shape}")
         self.hermitian = bool(hermitian)
+        self.sectors = sectors
 
     @property
     def dim(self) -> int:
@@ -280,11 +283,15 @@ def smeared_annihilator(f, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
     """a(f) = sum_i conj(f_i) sqrt(w_i) a_i, anti-linear in f (see smearing_coefficients)."""
     if grid.n_modes != basis.n_modes:
         raise ValueError("column length must match grid and basis mode count")
-    coeff = smearing_coefficients(f, grid)
+    return _lowering_sum(smearing_coefficients(f, grid), basis)
+
+
+def _lowering_sum(coeff: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+    """sum_i coeff_i a_i in the dtype of coeff, from the lowerings kept on the basis."""
     n = len(basis)
     modes = np.flatnonzero(coeff)
     if not len(modes):
-        return sp.csr_matrix((n, n), dtype=complex)
+        return sp.csr_matrix((n, n), dtype=coeff.dtype)
     # a_i sends t to t - e_i, so no two modes share an entry: concatenate the scaled a_i
     lowerings = [basis.lowering(i) for i in modes]
     rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.indptr)) for a in lowerings])
@@ -302,10 +309,15 @@ def dgamma(g, basis: FockBasis) -> sp.csr_matrix:
 
 
 def field_operator(lam, grid: ModeSet, basis: FockBasis) -> sp.csr_matrix:
-    """Smeared field (a*(lam) + a(lam)) / sqrt(2) for a real column lam."""
+    """Smeared field (a*(lam) + a(lam)) / sqrt(2) for a real column lam, in real arithmetic.
+
+    a(lam) has the real coefficients lam_i sqrt(w_i), so a*(lam) is its transpose.
+    """
     lam = np.asarray(lam, dtype=float)
-    a = smeared_annihilator(lam, grid, basis)
-    return ((a + a.conj().T) / math.sqrt(2.0)).real
+    if lam.shape != (grid.n_modes,) or grid.n_modes != basis.n_modes:
+        raise ValueError("column length must match grid and basis mode count")
+    a = _lowering_sum(lam * np.sqrt(grid.weights), basis)
+    return (a + a.T) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ with dense hermitian matter operators A, B_j, a discrete mode set carrying
 one coupling column per channel, and a total-quanta truncation n_max.  H is
 assembled once as one sparse CSR matrix on the matter-major composite.
 
+When signs u in {+1, -1}^d make U A U = A and U B_j U = -B_j (U = diag(u)),
+H commutes exactly with U (x) (-1)^N on the truncated space, since the field
+changes the total quanta by one and the truncation keeps whole grades.  The
+basis state (a, n) then lies in the parity sector u_a (-1)^|n|, and the
+assembled H carries the two sectors' index sets, which the ground solve
+uses to solve each sector on its own.
+
 The commutant density T(k_i) = (sum_j lambda_j(k_i) B_j) (x) 1 / sqrt(2) is
 fixed by the exact discrete commutator [1 (x) a_i, H_I] = sqrt(w_i) T(k_i)
 on states below the top grade, with H_I = (H - H|alpha=0) / alpha; that
@@ -28,6 +35,7 @@ __all__ = [
     "GsbModel",
     "GroundState",
     "assemble",
+    "matter_parity",
     "t_operator",
     "van_hove_oracle",
     "VanHoveValues",
@@ -79,10 +87,12 @@ class GroundState:
     residual is ||H v - E v||, gap the distance to the second eigenvalue.
     near_degenerate flags a gap small relative to the spectral width;
     identity checks stay well posed for whichever normalized ground vector
-    was returned.  iterations counts operator applications and method names
-    the solver ("dense" or "eigsh").  w_top is the truncation weight of the
-    vector: `spectral.solve_model` fills it from the model's basis, and it
-    is nan from a bare `spectral.ground_state`.
+    was returned.  iterations counts operator applications, summed over the
+    sectors of a split solve, and method names the solver: "dense",
+    "lanczos", or "lanczos-sectors" for one Lanczos per parity sector.
+    w_top is the truncation weight of the vector: `spectral.solve_model`
+    fills it from the model's basis, and it is nan from a bare
+    `spectral.ground_state`.
     """
 
     energy: float
@@ -124,6 +134,8 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     grid per B_j.  H is one CSR matrix, the Kronecker terms summed in the
     order written above.  Real
     A and B_j give a real H, so the ground solve runs in real arithmetic.
+    When matter_parity finds signs u, H.sectors holds the indices of the
+    states of parity +1 and of parity -1 (module docstring), else None.
     An alpha large enough to overflow an entry of H raises no warning here:
     the ground solvers reject a non-finite H with NonConverged.
     """
@@ -142,7 +154,47 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
         for j, b in enumerate(B):
             phi = fock.field_operator(grid.channel(j), grid, basis)
             H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
-    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True))
+    sectors = None
+    u = matter_parity(A, B)
+    if u is not None:
+        parity = np.outer(u, 1 - 2 * (basis.totals % 2)).ravel()
+        # (0, vacuum) is even; with n_max = 0 and every u_a = +1 no state is odd
+        if parity.min() < 0:
+            sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True, sectors=sectors))
+
+
+def matter_parity(A, B) -> np.ndarray | None:
+    """Signs u in {+1, -1}^d with u_a u_b = +1 wherever A_ab != 0 and -1 wherever some B_j,ab != 0.
+
+    Then U A U = A and U B_j U = -B_j for U = diag(u).  This two-colours the
+    matter indices: the lowest index of each connected set of them takes +1.
+    Returns an int array, or None when no such u exists (a nonzero diagonal
+    entry of some B_j, a pair coupled by both A and some B_j, or an odd
+    cycle of sign flips).
+    """
+    A = np.asarray(A)
+    same = A != 0
+    flip = np.zeros_like(same)
+    for b in B:
+        flip |= np.asarray(b) != 0
+    if np.any(same & flip):
+        return None
+    u = np.zeros(len(A), dtype=int)
+    for start in range(len(A)):
+        if u[start]:
+            continue
+        u[start], todo = 1, [start]
+        while todo:
+            a = todo.pop()
+            for b in np.flatnonzero(same[a] | flip[a]):
+                sign = -u[a] if flip[a, b] else u[a]
+                if not u[b]:
+                    u[b] = sign
+                    todo.append(b)
+                elif u[b] != sign:
+                    return None
+    return u
 
 
 def t_operator(model: GsbModel, i: int) -> np.ndarray:

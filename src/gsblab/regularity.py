@@ -36,9 +36,7 @@ coupling and a bound above round-off on every rung.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -77,12 +75,6 @@ ABSENCE_TOL = 1e-9
 # max_j ||B_j||^2 is round-off, and forces no divergence
 BOUND_FLOOR = 1e-16
 GROUND_RESIDUAL_CAP = 1e-10
-# Fewest stored entries of H per thread of a chain level.  Measured on 2
-# cores with one BLAS thread only: two threads ran a level slower than one
-# at 30,000 entries and below, mixed at 44,000-47,000 and faster from
-# 72,000 up, as CG's BLAS calls hold the GIL.  More than two threads, or
-# threads each running a multithreaded BLAS, were not measured.
-MIN_THREAD_NNZ = 25_000
 
 
 def resolvent_tol(w_top: float, cg_tol: float) -> float:
@@ -153,57 +145,6 @@ def _require_solved(gs: GroundState) -> None:
         )
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@cache
-def _pool():
-    """The workers of a parallel chain level: one per usable core but the caller's.
-    concurrent.futures is imported here, so a run with no parallel level never loads it."""
-    import concurrent.futures
-
-    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
-
-
-def _solve_level(solve, level: list, threads: int) -> list:
-    """[solve(S) for S in level], on `threads` threads (the caller alone under 2).
-
-    The caller and threads - 1 workers of _pool take the multisets in order
-    and start none once a solve has failed.  When all have stopped, the
-    error of the first failing multiset is raised, as in the serial loop:
-    every multiset before it was solved, since one left unsolved was taken
-    after a failure of an earlier one.  Solves are deterministic, so the
-    results are bitwise those of the loop.
-    """
-    out = [None] * len(level)
-    pending = enumerate(level)  # next() on it runs whole under the GIL
-    failed = []
-
-    def work():
-        for i, S in pending:
-            if failed:
-                return
-            try:
-                out[i] = solve(S)
-            except BaseException as exc:  # raised below, once every thread stopped
-                out[i] = exc
-                failed.append(i)
-
-    workers = [_pool().submit(work) for _ in range(threads - 1)]
-    work()
-    for worker in workers:
-        worker.result()
-    for result in out:
-        if isinstance(result, BaseException):
-            raise result
-    return out
-
-
 def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     """{S: (v(S), cg_iterations, cg_relres)} for each multiset S solved, sub-multisets included.
 
@@ -211,8 +152,8 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     copy of j), v(()) = phi_g: one solve per multiset S (a sorted tuple of
     modes), level by level from a memo, aggregates all orderings of its
     chains.  Level 1 is the pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
-    A level reads only the levels below it, so it runs on one thread per
-    usable core and per MIN_THREAD_NNZ stored entries of H, at most.
+    A level reads only the levels below it, so its solves go through
+    spectral.parallel_map.
     """
     t_ops = {j: t_operator(m, j) for j in sorted(set().union(*multisets))}
     memo = {(): (gs.vector, 0, 0.0)}
@@ -229,8 +170,7 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     subs = {sub for S in multisets for k in range(1, len(S) + 1) for sub in combinations(S, k)}
     for n in sorted({len(S) for S in subs}):
         level = sorted(S for S in subs if len(S) == n)
-        threads = min(_usable_cores(), m.H.mat.nnz // MIN_THREAD_NNZ, len(level))
-        memo.update(zip(level, _solve_level(solve, level, threads)))
+        memo.update(zip(level, spectral.parallel_map(solve, level, m.H.mat.nnz)))
     del memo[()]
     return memo
 

@@ -1,27 +1,35 @@
-"""Ground-state eigensolver and shifted-resolvent solver.
+"""Ground-state eigensolver, shifted-resolvent solver and the thread pool they share.
 
 Two numerical primitives feed every identity check: the lowest eigenpair of
 a hermitian operator and the application of (H - E + s)^-1 for shifts s > 0
 (Jacobi-preconditioned conjugate gradients on the positive definite shifted
 operator: one H.apply per iteration, every vector update in place through
 BLAS axpy/scal).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM
-and from ARPACK's implicitly restarted Lanczos (scipy eigsh, two lowest
-eigenpairs) above it, both in the dtype of H and, for the resolvent, of
-the right-hand side: a real model gets a real ground vector, real
-right-hand sides and real solves.  Both are deterministic for a fixed
-seed; above the dense cut-off H is never factorized, only applied.
+and from a thick-restart Lanczos above it (Wu and Simon, SIAM J. Matrix
+Anal. Appl. 22 (2000) 602), both in the dtype of H and, for the resolvent,
+of the right-hand side: a real model gets a real ground vector, real
+right-hand sides and real solves.  An assembled H that carries two matter
+parity sectors, and is large enough, is solved one sector per thread; the
+split depends on H alone.  Both solvers are deterministic for a fixed seed;
+above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
+
+parallel_map runs independent solves on up to one thread per usable core:
+the sectors of a ground solve here, the levels of resolvent chains in
+regularity.  Each solve is deterministic, so its results are bitwise those
+of a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from functools import cache
 
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field
 from scipy.linalg import get_blas_funcs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .fock import LinOp
 from .model import GroundState, GsbModel
@@ -34,6 +42,7 @@ __all__ = [
     "solve_model",
     "stacked_ground_states",
     "resolvent_apply",
+    "parallel_map",
 ]
 
 # Largest dimension ground_state solves by dense eigh.  The single-mode
@@ -42,14 +51,43 @@ DENSE_MAX_DIM = 128
 
 NEAR_DEGENERATE_FACTOR = 1e-8
 
+# The Lanczos basis holds KRYLOV_DIM vectors; a restart keeps the
+# KRYLOV_KEEP lowest Ritz vectors of the full basis.
+KRYLOV_DIM = 16
+KRYLOV_KEEP = 6
+# A Lanczos run stops at the SETTLE_CHECKS-th restart in a row at which
+# both lowest Ritz pairs meet eig_tol.  A ground level that is exactly
+# degenerate shows one vector of its eigenspace to a single start vector;
+# the partner enters only through rounding, once the ground vector has
+# converged, and the two extra cycles give it room to.  Stopping at the
+# first passing check missed the partner of the delta = 0 spin boson
+# (dimensions 420 to 1,584) for 52 of 120 seeds, at the second for 2 and
+# at the third for none, for 17% more applications on the M = 12 sectors.
+SETTLE_CHECKS = 3
+# A Lanczos coupling at or below this share of the spectral width (the
+# largest absolute row sum of H) is round-off: the Krylov space is invariant.
+BREAKDOWN = 1e-13
+# The orthogonalization against the basis runs a second pass when the first
+# leaves less than this share of the vector's norm (Daniel, Gragg, Kaufman
+# and Stewart's criterion).
+DGKS = 1.0 / math.sqrt(2.0)
+
+# Fewest stored entries of H per thread of parallel_map.  Measured on 2
+# cores with one BLAS thread only: two threads ran a level of chain solves
+# slower than one at 30,000 entries and below, mixed at 44,000-47,000 and
+# faster from 72,000 up, as CG's BLAS calls hold the GIL.  More than two
+# threads, or threads each running a multithreaded BLAS, were not measured.
+MIN_THREAD_NNZ = 25_000
+
 
 class SolverConfig(BaseModel):
     """Tolerances, iteration caps and the seed for deterministic starts.
 
-    max_lanczos caps the operator applications of one ground solve; a dense
-    solve counts as dim applications.  This is the `solver` section of a run
-    config: construction validates every field and raises ValueError on an
-    unknown field, a non-finite or out-of-range value, or a non-integer cap.
+    max_lanczos caps the operator applications of each Lanczos run (one per
+    parity sector of a split solve); a dense solve counts as dim
+    applications.  This is the `solver` section of a run config:
+    construction validates every field and raises ValueError on an unknown
+    field, a non-finite or out-of-range value, or a non-integer cap.
     """
 
     model_config = ConfigDict(frozen=True, extra="forbid", allow_inf_nan=False)
@@ -73,12 +111,62 @@ class NonPositiveShift(ValueError):
     """The shifted system H - E + s needs s > 0 to be positive definite."""
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def _start_vector(dim: int, seed: int, dtype) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+@cache
+def _pool():
+    """The workers of parallel_map: one per usable core but the caller's.
+    concurrent.futures is imported here, so a run that never splits a solve never loads it."""
+    import concurrent.futures
+
+    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
+
+
+def parallel_map(solve, items: list, nnz: int) -> list:
+    """[solve(x) for x in items], bitwise, on as many threads as pay.
+
+    That is one thread per usable core, per item and per MIN_THREAD_NNZ
+    stored entries (nnz) of the operator the solves apply, at most: under
+    two, the caller runs the loop alone and the pool is never touched.
+    The caller and the workers of _pool take the items in order and start
+    none once a solve has failed.  When all have stopped, the error of the
+    first failing item is raised, as in the serial loop: every item before
+    it was solved, since one left unsolved was taken after a failure of an
+    earlier one.  Solves are deterministic, so the results are bitwise
+    those of the loop.
+    """
+    threads = min(_usable_cores(), nnz // MIN_THREAD_NNZ, len(items))
+    out = [None] * len(items)
+    pending = enumerate(items)  # next() on it runs whole under the GIL
+    failed = []
+
+    def work():
+        for i, x in pending:
+            if failed:
+                return
+            try:
+                out[i] = solve(x)
+            except BaseException as exc:  # raised below, once every thread stopped
+                out[i] = exc
+                failed.append(i)
+
+    workers = [_pool().submit(work) for _ in range(threads - 1)]
+    work()
+    for worker in workers:
+        worker.result()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
+
+
+def _random_vector(rng, dim: int, dtype) -> np.ndarray:
     v = rng.standard_normal(dim)
     if np.issubdtype(dtype, np.complexfloating):
         v = v + 1j * rng.standard_normal(dim)
@@ -109,56 +197,115 @@ def _dense_ground(H: LinOp, cfg: SolverConfig):
     return vals[:2], vecs[:, 0], H.dim
 
 
-def _eigsh_ground(H: LinOp, row_sums, cfg: SolverConfig):
-    """Two lowest eigenpairs by ARPACK; returns (values, ground vector, applications).
+def _orthogonalize(V: np.ndarray, w: np.ndarray):
+    """(w minus its projection on the rows of V, the norm left) by classical Gram-Schmidt.
 
-    ARPACK accepts a Ritz pair once ||r|| <= tol * |theta|, which no
-    tolerance meets for theta near 0: it then misses an eigenvalue at 0
-    altogether.  So it runs on H + shift, with low <= E <= high (Gershgorin
-    below, the smallest diagonal entry above) putting the wanted eigenvalue
-    theta in [1, 1 + high - low].  With max(1, |E|) >= max(1, low, -high),
-    the tol below keeps tol * theta <= eig_tol * max(1, |E|).
+    A second pass runs when the first leaves less than DGKS of the norm;
+    it removes the round-off of the first, so the result is orthogonal to
+    the rows to working precision.  V^H w is taken as conj(conj(w) V^T),
+    which copies no basis vector, and numpy's products release the GIL, so
+    the sectors of a split solve run side by side.
     """
-    diag = H.diagonal.real
-    low = float(np.min(diag + np.abs(diag) - row_sums))
-    high = float(diag.min())
-    shift = 1.0 - low
-    tol = cfg.eig_tol * max(1.0, low, -high) / (1.0 + high - low)
-    applied = 0
-    axpy = get_blas_funcs("axpy", dtype=H.dtype)
+    norm = np.linalg.norm(w)
+    for _ in range(2):
+        w -= (w.conj() @ V.T).conj() @ V
+        left, norm = norm, np.linalg.norm(w)
+        if norm >= DGKS * left:
+            break
+    return w, norm
 
-    def matvec(v):
-        nonlocal applied
+
+def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
+    """Two lowest eigenpairs by thick-restart Lanczos; returns (values, ground vector, applications).
+
+    The basis is the rows of V.  T holds V^H H V: tridiagonal, and after a
+    restart an arrowhead coupling the kept Ritz vectors to the next vector.
+    Each new vector is H v_i less its terms in T, then orthogonalized
+    against the whole basis.  Each time the basis is full, both lowest Ritz
+    pairs are checked for residual estimate |beta s_i| <= eig_tol
+    max(1, |theta_i|), s_i the last entry of Ritz vector i, and the basis
+    restarts from its KRYLOV_KEEP lowest Ritz vectors; the run stops at the
+    SETTLE_CHECKS-th check in a row that passes.  A coupling at round-off
+    (BREAKDOWN of the spectral width `width`) means the basis spans an
+    invariant space: the run continues from a fresh seeded vector
+    orthogonal to it, coupled by 0, so an eigenvalue whose eigenvectors the
+    start vector missed is still found.  Every product is one H.apply; more
+    than max_lanczos of them, or a product that overflows, raise
+    NonConverged.
+    """
+    dtype = np.result_type(H.dtype, float)
+    rng = np.random.default_rng(cfg.seed)
+    V = np.empty((KRYLOV_DIM, H.dim), dtype=dtype)
+    T = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
+    V[0] = _random_vector(rng, H.dim, dtype)
+    i = applied = passed = 0
+    while True:
         if applied >= cfg.max_lanczos:
-            raise _BudgetExhausted
+            raise NonConverged(
+                f"lanczos did not reach eig_tol={cfg.eig_tol} within "
+                f"{cfg.max_lanczos} operator applications", float("inf"))
+        w = H.apply(V[i])
         applied += 1
-        return axpy(v, H.apply(v), a=shift)
+        T[i, i] = np.vdot(V[i], w).real
+        # the recurrence (the arrowhead at i = KRYLOV_KEEP) removes the bulk of
+        # w, so one pass against the basis cleans up its rounding; without it
+        # every step of the M = 12 spin boson took DGKS's second pass
+        lo = 0 if i == KRYLOV_KEEP else max(i - 1, 0)
+        w -= T[lo:i + 1, i] @ V[lo:i + 1]
+        w, norm = _orthogonalize(V[:i + 1], w)
+        if not np.isfinite(norm):
+            raise NonConverged("lanczos overflowed: H is too large to apply", float("inf"))
+        beta = norm if norm > BREAKDOWN * width else 0.0
+        if i + 1 < KRYLOV_DIM:
+            T[i + 1, i] = T[i, i + 1] = beta
+        else:
+            theta, S = np.linalg.eigh(T)
+            tol = cfg.eig_tol * np.maximum(1.0, np.abs(theta[:2]))
+            passed = passed + 1 if np.all(np.abs(beta * S[-1, :2]) <= tol) else 0
+            if passed == SETTLE_CHECKS:
+                return theta[:2], S[:, 0] @ V, applied
+            V[:KRYLOV_KEEP] = S[:, :KRYLOV_KEEP].T @ V
+            T[:] = 0.0
+            T[range(KRYLOV_KEEP), range(KRYLOV_KEEP)] = theta[:KRYLOV_KEEP]
+            T[KRYLOV_KEEP, :KRYLOV_KEEP] = T[:KRYLOV_KEEP, KRYLOV_KEEP] = beta * S[-1, :KRYLOV_KEEP]
+            i = KRYLOV_KEEP - 1
+        if not beta:
+            w, norm = _orthogonalize(V[:i + 1], _random_vector(rng, H.dim, dtype))
+        V[i + 1] = w / norm
+        i += 1
 
-    op = LinearOperator((H.dim, H.dim), matvec=matvec, dtype=H.dtype)
-    try:
-        vals, vecs = eigsh(op, k=2, which="SA", tol=tol,
-                           v0=_start_vector(H.dim, cfg.seed, H.dtype))
-    except _BudgetExhausted:
-        raise NonConverged(
-            f"eigsh did not reach eig_tol={cfg.eig_tol} within "
-            f"{cfg.max_lanczos} operator applications", float("inf")) from None
-    except ArpackError as exc:
-        raise NonConverged(f"eigsh failed: {exc}", float("inf")) from exc
-    order = np.argsort(vals)
-    return vals[order] - shift, vecs[:, order[0]], applied
+
+def _sector_ground(H: LinOp, cfg: SolverConfig):
+    """Two lowest eigenvalues, ground vector and applications of H from its parity sectors.
+
+    Each sector block H.mat[idx][:, idx] is solved by ground_state, one per
+    thread; H has no entry between sectors, so its spectrum is theirs.  The
+    two lowest of the sectors' four values are H's; the ground vector is
+    the lower sector's, zero elsewhere (the first sector on an exact tie).
+    """
+    blocks = [LinOp(H.mat[idx][:, idx], hermitian=True) for idx in H.sectors]
+    parts = parallel_map(lambda block: ground_state(block, cfg), blocks, H.mat.nnz)
+    low = int(np.argmin([p.energy for p in parts]))
+    vec = np.zeros(H.dim, dtype=parts[low].vector.dtype)
+    vec[H.sectors[low]] = parts[low].vector
+    vals = np.sort([p.energy + g for p in parts for g in (0.0, p.gap)])[:2]
+    return vals, vec, sum(p.iterations for p in parts)
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
-    Dense eigh up to DENSE_MAX_DIM, scipy eigsh above, in H's own dtype.
-    A non-finite entry of H raises NonConverged before any solve.
-    Returns a GroundState whose vector is a normalized numpy array, with
-    the explicit residual ||H v - E v|| <= eig_tol * max(1, |E|) (a nan
-    residual raises NonConverged too), the gap to the second eigenvalue, and
-    a near-degeneracy flag when the gap is tiny relative to the spectral
-    width (the largest absolute row sum of H).  w_top stays nan: H carries
-    no basis.  Deterministic for a fixed cfg.seed.
+    Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's
+    own dtype.  An H with parity sectors and at least 2 MIN_THREAD_NNZ
+    stored entries is solved one sector per thread ("lanczos-sectors"),
+    whatever the core count.  A non-finite entry of H raises NonConverged
+    before any solve.  Returns a GroundState whose vector is a normalized
+    numpy array, with the explicit residual ||H v - E v|| <= eig_tol *
+    max(1, |E|) on the whole H (a nan residual raises NonConverged too), the
+    gap to the second eigenvalue, and a near-degeneracy flag when the gap is
+    tiny relative to the spectral width (the largest absolute row sum of
+    H).  w_top stays nan: H carries no basis.  Deterministic for a fixed
+    cfg.seed.
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
@@ -169,10 +316,15 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     nonempty = np.flatnonzero(np.diff(indptr))
     row_sums = np.zeros(H.dim)
     row_sums[nonempty] = np.add.reduceat(np.abs(H.mat.data), indptr[nonempty])
+    width = row_sums.max()
     if H.dim <= DENSE_MAX_DIM:
         method, (vals, vec, applied) = "dense", _dense_ground(H, cfg)
+    elif H.sectors is not None and H.mat.nnz >= 2 * MIN_THREAD_NNZ:
+        method, (vals, vec, applied) = "lanczos-sectors", _sector_ground(H, cfg)
     else:
-        method, (vals, vec, applied) = "eigsh", _eigsh_ground(H, row_sums, cfg)
+        # an overflowing product is refused inside, without a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            method, (vals, vec, applied) = "lanczos", _lanczos_ground(H, width, cfg)
     vec = vec / np.linalg.norm(vec)
     hv = H.apply(vec)
     energy = float(np.real(np.vdot(vec, hv)))
@@ -183,7 +335,7 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
         raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("nan")
     near = bool(np.isfinite(gap)
-                and gap <= NEAR_DEGENERATE_FACTOR * max(row_sums.max(), abs(energy), 1e-300))
+                and gap <= NEAR_DEGENERATE_FACTOR * max(width, abs(energy), 1e-300))
     return GroundState(
         energy=energy, vector=vec, residual=residual,
         gap=gap, near_degenerate=near, iterations=applied, method=method,

@@ -1000,14 +1000,14 @@ class TestSolveBlock:
         assert solve["gap"] > 0 and solve["near_degenerate"] is False
         assert blocks[0] == blocks[1]
 
-    def test_solve_block_records_eigsh(self, tmp_path):
+    def test_solve_block_records_lanczos(self, tmp_path):
         out = tmp_path / "out"
         cfg = custom_shifted_config(out)
         cfg["n_max"] = 12  # dimension 182, above the dense cut-off
         path = write_config(tmp_path, cfg)
         assert run_cli(["run", "--config", str(path)]).exit_code == 0
         solve = json.loads((out / "report.json").read_text())["solve"]
-        assert solve["method"] == "eigsh" and solve["iterations"] > 2
+        assert solve["method"] == "lanczos" and solve["iterations"] > 2
         assert solve["energy"] == pytest.approx(1000.0, abs=1.0)
 
     def test_sweep_has_no_solve_block(self, tmp_path):
@@ -1034,9 +1034,9 @@ class TestChainThreads:
             "checks": [{"kind": "pullthrough"}],
         }
         path = write_config(tmp_path, cfg)
-        pool = regularity._pool
+        pool = spectral._pool
         used = []
-        monkeypatch.setattr(regularity, "_pool", lambda: used.append(1) or pool())
+        monkeypatch.setattr(spectral, "_pool", lambda: used.append(1) or pool())
         errors = []
         for cores in (1, 2):
             chain_cores(cores)

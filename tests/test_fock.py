@@ -247,6 +247,27 @@ class TestSmearedOperators:
         np.testing.assert_allclose(got, want.real, atol=1e-14)
         np.testing.assert_allclose(got, got.conj().T, atol=1e-15)
 
+    @pytest.mark.parametrize("m, n", [(1, 6), (3, 4), (5, 3)])
+    def test_field_is_bitwise_the_complex_construction(self, m, n):
+        # phi is built in real arithmetic from the kept lowerings; the complex
+        # a(lam) plus its conjugate transpose, real part taken, is the reference
+        grid, basis = small_grid(m), enumerate_basis(m, n)
+        lam = np.asarray(grid.channel(0))
+        a = smeared_annihilator(lam, grid, basis)
+        want = ((a + a.conj().T) / math.sqrt(2.0)).real
+        got = field_operator(lam, grid, basis)
+        assert got.format == "csr" and got.dtype == np.float64
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_field_column_length_checked(self):
+        grid, basis = small_grid(3), enumerate_basis(3, 2)
+        with pytest.raises(ValueError, match="column length must match grid and basis mode count"):
+            field_operator(np.ones(2), grid, basis)
+        with pytest.raises(ValueError, match="column length must match grid and basis mode count"):
+            field_operator(np.ones(3), grid, enumerate_basis(2, 2))
+
     @given(
         seed=st.integers(0, 2**31 - 1),
         m=st.integers(1, 3),

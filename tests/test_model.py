@@ -12,6 +12,7 @@ from gsblab import (
     assemble,
     build_radial_grid,
     eval_coupling,
+    matter_parity,
     preset_spin_boson,
     preset_van_hove,
     t_operator,
@@ -117,6 +118,53 @@ class TestAssembly:
         m = assemble(A, B, grid, 0.0, 3)
         E, _ = oracle.dense_ground_state(m.H.mat.toarray())
         assert E == pytest.approx(np.linalg.eigvalsh(m.A)[0], abs=1e-12)
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# 3-level matter with u = (1, 1, -1): A mixes levels 0 and 1, B couples both to 2
+THREE_LEVELS = (np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+                [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.7], [1.0, 0.7, 0.0]])])
+
+
+class TestMatterParity:
+    """Signs u with U A U = A and U B_j U = -B_j make U (x) (-1)^N a symmetry of H."""
+
+    def test_spin_boson(self):
+        assert tuple(matter_parity(*preset_spin_boson(1.0))) == (1, -1)
+        assert tuple(matter_parity(*preset_spin_boson(0.0))) == (1, -1)
+
+    @pytest.mark.parametrize("case", ["biased_spin_boson", "van_hove", "rotated_matter"])
+    def test_none_without_a_sign_pattern(self, case):
+        if case == "biased_spin_boson":
+            A, B = np.array([[1.0, 0.25], [0.25, 0.0]]), [SIGMA_X]
+        elif case == "van_hove":
+            A, B = preset_van_hove()
+        else:
+            c, s = math.cos(0.3), math.sin(0.3)
+            R = np.array([[c, -s], [s, c]])
+            A, B = preset_spin_boson(1.0)
+            A, B = R @ A @ R.T, [R @ b @ R.T for b in B]
+        assert matter_parity(A, B) is None
+        assert assemble(A, B, coupled_grid(2), 0.4, 3).H.sectors is None
+
+    def test_three_levels(self):
+        A, B = THREE_LEVELS
+        u = matter_parity(A, B)
+        assert tuple(u) == (1, 1, -1)
+        U = np.diag(u)
+        np.testing.assert_array_equal(U @ A @ U, A)
+        np.testing.assert_array_equal(U @ B[0] @ U, -B[0])
+
+    @pytest.mark.parametrize("matter", ["spin_boson", "three_levels"])
+    def test_sectors_partition_the_basis_with_no_entry_between(self, matter):
+        A, B = preset_spin_boson(1.0) if matter == "spin_boson" else THREE_LEVELS
+        m = assemble(A, B, coupled_grid(3), 0.4, 4)
+        even, odd = m.H.sectors
+        np.testing.assert_array_equal(np.sort(np.r_[even, odd]), np.arange(m.dim))
+        assert m.H.mat[even][:, odd].nnz == m.H.mat[odd][:, even].nnz == 0
+        # state (a, n) lies in sector u_a (-1)^|n|
+        parity = np.outer(matter_parity(A, B), (-1) ** m.basis.totals).ravel()
+        assert (parity[even] == 1).all() and (parity[odd] == -1).all()
 
 
 class TestTOperator:

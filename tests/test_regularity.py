@@ -37,7 +37,7 @@ from gsblab import (
     t_operator,
     van_hove_oracle,
 )
-from gsblab import regularity
+from gsblab import regularity, spectral
 
 import oracle
 
@@ -888,7 +888,7 @@ class TestScaleInvariance:
         base = assemble(A, B, grid, 0.3, 12)
         shifted = assemble(A + c * np.eye(2), B, grid, 0.3, 12)
         g0, g1 = solve_model(base, CFG), solve_model(shifted, CFG)
-        assert g0.method == g1.method == "eigsh"
+        assert g0.method == g1.method == "lanczos"
         assert g1.energy == pytest.approx(g0.energy + c, abs=1e-10 * abs(c))
         f = np.asarray(grid.channel(0))
         for check, arg in ((pullthrough_check, f), (moment_identity, np.ones(2))):
@@ -1073,7 +1073,7 @@ class TestParallelLevels:
     def test_reports_bitwise_equal_on_any_thread_count(self, solved, chain_cores, monkeypatch):
         m, gs = solved
         # one thread per multiset of a level, up to the core count
-        monkeypatch.setattr(regularity, "MIN_THREAD_NNZ", 1)
+        monkeypatch.setattr(spectral, "MIN_THREAD_NNZ", 1)
         solve = regularity.resolvent_apply
         threads = set()
 
@@ -1104,7 +1104,7 @@ class TestParallelLevels:
             raise AssertionError("a serial level must not touch the thread pool")
 
         chain_cores(8)
-        monkeypatch.setattr(regularity, "_pool", no_pool)
+        monkeypatch.setattr(spectral, "_pool", no_pool)
         m, gs = solved
         if case == "one_multiset_level":
             # one weighted mode: a level of one multiset
@@ -1114,7 +1114,7 @@ class TestParallelLevels:
         else:
             # M=4, n_max=12: 25,479 stored entries, under two threads' worth
             small = spin_boson(n_modes=4, n_max=12)
-            assert small.H.mat.nnz < 2 * regularity.MIN_THREAD_NNZ
+            assert small.H.mat.nnz < 2 * spectral.MIN_THREAD_NNZ
             assert all(r.passed for r in self.reports(small, solve_model(small, CFG)))
 
     @pytest.mark.parametrize("threads", [1, 4])
@@ -1135,7 +1135,7 @@ class TestParallelLevels:
             return S
 
         with pytest.raises(NonConverged, match=r"on \(2,\)"):
-            regularity._solve_level(solve, level, threads)
+            spectral.parallel_map(solve, level, threads * spectral.MIN_THREAD_NNZ)
         assert not running
         # no multiset is started after a failure: only the failing prefix
         # and, on 4 threads, the solves in flight when (3,) failed ran
@@ -1145,7 +1145,7 @@ class TestParallelLevels:
 
     def test_workers_start_nothing_after_a_failure(self, chain_cores, monkeypatch):
         chain_cores(4)
-        pool, started = regularity._pool(), threading.Event()
+        pool, started = spectral._pool(), threading.Event()
 
         class LateWorkers:
             """Workers that start only once the caller waits for them."""
@@ -1160,7 +1160,7 @@ class TestParallelLevels:
 
                 return SimpleNamespace(result=result)
 
-        monkeypatch.setattr(regularity, "_pool", LateWorkers)
+        monkeypatch.setattr(spectral, "_pool", LateWorkers)
         done = []
 
         def solve(S):
@@ -1168,5 +1168,68 @@ class TestParallelLevels:
             raise NonConverged(f"no convergence on {S}", 1.0)
 
         with pytest.raises(NonConverged, match=r"on \(0,\)"):
-            regularity._solve_level(solve, [(i,) for i in range(12)], 4)
+            spectral.parallel_map(solve, [(i,) for i in range(12)], 4 * spectral.MIN_THREAD_NNZ)
         assert done == [(0,)]
+
+
+class TestParitySectors:
+    """A ground solve split into parity sectors gives the full-space reports, on any core count."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        # M=8, n_max=7: 108,965 stored entries, above the split size
+        m = spin_boson(n_modes=8, n_max=7)
+        c, s = math.cos(0.3), math.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        # the same model with its matter turned: no sign pattern, one full-space run
+        turned = assemble(R @ m.A @ R.T, [R @ b @ R.T for b in m.B], m.grid, m.alpha, m.n_max)
+        return m, turned
+
+    @staticmethod
+    def reports(m, gs):
+        return [pullthrough_check(m, gs, m.grid.channel(0), CFG),
+                moment_identity(m, gs, np.ones(m.grid.n_modes), CFG),
+                moment_identity(m, gs, m.grid.omega, CFG)]
+
+    def test_reports_match_the_full_space_solve(self, split):
+        m, turned = split
+        gs, full = solve_model(m, CFG), solve_model(turned, CFG)
+        assert (gs.method, full.method) == ("lanczos-sectors", "lanczos")
+        assert gs.energy == pytest.approx(full.energy, abs=1e-12 * max(1.0, abs(full.energy)))
+        assert gs.gap == pytest.approx(full.gap, rel=1e-9)
+        for r, ref in zip(self.reports(m, gs), self.reports(turned, full)):
+            assert r.passed and ref.passed
+            assert r.lhs == pytest.approx(ref.lhs, rel=1e-9)
+            assert r.rhs == pytest.approx(ref.rhs, rel=1e-9)
+
+    def test_bitwise_equal_on_any_core_count(self, split, chain_cores, monkeypatch):
+        m, _ = split
+        solve = spectral.ground_state
+        threads = set()
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "ground_state", recording)
+        runs = []
+        for cores in (1, 2, 8):
+            chain_cores(cores)
+            threads.clear()
+            gs = solve_model(m, CFG)
+            # the whole H and its two sectors: a second thread above one core
+            assert len(threads) == (1 if cores == 1 else 2)
+            runs.append((gs, self.reports(m, gs)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gs = solve_model(m, CFG)
+            runs.append((gs, self.reports(m, gs)))
+        finally:
+            sys.setswitchinterval(interval)
+        first, first_reports = runs[0]
+        for gs, reports in runs[1:]:
+            np.testing.assert_array_equal(gs.vector, first.vector)
+            assert ({k: v for k, v in vars(gs).items() if k != "vector"}
+                    == {k: v for k, v in vars(first).items() if k != "vector"})
+            assert [vars(r) for r in reports] == [vars(r) for r in first_reports]

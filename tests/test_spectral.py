@@ -1,4 +1,4 @@
-"""Dense/eigsh ground states and conjugate-gradient resolvent solves."""
+"""Dense/Lanczos ground states, parity-sector solves and conjugate-gradient resolvent solves."""
 
 import math
 
@@ -21,6 +21,7 @@ from gsblab import (
     resolvent_apply,
     solve_model,
 )
+from gsblab import spectral
 from gsblab.spectral import DENSE_MAX_DIM, stacked_ground_states
 import scipy.sparse as sp
 
@@ -353,7 +354,7 @@ class TestSolverConfig:
             SolverConfig(**field)
 
 
-class TestEigshPath:
+class TestLanczosPath:
     def test_complex_hermitian_sparse_above_dense_cutoff(self):
         dim = DENSE_MAX_DIM + 172
         rng = np.random.default_rng(21)
@@ -363,7 +364,7 @@ class TestEigshPath:
         gs = ground_state(LinOp(mat, hermitian=True), CFG)
         E_ref, vec_ref = oracle.dense_ground_state(mat.toarray())
         vals = np.linalg.eigvalsh(mat.toarray())
-        assert gs.method == "eigsh"
+        assert gs.method == "lanczos"
         assert np.iscomplexobj(gs.vector)
         assert gs.energy == pytest.approx(E_ref, abs=1e-10 * max(1.0, abs(E_ref)))
         assert gs.gap == pytest.approx(vals[1] - vals[0], rel=1e-6)
@@ -378,7 +379,7 @@ class TestEigshPath:
         cplx = assemble(A.astype(complex), [b.astype(complex) for b in B], grid, 0.4, 6)
         assert real.H.mat.dtype == np.float64 and cplx.H.mat.dtype == np.complex128
         g_r, g_c = solve_model(real, CFG), solve_model(cplx, CFG)
-        assert g_r.method == g_c.method == "eigsh"
+        assert g_r.method == g_c.method == "lanczos"
         assert g_c.energy == pytest.approx(g_r.energy, abs=1e-10 * max(1.0, abs(g_r.energy)))
         overlap = abs(np.vdot(g_r.vector, g_c.vector))
         assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -389,15 +390,15 @@ class TestEigshPath:
         apply = m.H.apply
         m.H.apply = lambda v: calls.append(1) or apply(v)
         gs = solve_model(m, CFG)
-        assert gs.method == "eigsh"
-        # every application but the final residual check is eigsh's
+        assert gs.method == "lanczos"
+        # every application but the final residual check is the Lanczos run's
         assert gs.iterations == len(calls) - 1 > 2
 
     def test_zero_ground_energy_found(self):
         # a relative Ritz test never accepts theta = 0; the solver must not skip it
         H = LinOp(sp.diags(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172)), hermitian=True)
         gs = ground_state(H, CFG)
-        assert gs.method == "eigsh"
+        assert gs.method == "lanczos"
         assert gs.energy == pytest.approx(0.0, abs=1e-12)
         assert gs.gap == pytest.approx(5.0 / (DENSE_MAX_DIM + 171), rel=1e-8)
 
@@ -418,7 +419,7 @@ class TestEigshPath:
         m = assemble(A, B, grid, 0.3, 6)
         assert m.dim == 420 > DENSE_MAX_DIM
         gs = solve_model(m, CFG)
-        assert gs.method == "eigsh"
+        assert gs.method == "lanczos"
         assert gs.gap <= 1e-12
         assert gs.near_degenerate
 
@@ -426,7 +427,85 @@ class TestEigshPath:
         gs = ground_state(LinOp(sp.diags(np.array([3.0, 1.0, 2.0])), hermitian=True), CFG)
         assert (gs.method, gs.iterations, gs.energy, gs.gap) == ("dense", 3, 1.0, 1.0)
 
-    def test_eigsh_budget_exhausted_raises(self):
+    def test_lanczos_budget_exhausted_raises(self):
         m = spin_boson_model(n_modes=3, n_max=6)
-        with pytest.raises(NonConverged):
+        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol"):
             solve_model(m, SolverConfig(max_lanczos=5))
+
+    def test_overflowing_product_raises_without_a_warning(self):
+        # finite entries whose products overflow: refused at once, and the
+        # RuntimeWarning filter of the test run would fail on any overflow warning
+        n = DENSE_MAX_DIM + 72
+        H = sp.diags([np.full(n, 1e307), np.full(n - 1, 1e307), np.full(n - 1, 1e307)],
+                     [0, 1, -1])
+        with pytest.raises(NonConverged, match="lanczos overflowed"):
+            ground_state(LinOp(H, hermitian=True), CFG)
+
+    @pytest.mark.parametrize("diag", [
+        np.r_[0.0, np.ones(299)],
+        np.repeat([2.0, -1.0, 0.5], 100),
+        np.r_[np.linspace(0.0, 3.0, 298), -1.0, -1.0],
+    ], ids=["zero_then_ones", "three_valued", "degenerate_ground"])
+    def test_invariant_krylov_space_continues_from_a_fresh_vector(self, diag):
+        # a diagonal operator's Krylov space is invariant after as many steps
+        # as it has distinct eigenvalues, here two or three
+        H = LinOp(sp.diags(diag), hermitian=True)
+        gs = ground_state(H, CFG)
+        vals = np.linalg.eigvalsh(np.diag(diag))
+        assert gs.method == "lanczos"
+        assert gs.energy == pytest.approx(vals[0], abs=1e-12)
+        assert gs.gap == pytest.approx(vals[1] - vals[0], abs=1e-12)
+        assert gs.residual <= CFG.eig_tol * max(1.0, abs(gs.energy))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_degeneracy_found_from_any_seed(self, seed):
+        # the partner shows up through rounding; the settling checks give it
+        # the cycles to, whichever start vector the seed draws
+        grid = build_radial_grid(3, 0.4, 2.0, 4, rule="midpoint")
+        fam = CouplingFamily(rho0=0.9, p=1.0, uv=10.0)
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        m = assemble(*preset_spin_boson(0.0), grid, 0.3, 8)
+        assert m.dim == 990 and m.H.mat.nnz < 2 * spectral.MIN_THREAD_NNZ
+        gs = solve_model(m, SolverConfig(seed=seed))
+        assert gs.method == "lanczos"
+        assert gs.gap <= 1e-12 and gs.near_degenerate
+
+
+class TestParitySectors:
+    """An H with two parity sectors and enough entries is solved one sector per thread."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        # M=8, n_max=7: dimension 12,870 and about 109,000 stored entries
+        m = spin_boson_model(n_modes=8, n_max=7)
+        assert m.H.sectors is not None and m.H.mat.nnz >= 2 * spectral.MIN_THREAD_NNZ
+        parts = [ground_state(LinOp(m.H.mat[idx][:, idx], hermitian=True), CFG)
+                 for idx in m.H.sectors]
+        return m, solve_model(m, CFG), parts
+
+    def test_vector_and_iterations_come_from_the_sectors(self, split):
+        m, gs, parts = split
+        assert gs.method == "lanczos-sectors"
+        low = int(np.argmin([p.energy for p in parts]))
+        assert gs.iterations == sum(p.iterations for p in parts)
+        assert not gs.vector[m.H.sectors[1 - low]].any()
+        # the merged vector is the lower sector's, normalized again
+        np.testing.assert_allclose(gs.vector[m.H.sectors[low]], parts[low].vector, atol=1e-15)
+
+    def test_max_lanczos_caps_each_sector(self, split):
+        m, gs, parts = split
+        most = max(p.iterations for p in parts)
+        assert gs.iterations > most
+        assert solve_model(m, SolverConfig(max_lanczos=most)).iterations == gs.iterations
+        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol"):
+            solve_model(m, SolverConfig(max_lanczos=most - 1))
+
+    def test_exact_degeneracy_between_sectors(self):
+        # at delta = 0 the sectors' ground energies are equal: the doublet of
+        # the sigma_x = +1 and -1 ground states
+        grid = build_radial_grid(3, 0.3, 1.5, 8)
+        fam = CouplingFamily(rho0=0.8, p=1.0, uv=10.0, profile="hard-cutoff")
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        gs = solve_model(assemble(*preset_spin_boson(0.0), grid, 0.4, 7), CFG)
+        assert gs.method == "lanczos-sectors"
+        assert gs.gap <= 1e-12 and gs.near_degenerate
