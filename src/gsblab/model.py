@@ -89,7 +89,7 @@ class GroundState:
     identity checks stay well posed for whichever normalized ground vector
     was returned.  iterations counts operator applications, summed over the
     sectors of a split solve, and method names the solver: "dense",
-    "lanczos", or "lanczos-sectors" for one Lanczos per parity sector.
+    "lanczos", or "lanczos-sectors" for one solve per parity sector.
     w_top is the truncation weight of the vector: `spectral.solve_model`
     fills it from the model's basis, and it is nan from a bare
     `spectral.ground_state`.

@@ -175,25 +175,27 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     return memo
 
 
-def _chain_moment(m: GsbModel, gs: GroundState, cfg: SolverConfig, n: int, G):
-    """(alpha^2n sum_S (n! / prod_l m_l!) prod_{j in S} G_j w_j ||v(S)||^2, the chains).
+def _chain_report(name: str, m: GsbModel, gs: GroundState, cfg: SolverConfig, n: int, G,
+                  lhs: float) -> RegularityReport:
+    """The report of lhs against its order-n chain sum, with resolvent_tol and the solve stats.
 
-    S runs over the size-n multisets of the modes with G_j > 0; one with
-    multiplicities (m_1, ...) stands for n! / prod m_l! ordered tuples.
+    The sum is alpha^2n sum_S (n! / prod_l m_l!) prod_{j in S} G_j w_j
+    ||v(S)||^2.  S runs over the size-n multisets of the modes with G_j > 0
+    (none when alpha = 0); one with multiplicities (m_1, ...) stands for
+    n! / prod m_l! ordered tuples.
     """
-    modes = [int(j) for j in np.flatnonzero(G > 0)]
-    if m.alpha == 0.0 or not modes:
-        return 0.0, {}
+    modes = [int(j) for j in np.flatnonzero(G > 0)] if m.alpha != 0.0 else []
     multisets = list(combinations_with_replacement(modes, n))
     chains = _chains(m, gs, cfg, multisets)
-    total = 0.0
+    rhs = 0.0
     for S in multisets:
-        tuples = math.factorial(n)
-        for j in set(S):
-            tuples //= math.factorial(S.count(j))
+        tuples = math.factorial(n) // math.prod(math.factorial(S.count(j)) for j in set(S))
         weight = float(np.prod([G[j] * m.grid.weights[j] for j in S]))
-        total += tuples * weight * float(np.linalg.norm(chains[S][0]) ** 2)
-    return total * m.alpha ** (2 * n), chains
+        rhs += tuples * weight * float(np.linalg.norm(chains[S][0]) ** 2)
+    if multisets:  # an empty sum is 0 even where alpha^2n overflows a float
+        rhs *= m.alpha ** (2 * n)
+    return _report(name, lhs, rhs, gs.w_top, resolvent_tol(gs.w_top, cfg.cg_tol),
+                   _solve_stats(chains))
 
 
 def _solve_stats(chains: dict) -> dict:
@@ -258,9 +260,7 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
     T(k_i) phi_g||^2, the order-1 chain sum; G must be entrywise nonnegative.
     """
     G, lhs = _dgamma_expectation(m, gs, G)
-    rhs, chains = _chain_moment(m, gs, cfg, 1, G)
-    return _report("moment_identity", lhs, rhs, gs.w_top, resolvent_tol(gs.w_top, cfg.cg_tol),
-                   _solve_stats(chains))
+    return _chain_report("moment_identity", m, gs, cfg, 1, G, lhs)
 
 
 def absence_lower_bound(m: GsbModel, gs: GroundState, G) -> RegularityReport:
@@ -334,9 +334,7 @@ def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
     M = m.grid.n_modes
     check_higher_order(n, m.n_max, M)
     lhs = m.basis.diagonal_form(gs.vector, _falling_factorial(m.basis, n))
-    rhs, chains = _chain_moment(m, gs, cfg, n, np.ones(M))
-    return _report(f"higher_moment_n{n}", lhs, rhs, gs.w_top,
-                   resolvent_tol(gs.w_top, cfg.cg_tol), _solve_stats(chains))
+    return _chain_report(f"higher_moment_n{n}", m, gs, cfg, n, np.ones(M), lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +618,16 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
 
     The verdict is "converging" when <N> is Cauchy along the sigma ladder
     (shrinking increments, final increment below ctol relative), else
-    "diverging" when it grows like a + b log(1/sigma) with a solid linear
-    fit, or grows super-logarithmically (increments not shrinking), else
-    "inconclusive".  A regular class expects "converging".  A singular one
-    expects "diverging" only when on every row the projection bound, which
-    <N> cannot fall below, exceeds BOUND_FLOOR alpha^2 lam_over_w_norm
-    max_j ||B_j||_2^2; on one channel the bound is alpha^2 |<phi, B phi>|^2
-    lam_over_w_norm / 2, so that reads |<phi, B phi>| > 1.4e-8 ||B||.
-    Otherwise nothing is expected: parity-symmetric matter such as the
-    unbiased spin boson has <phi, B phi> = 0 and may keep a ground state with
-    no infrared regularization.  The report passes when the verdict is the
+    "diverging" when, on at least three rows, it grows like a + b
+    log(1/sigma) with a solid linear fit, or grows super-logarithmically
+    (increments not shrinking), else "inconclusive".  A regular class
+    expects "converging".  A singular one expects "diverging" only when on
+    every row the projection bound, which <N> cannot fall below, exceeds
+    BOUND_FLOOR alpha^2 lam_over_w_norm max_j ||B_j||_2^2; on one channel
+    the bound is alpha^2 |<phi, B phi>|^2 lam_over_w_norm / 2, so that reads
+    |<phi, B phi>| > 1.4e-8 ||B||.  Otherwise nothing is expected:
+    parity-symmetric matter such as the unbiased spin boson has <phi, B phi>
+    = 0 and may keep a ground state with no infrared regularization.  The report passes when the verdict is the
     expected one, if any, and every row keeps <N> >= the bound within
     ABSENCE_TOL, as absence_lower_bound does; truncation breaks the bound.
     """
@@ -641,11 +639,13 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
     shrinking = all(i2 < i1 for i1, i2 in zip(increments, increments[1:]))
     growing_values = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     non_shrinking = all(i2 >= 0.9 * i1 for i1, i2 in zip(increments, increments[1:]))
+    # on two rungs the log fit has r^2 = 1 and one increment cannot fail to shrink
+    trend = len(rows) >= 3
     if shrinking and final_rel <= ctol:
         kind, div_kind = "converging", ""
-    elif slope_b > 0 and r2 >= 0.99:
+    elif trend and slope_b > 0 and r2 >= 0.99:
         kind, div_kind = "diverging", "logarithmic"
-    elif growing_values and non_shrinking:
+    elif trend and growing_values and non_shrinking:
         kind, div_kind = "diverging", "super-logarithmic"
     else:
         kind, div_kind = "inconclusive", ""

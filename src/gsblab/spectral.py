@@ -9,7 +9,8 @@ and from a thick-restart Lanczos above it (Wu and Simon, SIAM J. Matrix
 Anal. Appl. 22 (2000) 602), both in the dtype of H and, for the resolvent,
 of the right-hand side: a real model gets a real ground vector, real
 right-hand sides and real solves.  An assembled H that carries two matter
-parity sectors, and is large enough, is solved one sector per thread; the
+parity sectors, and is large enough, is solved one sector per thread, each
+by the solver its size picks, with one residual check on the whole H; the
 split depends on H alone.  Both solvers are deterministic for a fixed seed;
 above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cache
+from contextvars import copy_context
+from functools import cache, partial
 
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field
@@ -83,7 +85,7 @@ MIN_THREAD_NNZ = 25_000
 class SolverConfig(BaseModel):
     """Tolerances, iteration caps and the seed for deterministic starts.
 
-    max_lanczos caps the operator applications of each Lanczos run (one per
+    max_lanczos caps the operator applications of each solve (one solve per
     parity sector of a split solve); a dense solve counts as dim
     applications.  This is the `solver` section of a run config:
     construction validates every field and raises ValueError on an unknown
@@ -138,8 +140,9 @@ def parallel_map(solve, items: list, nnz: int) -> list:
     none once a solve has failed.  When all have stopped, the error of the
     first failing item is raised, as in the serial loop: every item before
     it was solved, since one left unsolved was taken after a failure of an
-    earlier one.  Solves are deterministic, so the results are bitwise
-    those of the loop.
+    earlier one.  Workers run in a copy of the caller's context, so its
+    np.errstate holds there too.  Solves are deterministic, so the results
+    are bitwise those of the loop.
     """
     threads = min(_usable_cores(), nnz // MIN_THREAD_NNZ, len(items))
     out = [None] * len(items)
@@ -156,7 +159,7 @@ def parallel_map(solve, items: list, nnz: int) -> list:
                 out[i] = exc
                 failed.append(i)
 
-    workers = [_pool().submit(work) for _ in range(threads - 1)]
+    workers = [_pool().submit(partial(copy_context().run, work)) for _ in range(threads - 1)]
     work()
     for worker in workers:
         worker.result()
@@ -173,28 +176,19 @@ def _random_vector(rng, dim: int, dtype) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _check_dense_budget(dim: int, cfg: SolverConfig) -> None:
-    # a dense solve counts as dim operator applications
-    if dim > cfg.max_lanczos:
+def _eigh(H: np.ndarray, cfg: SolverConfig):
+    """np.linalg.eigh of a hermitian matrix or (k, n, n) stack; a failed eigh, and n above
+    max_lanczos (a dense solve counts as n applications), raise NonConverged."""
+    n = H.shape[-1]
+    if n > cfg.max_lanczos:
         raise NonConverged(
-            f"a dense solve of dimension {dim} exceeds max_lanczos={cfg.max_lanczos}",
+            f"a dense solve of dimension {n} exceeds max_lanczos={cfg.max_lanczos}",
             float("inf"),
         )
-
-
-def _eigh(H: np.ndarray):
-    """np.linalg.eigh of a hermitian matrix or stack, raising NonConverged on failure."""
     try:
         return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NonConverged(f"dense eigh failed: {exc}", float("inf")) from exc
-
-
-def _dense_ground(H: LinOp, cfg: SolverConfig):
-    """All eigenpairs by eigh; returns (values, ground vector, applications)."""
-    _check_dense_budget(H.dim, cfg)
-    vals, vecs = _eigh(H.mat.toarray())
-    return vals[:2], vecs[:, 0], H.dim
 
 
 def _orthogonalize(V: np.ndarray, w: np.ndarray):
@@ -275,21 +269,33 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
         i += 1
 
 
-def _sector_ground(H: LinOp, cfg: SolverConfig):
+def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
+    """Two lowest eigenvalues, ground vector and applications of a whole H or a sector block.
+
+    Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, whose
+    breakdown test reads `width`, the spectral width of the whole H.
+    """
+    if H.dim <= DENSE_MAX_DIM:
+        vals, vecs = _eigh(H.mat.toarray(), cfg)
+        return vals[:2], vecs[:, 0], H.dim
+    return _lanczos_ground(H, width, cfg)
+
+
+def _sector_ground(H: LinOp, width: float, cfg: SolverConfig):
     """Two lowest eigenvalues, ground vector and applications of H from its parity sectors.
 
-    Each sector block H.mat[idx][:, idx] is solved by ground_state, one per
+    Each sector block H.mat[idx][:, idx] is solved by _block_ground, one per
     thread; H has no entry between sectors, so its spectrum is theirs.  The
-    two lowest of the sectors' four values are H's; the ground vector is
-    the lower sector's, zero elsewhere (the first sector on an exact tie).
+    two lowest of the blocks' eigenvalues are H's; the ground vector is the
+    lower block's, zero elsewhere (the first sector on an exact tie).
     """
     blocks = [LinOp(H.mat[idx][:, idx], hermitian=True) for idx in H.sectors]
-    parts = parallel_map(lambda block: ground_state(block, cfg), blocks, H.mat.nnz)
-    low = int(np.argmin([p.energy for p in parts]))
-    vec = np.zeros(H.dim, dtype=parts[low].vector.dtype)
-    vec[H.sectors[low]] = parts[low].vector
-    vals = np.sort([p.energy + g for p in parts for g in (0.0, p.gap)])[:2]
-    return vals, vec, sum(p.iterations for p in parts)
+    vals, vecs, applied = zip(*parallel_map(lambda block: _block_ground(block, width, cfg),
+                                            blocks, H.mat.nnz))
+    low = int(np.argmin([v[0] for v in vals]))
+    vec = np.zeros(H.dim, dtype=vecs[low].dtype)
+    vec[H.sectors[low]] = vecs[low]
+    return np.sort(np.concatenate(vals))[:2], vec, sum(applied)
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
@@ -298,38 +304,32 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's
     own dtype.  An H with parity sectors and at least 2 MIN_THREAD_NNZ
     stored entries is solved one sector per thread ("lanczos-sectors"),
-    whatever the core count.  A non-finite entry of H raises NonConverged
-    before any solve.  Returns a GroundState whose vector is a normalized
-    numpy array, with the explicit residual ||H v - E v|| <= eig_tol *
-    max(1, |E|) on the whole H (a nan residual raises NonConverged too), the
-    gap to the second eigenvalue, and a near-degeneracy flag when the gap is
-    tiny relative to the spectral width (the largest absolute row sum of
-    H).  w_top stays nan: H carries no basis.  Deterministic for a fixed
-    cfg.seed.
+    whatever the core count, each sector by the solver its size picks.  A
+    non-finite entry of H raises NonConverged before any solve.  Returns a
+    GroundState whose vector is a normalized numpy array, with the explicit
+    residual ||H v - E v|| <= eig_tol * max(1, |E|) on the whole H (a nan
+    residual raises NonConverged too), the gap to the second eigenvalue,
+    and a near-degeneracy flag when the gap is tiny relative to the
+    spectral width (the largest absolute row sum of H).  w_top stays nan: H
+    carries no basis.  Deterministic for a fixed cfg.seed.
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
     if not np.all(np.isfinite(H.mat.data)):
         raise NonConverged("H has a non-finite entry", float("inf"))
-    # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H
-    indptr = H.mat.indptr
-    nonempty = np.flatnonzero(np.diff(indptr))
-    row_sums = np.zeros(H.dim)
-    row_sums[nonempty] = np.add.reduceat(np.abs(H.mat.data), indptr[nonempty])
-    width = row_sums.max()
-    if H.dim <= DENSE_MAX_DIM:
-        method, (vals, vec, applied) = "dense", _dense_ground(H, cfg)
-    elif H.sectors is not None and H.mat.nnz >= 2 * MIN_THREAD_NNZ:
-        method, (vals, vec, applied) = "lanczos-sectors", _sector_ground(H, cfg)
-    else:
-        # an overflowing product is refused inside, without a RuntimeWarning
-        with np.errstate(over="ignore", invalid="ignore"):
-            method, (vals, vec, applied) = "lanczos", _lanczos_ground(H, width, cfg)
-    vec = vec / np.linalg.norm(vec)
-    hv = H.apply(vec)
-    energy = float(np.real(np.vdot(vec, hv)))
-    # a huge H overflows the norm to inf, refused below without a RuntimeWarning
+    # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H,
+    # over the nonempty rows only (an empty row sums to 0)
+    starts = H.mat.indptr[np.flatnonzero(np.diff(H.mat.indptr))]
+    width = np.add.reduceat(np.abs(H.mat.data), starts).max(initial=0.0)
+    # 2 MIN_THREAD_NNZ stored entries need a dimension above DENSE_MAX_DIM
+    split = H.sectors is not None and H.mat.nnz >= 2 * MIN_THREAD_NNZ
+    method = "lanczos-sectors" if split else "dense" if H.dim <= DENSE_MAX_DIM else "lanczos"
+    # an overflowing product or residual is refused, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
+        vals, vec, applied = (_sector_ground if split else _block_ground)(H, width, cfg)
+        vec = vec / np.linalg.norm(vec)
+        hv = H.apply(vec)
+        energy = float(np.real(np.vdot(vec, hv)))
         residual = float(np.linalg.norm(hv - energy * vec))
     if not residual <= cfg.eig_tol * max(1.0, abs(energy)):
         raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
@@ -364,8 +364,7 @@ def stacked_ground_states(H, cfg: SolverConfig):
     if not finite.all():
         raise NonConverged(f"dense stack has a non-finite entry on matrix "
                            f"{int(np.argmin(finite))}", float("inf"))
-    _check_dense_budget(H.shape[-1], cfg)
-    vecs = _eigh(H)[1][:, :, 0]
+    vecs = _eigh(H, cfg)[1][:, :, 0]
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     hv = np.einsum("kij,kj->ki", H, vecs)
     energies = np.einsum("ki,ki->k", vecs.conj(), hv).real

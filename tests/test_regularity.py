@@ -519,7 +519,8 @@ def sweep_row(sigma, N, bound, lam=1.0):
 class TestSweepVerdictReport:
     # rows whose <N> reads each verdict kind, each keeping <N> >= the bound
     ROWS = {
-        "diverging": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4)],
+        "diverging": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4),
+                      sweep_row(1e-3, 2.0, 1.9)],
         "converging": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4),
                        sweep_row(1e-3, 1.5001, 1.4)],
         "inconclusive": [sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.5, 1.4),
@@ -579,6 +580,17 @@ class TestSweepVerdictReport:
         assert rep.metadata["expected"] is None
         assert rep.passed
 
+    @pytest.mark.parametrize("ir_class, passed", [("singular", False), ("unknown", True)])
+    def test_two_rising_rows_read_inconclusive(self, ir_class, passed):
+        # a log fit through two points has r^2 = 1 and one increment shows no
+        # trend, so neither diverging branch may read two rows
+        rows = self.ROWS["diverging"][:2]
+        rep = self.report(rows, ir_class)
+        verdict = rep.metadata["verdict"]
+        assert verdict["r_squared"] == pytest.approx(1.0) and verdict["slope_b"] > 0
+        assert verdict["kind"] == "inconclusive" and verdict["divergence_kind"] == ""
+        assert rep.passed is passed
+
     def test_alpha_zero_sweep_passes_as_inconclusive(self):
         # <N> = 0 on every rung: the log fit is flat, and nothing is expected
         rows = [sweep_row(s, 0.0, 0.0) for s in (0.1, 0.01, 1e-3)]
@@ -592,7 +604,8 @@ class TestSweepVerdictReport:
         # B_0 has spectral norm sqrt(2), Frobenius norm 2 and largest entry 1
         B = [np.array([[1.0, 1.0], [1.0, -1.0]]), 0.5 * np.eye(2)]
         rows = [sweep_row(0.1, 1.0, factor * 2.4e-15, lam=3.0),
-                sweep_row(0.01, 1.5, factor * 2.4e-15, lam=3.0)]
+                sweep_row(0.01, 1.5, factor * 2.4e-15, lam=3.0),
+                sweep_row(1e-3, 2.0, factor * 2.4e-15, lam=3.0)]
         rep = self.report(rows, "singular", alpha=2.0, B=B)
         assert rep.metadata["expected"] == expected
         assert rep.passed
@@ -1204,20 +1217,20 @@ class TestParitySectors:
 
     def test_bitwise_equal_on_any_core_count(self, split, chain_cores, monkeypatch):
         m, _ = split
-        solve = spectral.ground_state
+        solve = spectral._block_ground
         threads = set()
 
         def recording(*args):
             threads.add(threading.get_ident())
             return solve(*args)
 
-        monkeypatch.setattr(spectral, "ground_state", recording)
+        monkeypatch.setattr(spectral, "_block_ground", recording)
         runs = []
         for cores in (1, 2, 8):
             chain_cores(cores)
             threads.clear()
             gs = solve_model(m, CFG)
-            # the whole H and its two sectors: a second thread above one core
+            # the two sectors: a second thread above one core
             assert len(threads) == (1 if cores == 1 else 2)
             runs.append((gs, self.reports(m, gs)))
         interval = sys.getswitchinterval()

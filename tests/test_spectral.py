@@ -509,3 +509,57 @@ class TestParitySectors:
         gs = solve_model(assemble(*preset_spin_boson(0.0), grid, 0.4, 7), CFG)
         assert gs.method == "lanczos-sectors"
         assert gs.gap <= 1e-12 and gs.near_degenerate
+
+    def test_one_ground_state_and_one_product_with_h(self, split, monkeypatch):
+        # the sectors are solved on their own blocks; the whole H is entered,
+        # accepted and applied once, for its residual
+        m = split[0]
+        solve, apply, record = spectral.ground_state, m.H.apply, spectral.GroundState
+        calls = {"ground_state": 0, "GroundState": 0, "apply": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(spectral, "ground_state", counting("ground_state", solve))
+        monkeypatch.setattr(spectral, "GroundState", counting("GroundState", record))
+        monkeypatch.setattr(m.H, "apply", counting("apply", apply))
+        gs = solve_model(m, CFG)
+        assert gs.method == "lanczos-sectors"
+        assert calls == {"ground_state": 1, "GroundState": 1, "apply": 1}
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_overflowing_sector_product_raises_without_a_warning(self, split, chain_cores,
+                                                                 cores):
+        # a worker thread solves under the caller's np.errstate: without it the
+        # sector on the second thread warned "overflow encountered in dot"
+        m = split[0]
+        chain_cores(cores)
+        H = LinOp(m.H.mat * 1e305, hermitian=True, sectors=m.H.sectors)
+        with pytest.raises(NonConverged, match="lanczos overflowed"):
+            ground_state(H, CFG)
+
+    def test_each_sector_takes_the_solver_its_size_picks(self):
+        # sectors of 259 states (Lanczos) and of 1 state (dense eigh); the
+        # random block alone stores 259^2 entries, enough to split
+        d = 260
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((d - 1, d - 1))
+        A = np.zeros((d, d))
+        A[:d - 1, :d - 1] = (raw + raw.T) / 2.0
+        A[d - 1, d - 1] = 5.0
+        B = np.zeros((d, d))
+        B[0, d - 1] = B[d - 1, 0] = 1.0
+        grid = build_radial_grid(3, 0.3, 1.5, 2)
+        fam = CouplingFamily(rho0=0.8, p=1.0, uv=10.0, profile="hard-cutoff")
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+        m = assemble(A, [B], grid, 0.4, 0)
+        assert sorted(len(idx) for idx in m.H.sectors) == [1, d - 1]
+        assert m.H.mat.nnz == (d - 1) ** 2 + 1 >= 2 * spectral.MIN_THREAD_NNZ
+        gs = solve_model(m, CFG)
+        assert gs.method == "lanczos-sectors"
+        ref = np.linalg.eigvalsh(m.H.mat.toarray())
+        assert gs.energy == pytest.approx(ref[0], abs=1e-12 * max(1.0, abs(ref[0])))
+        assert gs.gap == pytest.approx(ref[1] - ref[0], rel=1e-9)
