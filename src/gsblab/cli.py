@@ -368,7 +368,7 @@ def _write_json(payload, path) -> None:
 
 def write_report_csv(reports, path) -> None:
     _write_csv(path, ["check_name", "lhs", "rhs", "rel_err", "w_top", "pass"],
-               (r.to_row() for r in reports))
+               ([r.check_name, r.lhs, r.rhs, r.rel_err, r.w_top, r.passed] for r in reports))
 
 
 def write_sweep_csv(reports, path) -> None:
@@ -391,7 +391,10 @@ def _solve_json(gs) -> dict | None:
 
 
 def write_report_json(reports, path, gs=None) -> None:
-    _write_json({"solve": _solve_json(gs), "reports": [r.to_json() for r in reports]}, path)
+    # each report's fields, passed written as pass; vars, not dataclasses.asdict,
+    # which would deep-copy metadata (the sweep rows of an ir_sweep report)
+    entries = [{"pass" if k == "passed" else k: v for k, v in vars(r).items()} for r in reports]
+    _write_json({"solve": _solve_json(gs), "reports": entries}, path)
 
 
 # ---------------------------------------------------------------------------

@@ -104,22 +104,18 @@ class FockBasis:
         return self._lowering[i]
 
     def lowering_block(self, i: int, g: int) -> sp.csr_matrix:
-        """a_i from grades <= g to grades <= g - 1, kept like `lowering`.
+        """a_i from grades <= g to grades <= g - 1, sliced from `lowering(i)` and kept.
 
-        The basis is grade ordered and a_i lowers the grade by one, so this
-        is exactly the leading (end(g - 1), end(g)) block of `lowering(i)`,
-        with end(g) = C(M + g, M) the number of states of grade <= g: its
-        rows hold every entry of those columns, and no other.
+        The basis is grade ordered and a_i lowers the grade by one, so the
+        leading (end(g - 1), end(g)) block, with end(g) = C(M + g, M) the
+        number of states of grade <= g, loses no entry of those columns: its
+        rows hold every one of them, and no other.
         """
         if not 0 <= g <= self.n_max:
             raise ValueError(f"grade must lie in [0, n_max={self.n_max}], got {g}")
         if (i, g) not in self._blocks:
-            a = self.lowering(i)
-            rows = math.comb(self.n_modes + g - 1, self.n_modes)
-            stop = a.indptr[rows]
-            self._blocks[i, g] = sp.csr_matrix(
-                (a.data[:stop], a.indices[:stop], a.indptr[:rows + 1]),
-                shape=(rows, math.comb(self.n_modes + g, self.n_modes)))
+            rows, cols = (math.comb(self.n_modes + h, self.n_modes) for h in (g - 1, g))
+            self._blocks[i, g] = self.lowering(i)[:rows, :cols]
         return self._blocks[i, g]
 
     def diagonal_form(self, psi, f) -> float:

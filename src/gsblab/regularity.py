@@ -9,9 +9,10 @@ Pass rule: a check has an error err (|lhs - rhs| by default) on a scale
 (max(|lhs|, |rhs|) by default), reports rel_err = err / scale and passes
 when rel_err <= tol or err <= tol * max(scale, 1).  Pull-through takes err
 = ||difference|| on the larger of the two sides' norms; the projection
-bound err = max(rhs - lhs, 0) on max(|lhs|, |rhs|, 1); the commutation
-and relative-bound deviations scale 1, so their tolerance is absolute.  A
-sweep passes by its verdict.
+bound takes _bound_violation(lhs, rhs) on scale 1, the same test every row
+of an infrared sweep must pass; the commutation and relative-bound
+deviations scale 1 too, so their tolerance is absolute.  A sweep passes by
+its verdict and that bound test.
 
 The pull-through, moment and higher-moment checks read one memoized solver
 of resolvent chains over mode multisets, _chains; its level 1 is the
@@ -84,7 +85,7 @@ def resolvent_tol(w_top: float, cg_tol: float) -> float:
 
 @dataclass
 class RegularityReport:
-    """Outcome of one identity check, made by _report.
+    """Outcome of one identity check, made by _report: a plain record that cli writes.
 
     lhs and rhs are the two computed values (scalars, or norms for vector
     identities).  rel_err is the check's error err over its scale, and
@@ -102,16 +103,6 @@ class RegularityReport:
     tol_used: float
     passed: bool
     metadata: dict = dataclass_field(default_factory=dict)
-
-    def to_row(self) -> list:
-        return [self.check_name, self.lhs, self.rhs, self.rel_err, self.w_top, self.passed]
-
-    def to_json(self) -> dict:
-        # vars, not dataclasses.asdict, which would deep-copy metadata (the
-        # sweep rows of an ir_sweep report) on every write
-        out = dict(vars(self))
-        out["pass"] = out.pop("passed")
-        return out
 
 
 def _report(name, lhs, rhs, w_top, tol, metadata=None, err=None, scale=None,
@@ -288,7 +279,7 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G) -> RegularityReport:
     # a one-sided bound: only a lhs below rhs is an error
     return _report("absence_lower_bound", lhs, rhs, gs.w_top, ABSENCE_TOL,
                    {"t_expectations_real": [t.real for t in t_expect]},
-                   err=max(rhs - lhs, 0.0), scale=max(abs(lhs), abs(rhs), 1.0))
+                   err=_bound_violation(lhs, rhs), scale=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +607,22 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
     """A sweep's report: the verdict on its rows, and <N> against the projection
     bound at the smallest sigma.
 
-    The verdict is "converging" when <N> is Cauchy along the sigma ladder
-    (shrinking increments, final increment below ctol relative), else
-    "diverging" when, on at least three rows, it grows like a + b
-    log(1/sigma) with a solid linear fit, or grows super-logarithmically
-    (increments not shrinking), else "inconclusive".  A regular class
-    expects "converging".  A singular one expects "diverging" only when on
-    every row the projection bound, which <N> cannot fall below, exceeds
-    BOUND_FLOOR alpha^2 lam_over_w_norm max_j ||B_j||_2^2; on one channel
-    the bound is alpha^2 |<phi, B phi>|^2 lam_over_w_norm / 2, so that reads
-    |<phi, B phi>| > 1.4e-8 ||B||.  Otherwise nothing is expected:
-    parity-symmetric matter such as the unbiased spin boson has <phi, B phi>
-    = 0 and may keep a ground state with no infrared regularization.  The report passes when the verdict is the
-    expected one, if any, and every row keeps <N> >= the bound within
-    ABSENCE_TOL, as absence_lower_bound does; truncation breaks the bound.
+    On at least three rows the verdict is "converging" when <N> is Cauchy
+    along the sigma ladder (shrinking increments, final increment below ctol
+    relative), else "diverging" when it grows like a + b log(1/sigma) with a
+    solid linear fit, or grows super-logarithmically (increments not
+    shrinking), else "inconclusive"; on two rows it is "inconclusive".  A
+    regular class expects "converging".  A singular one expects "diverging"
+    only when on every row the projection bound, which <N> cannot fall
+    below, exceeds BOUND_FLOOR alpha^2 lam_over_w_norm max_j ||B_j||_2^2; on
+    one channel the bound is alpha^2 |<phi, B phi>|^2 lam_over_w_norm / 2,
+    so that reads |<phi, B phi>| > 1.4e-8 ||B||.  Otherwise nothing is
+    expected: parity-symmetric matter such as the unbiased spin boson has
+    <phi, B phi> = 0 and may keep a ground state with no infrared
+    regularization.  The report passes when the verdict is the expected
+    one, if any, and every row keeps <N> >= the bound within ABSENCE_TOL
+    (_bound_violation), as absence_lower_bound does; truncation breaks the
+    bound.
     """
     values = [r["expectation_N"] for r in rows]
     increments = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
@@ -639,9 +632,10 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
     shrinking = all(i2 < i1 for i1, i2 in zip(increments, increments[1:]))
     growing_values = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     non_shrinking = all(i2 >= 0.9 * i1 for i1, i2 in zip(increments, increments[1:]))
-    # on two rungs the log fit has r^2 = 1 and one increment cannot fail to shrink
+    # on two rungs the log fit has r^2 = 1, and one increment can neither show
+    # that the increments shrink nor that they do not
     trend = len(rows) >= 3
-    if shrinking and final_rel <= ctol:
+    if trend and shrinking and final_rel <= ctol:
         kind, div_kind = "converging", ""
     elif trend and slope_b > 0 and r2 >= 0.99:
         kind, div_kind = "diverging", "logarithmic"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from functools import cache, partial
 
@@ -123,11 +124,8 @@ def _usable_cores() -> int:
 
 @cache
 def _pool():
-    """The workers of parallel_map: one per usable core but the caller's.
-    concurrent.futures is imported here, so a run that never splits a solve never loads it."""
-    import concurrent.futures
-
-    return concurrent.futures.ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
+    """The workers of parallel_map: one per usable core but the caller's, started on first use."""
+    return ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1))
 
 
 def parallel_map(solve, items: list, nnz: int) -> list:
@@ -270,32 +268,34 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
 
 
 def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
-    """Two lowest eigenvalues, ground vector and applications of a whole H or a sector block.
+    """Two lowest eigenvalues, ground vector, applications and method of a whole H or a block.
 
-    Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, whose
-    breakdown test reads `width`, the spectral width of the whole H.
+    Dense eigh ("dense") up to DENSE_MAX_DIM and thick-restart Lanczos
+    ("lanczos") above, whose breakdown test reads `width`, the spectral
+    width of the whole H.
     """
     if H.dim <= DENSE_MAX_DIM:
         vals, vecs = _eigh(H.mat.toarray(), cfg)
-        return vals[:2], vecs[:, 0], H.dim
-    return _lanczos_ground(H, width, cfg)
+        return vals[:2], vecs[:, 0], H.dim, "dense"
+    return *_lanczos_ground(H, width, cfg), "lanczos"
 
 
 def _sector_ground(H: LinOp, width: float, cfg: SolverConfig):
-    """Two lowest eigenvalues, ground vector and applications of H from its parity sectors.
+    """Two lowest eigenvalues, ground vector, applications and method of H from its parity sectors.
 
     Each sector block H.mat[idx][:, idx] is solved by _block_ground, one per
     thread; H has no entry between sectors, so its spectrum is theirs.  The
     two lowest of the blocks' eigenvalues are H's; the ground vector is the
-    lower block's, zero elsewhere (the first sector on an exact tie).
+    lower block's, zero elsewhere (the first sector on an exact tie).  The
+    method is "lanczos-sectors", whatever solver each block took.
     """
     blocks = [LinOp(H.mat[idx][:, idx], hermitian=True) for idx in H.sectors]
-    vals, vecs, applied = zip(*parallel_map(lambda block: _block_ground(block, width, cfg),
-                                            blocks, H.mat.nnz))
+    vals, vecs, applied, _ = zip(*parallel_map(lambda block: _block_ground(block, width, cfg),
+                                               blocks, H.mat.nnz))
     low = int(np.argmin([v[0] for v in vals]))
     vec = np.zeros(H.dim, dtype=vecs[low].dtype)
     vec[H.sectors[low]] = vecs[low]
-    return np.sort(np.concatenate(vals))[:2], vec, sum(applied)
+    return np.sort(np.concatenate(vals))[:2], vec, sum(applied), "lanczos-sectors"
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
@@ -323,10 +323,9 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     width = np.add.reduceat(np.abs(H.mat.data), starts).max(initial=0.0)
     # 2 MIN_THREAD_NNZ stored entries need a dimension above DENSE_MAX_DIM
     split = H.sectors is not None and H.mat.nnz >= 2 * MIN_THREAD_NNZ
-    method = "lanczos-sectors" if split else "dense" if H.dim <= DENSE_MAX_DIM else "lanczos"
     # an overflowing product or residual is refused, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, vec, applied = (_sector_ground if split else _block_ground)(H, width, cfg)
+        vals, vec, applied, method = (_sector_ground if split else _block_ground)(H, width, cfg)
         vec = vec / np.linalg.norm(vec)
         hv = H.apply(vec)
         energy = float(np.real(np.vdot(vec, hv)))

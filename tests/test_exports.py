@@ -93,15 +93,31 @@ def test_readme_python_api_snippet_runs(capsys):
     assert float(dgamma) > 0
 
 
+BLAS_THREADS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+
+def fresh_python(code: str, preset=None) -> list:
+    """The words code prints in a fresh interpreter that imports gsblab from this
+    tree, with no BLAS thread count set but those in preset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(gsblab.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **(preset or {})},
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
 @pytest.mark.parametrize("preset, want", [({}, ["1", "1", "1"]),
                                           ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
 def test_import_pins_one_blas_thread_unless_set(preset, want):
     # a fresh interpreter: BLAS reads these once, when numpy is first imported
-    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(gsblab.__file__).parents[1]),
-                                         env.get("PYTHONPATH", "")])
-    code = f"import os, gsblab; print(*(os.environ[n] for n in {names}))"
-    proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == want
+    code = f"import os, gsblab; print(*(os.environ[n] for n in {BLAS_THREADS}))"
+    assert fresh_python(code, preset) == want
+
+
+def test_cli_import_loads_no_unused_scipy_subpackage():
+    # every run pays the CLI's import (the benchmark's setup_s); importing
+    # scipy.sparse.csgraph alone takes tens of milliseconds
+    unused = ["scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.stats", "scipy.io"]
+    assert fresh_python(f"import sys, gsblab.cli; print(*(m for m in {unused} "
+                        "if m in sys.modules))") == []

@@ -580,11 +580,19 @@ class TestSweepVerdictReport:
         assert rep.metadata["expected"] is None
         assert rep.passed
 
-    @pytest.mark.parametrize("ir_class, passed", [("singular", False), ("unknown", True)])
-    def test_two_rising_rows_read_inconclusive(self, ir_class, passed):
-        # a log fit through two points has r^2 = 1 and one increment shows no
-        # trend, so neither diverging branch may read two rows
-        rows = self.ROWS["diverging"][:2]
+    # the second pair of rows rises by one increment below ctol
+    @pytest.mark.parametrize("rows, ir_class, passed", [
+        pytest.param(ROWS["diverging"][:2], "singular", False, id="singular-False"),
+        pytest.param(ROWS["diverging"][:2], "unknown", True, id="unknown-True"),
+        pytest.param([sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.0005, 0.9)], "regular",
+                     False, id="small-step-regular-False"),
+        pytest.param([sweep_row(0.1, 1.0, 0.9), sweep_row(0.01, 1.0005, 0.9)], "unknown",
+                     True, id="small-step-unknown-True"),
+    ])
+    def test_two_rising_rows_read_inconclusive(self, rows, ir_class, passed):
+        # a log fit through two points has r^2 = 1, and one increment shows
+        # neither that the increments shrink nor that they do not, so no
+        # verdict but inconclusive may read two rows
         rep = self.report(rows, ir_class)
         verdict = rep.metadata["verdict"]
         assert verdict["r_squared"] == pytest.approx(1.0) and verdict["slope_b"] > 0
