@@ -114,7 +114,8 @@ class AbsenceCheck(_Strict):
 
 class HigherCheck(_Strict):
     kind: Literal["higher"]
-    n: int = Field(ge=1, le=3)
+    # the orders regularity.check_higher_order allows, which RunConfig applies
+    n: int
 
     def reports(self, run: _Run) -> list:
         return [regularity.higher_moment_identity(run.model, run.gs, self.n, run.cfg.solver)]
@@ -143,7 +144,7 @@ class CcrCheck(_Strict):
 
 class IrSweepCheck(_Strict):
     kind: Literal["ir_sweep"]
-    sigmas: List[PositiveFloat] = Field(min_length=2)
+    sigmas: List[PositiveFloat]
     shells_per_decade: int = Field(default=16, ge=1)
     ctol: float = Field(default=1e-3, gt=0)
 
@@ -259,12 +260,10 @@ class ConfigError(Exception):
 
 def load_config(path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        # a directory, an unreadable file or bytes that are not UTF-8
+        # a missing file, a directory, an unreadable file or bytes that are not UTF-8
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -288,7 +287,7 @@ def _validate(raw) -> RunConfig:
 
 def build_grid(g: modes.RadialGrid, coupling) -> modes.ModeSet:
     """The grid g describes, with one coupling column per family."""
-    grid = modes.build_radial_grid(g.nu, g.sigma, g.Lambda, g.n_shells, rule=g.rule, mass=g.mass)
+    grid = modes.build_radial_grid(**g.model_dump())
     for fam in coupling:
         grid = grid.with_coupling(modes.eval_coupling(fam, grid), fam)
     return grid
@@ -520,8 +519,11 @@ def dump(what, config, out):
                        ([t, *occ, sum(occ)] for t, occ in enumerate(basis.occupations.tolist())))
             click.echo(f"wrote {path} ({len(basis)} states)")
         else:
+            # imported here: no other command needs scipy.io
+            from scipy.io import mmwrite
+
             path = out_dir / "hamiltonian.mtx"
-            fock.write_matrix_market(build_model(cfg, grid).H, path)
+            mmwrite(str(path), build_model(cfg, grid).H.mat)
             click.echo(f"wrote {path}")
 
 

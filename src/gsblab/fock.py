@@ -45,7 +45,6 @@ __all__ = [
     "field_operator",
     "apply_fock",
     "apply_matter",
-    "write_matrix_market",
 ]
 
 DEFAULT_MAX_STATES = 200_000
@@ -333,10 +332,3 @@ def apply_matter(T, v: np.ndarray) -> np.ndarray:
     """(T (x) 1) v: the dense d x d matter matrix T mixing the matter rows of v."""
     T = np.asarray(T)
     return (T @ np.reshape(v, (len(T), -1))).reshape(-1)
-
-
-def write_matrix_market(op: LinOp, path) -> None:
-    """Dump an operator in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(op.mat))

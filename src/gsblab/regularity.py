@@ -392,6 +392,8 @@ def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
     Each draw is a normalized complex composite vector and a complex mode
     column; the factorial moment is taken at order min(order, n_max).
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     order = min(order, m.n_max)
     worst = [None, None]
@@ -409,8 +411,7 @@ def appendix_suite(m: GsbModel, draws: int, order: int, seed: int) -> list:
 # Commutation relations and relative bounds
 
 
-def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
-                        n_draws: int = 200) -> list:
+def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int, n_draws: int) -> list:
     """Canonical commutation relations and the standard relative bounds.
 
     Emits one report per named check: interior CCR ([a_i, a_j*] = delta_ij
@@ -418,9 +419,12 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     commutators of dGamma against smeared operators on interior states, the
     adjoint pairing of creator and annihilator, and the quadratic bounds
     ||a(f) psi||^2 <= ||f/sqrt(omega)||^2 <psi, dGamma(omega) psi> and its
-    creator counterpart on seeded random draws, taken one by one and lowered
-    together, one product per mode.  No operator is made dense.
+    creator counterpart on n_draws seeded random draws, taken as one block in
+    the generator's order and lowered together, one product per mode.  No
+    operator is made dense.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(seed)
     M = basis.n_modes
     reports = []
@@ -459,25 +463,21 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int = 7,
     absolute("dgamma_leibniz_commutators", worst(
         [(dg @ af) - (af @ dg) + agf, (dg @ cf) - (cf @ dg) - cgf], interior_cols))
 
-    # relative bounds on random draws, taken one by one in a fixed RNG order
-    # and lowered as one (dim, n_draws) block per mode: a(f) psi is
-    # sum_i c_i a_i psi and a(f)* psi is sum_i conj(c_i) a_i^T psi
+    # relative bounds on random draws, one row per draw in the generator's
+    # order (the real and imaginary parts of psi, then of f), lowered as one
+    # (dim, n_draws) block per mode: a(f) psi is sum_i c_i a_i psi and
+    # a(f)* psi is sum_i conj(c_i) a_i^T psi
     omega = grid.omega
     n = len(basis)
-    psis = np.empty((n, n_draws), dtype=complex)
-    coeffs = np.empty((M, n_draws), dtype=complex)
-    f_over = np.empty(n_draws)
-    f_norm = np.empty(n_draws)
-    top_weight = 0.0
-    for k in range(n_draws):
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        psi /= np.linalg.norm(psi)
-        f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        psis[:, k] = psi
-        coeffs[:, k] = fock.smearing_coefficients(f, grid)
-        f_over[k] = np.sum(np.abs(f) ** 2 * grid.weights / omega)
-        f_norm[k] = np.sum(np.abs(f) ** 2 * grid.weights)
-        top_weight = max(top_weight, basis.w_top(psi))
+    re_psi, im_psi, re_f, im_f = np.split(rng.standard_normal((n_draws, 2 * n + 2 * M)),
+                                          [n, 2 * n, 2 * n + M], axis=1)
+    unit = [psi / np.linalg.norm(psi) for psi in re_psi + 1j * im_psi]
+    f = re_f + 1j * im_f
+    psis = np.column_stack(unit)
+    coeffs = np.column_stack([fock.smearing_coefficients(row, grid) for row in f])
+    f_sq = np.abs(f) ** 2 * grid.weights
+    f_over, f_norm = np.sum(f_sq / omega, axis=1), np.sum(f_sq, axis=1)
+    top_weight = max(map(basis.w_top, unit))
     energy_half = (basis.occupations @ omega) @ (np.abs(psis) ** 2)
     a_psi = sum(c * (a @ psis) for c, a in zip(coeffs, a_ops))
     c_psi = sum(c.conj() * (a.T @ psis) for c, a in zip(coeffs, a_ops))
@@ -608,7 +608,8 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
     bound at the smallest sigma.
 
     On at least three rows the verdict is "converging" when <N> is Cauchy
-    along the sigma ladder (shrinking increments, final increment below ctol
+    along the sigma ladder (shrinking increments, an increment at or below
+    EXACT_TOL |<N>| counting as shrinking, final increment below ctol
     relative), else "diverging" when it grows like a + b log(1/sigma) with a
     solid linear fit, or grows super-logarithmically (increments not
     shrinking), else "inconclusive"; on two rows it is "inconclusive".  A
@@ -629,20 +630,21 @@ def _sweep_report(rows, ir_class: str, alpha: float, B, ctol: float) -> Regulari
     slope_b, intercept_a, r2 = _fit_log([r["sigma"] for r in rows], values)
     final_inc = increments[-1]
     final_rel = final_inc / max(abs(values[-1]), 1e-300)
-    shrinking = all(i2 < i1 for i1, i2 in zip(increments, increments[1:]))
+    # an increment at round-off of <N> (as <N> = 0 at alpha = 0) counts as shrinking
+    shrinking = all(i2 < i1 or i2 <= EXACT_TOL * abs(v)
+                    for i1, i2, v in zip(increments, increments[1:], values[2:]))
     growing_values = all(v2 > v1 for v1, v2 in zip(values, values[1:]))
     non_shrinking = all(i2 >= 0.9 * i1 for i1, i2 in zip(increments, increments[1:]))
     # on two rungs the log fit has r^2 = 1, and one increment can neither show
     # that the increments shrink nor that they do not
-    trend = len(rows) >= 3
-    if trend and shrinking and final_rel <= ctol:
-        kind, div_kind = "converging", ""
-    elif trend and slope_b > 0 and r2 >= 0.99:
-        kind, div_kind = "diverging", "logarithmic"
-    elif trend and growing_values and non_shrinking:
-        kind, div_kind = "diverging", "super-logarithmic"
-    else:
-        kind, div_kind = "inconclusive", ""
+    kind, div_kind = "inconclusive", ""
+    if len(rows) >= 3:
+        if shrinking and final_rel <= ctol:
+            kind = "converging"
+        elif slope_b > 0 and r2 >= 0.99:
+            kind, div_kind = "diverging", "logarithmic"
+        elif growing_values and non_shrinking:
+            kind, div_kind = "diverging", "super-logarithmic"
     floor = BOUND_FLOOR * alpha**2 * max(float(np.linalg.norm(b, 2)) for b in B) ** 2
     expected = {"regular": "converging", "singular": "diverging"}.get(ir_class)
     if expected == "diverging" and any(r["absence_bound"] <= floor * r["lam_over_w_norm"]

@@ -469,8 +469,9 @@ class TestSweepExpectation:
         # <N> converges to 3.15e-3 although the coupling is infrared singular
         ("ir_sweep_spin_boson_unbiased", {}, "converging", None),
         ("ir_sweep_spin_boson_biased", {}, "diverging", "diverging"),
-        # no coupling: <N> and the bound are 0 on every rung
-        ("ir_sweep_nu3_p0", {"alpha": 0.0}, "inconclusive", None),
+        # no coupling: <N> and the bound are 0 on every rung, so no increment
+        # rises above round-off
+        ("ir_sweep_nu3_p0", {"alpha": 0.0}, "converging", None),
     ])
     def test_divergence_expected_only_where_the_bound_forces_it(
             self, tmp_path, example, update, kind, expected):
@@ -795,6 +796,11 @@ class TestFailureExits:
          "checks.5.higher.n: order must lie in [1, n_max=2], got 3"),
         ({"grid": {"n_shells": 5}}, {"kind": "higher", "n": 3},
          "checks.5.higher.n: cost guard: order 3 allows at most 4 modes, got 5"),
+        # the orders and the ladder length are the library's rules, not schema bounds
+        ({}, {"kind": "higher", "n": 0}, "checks.5.higher.n: order n must be 1, 2 or 3, got 0"),
+        ({}, {"kind": "higher", "n": 4}, "checks.5.higher.n: order n must be 1, 2 or 3, got 4"),
+        ({}, {"kind": "ir_sweep", "sigmas": [0.1]},
+         "checks.5.ir_sweep: Value error, need at least two sigma values"),
         ({}, {"kind": "moment", "G": [1.0, 2.0, 3.0]},
          "checks.5.moment.G: explicit column has 3 entries for 1 modes"),
         ({"grid": {"n_shells": 2}}, {"kind": "pullthrough", "f": [1.0]},
@@ -915,12 +921,12 @@ class TestFailureExits:
         assert result.stderr.splitlines() == lines
 
     @pytest.mark.parametrize("command", [["run"], ["dump", "grid"]])
-    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_is_two(self, tmp_path, command, unreadable):
         path = tmp_path / "config.json"
         if unreadable == "directory":
             path.mkdir()
-        else:
+        elif unreadable == "not_utf8":
             path.write_bytes(json.dumps(base_config()).encode("utf-16"))
         result = run_cli([*command, "--config", str(path), "--out", str(tmp_path / "out")])
         self.assert_one_line_error(result)

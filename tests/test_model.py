@@ -17,7 +17,6 @@ from gsblab import (
     preset_van_hove,
     t_operator,
     van_hove_oracle,
-    write_matrix_market,
 )
 
 import oracle
@@ -79,7 +78,7 @@ class TestAssembly:
         assert assemble(A, B, grid, 0.0, n_max).H.mat.dtype == np.complex128
         np.testing.assert_allclose(m.H.mat.toarray(), want, rtol=0, atol=1e-13)
         path = tmp_path / "H.mtx"
-        write_matrix_market(m.H, path)
+        scipy.io.mmwrite(str(path), m.H.mat)
         back = scipy.io.mmread(str(path))
         assert back.dtype == np.complex128
         np.testing.assert_array_equal(back.toarray(), m.H.mat.toarray())

@@ -510,6 +510,10 @@ class TestAppendixSuite:
         with pytest.raises(ValueError, match="order must lie"):
             regularity.appendix_suite(spin_boson(n_modes=2, n_max=0), 1, 2, seed=1)
 
+    def test_zero_draws_are_refused(self):
+        with pytest.raises(ValueError, match=r"^draws must be >= 1, got 0$"):
+            regularity.appendix_suite(spin_boson(n_modes=2, n_max=2), 0, 2, seed=7)
+
 
 def sweep_row(sigma, N, bound, lam=1.0):
     return {"sigma": sigma, "n_shells": 4, "E": -1.0, "expectation_N": N, "absence_bound": bound,
@@ -599,12 +603,33 @@ class TestSweepVerdictReport:
         assert verdict["kind"] == "inconclusive" and verdict["divergence_kind"] == ""
         assert rep.passed is passed
 
-    def test_alpha_zero_sweep_passes_as_inconclusive(self):
-        # <N> = 0 on every rung: the log fit is flat, and nothing is expected
+    @pytest.mark.parametrize("ir_class, expected", [("singular", None),
+                                                    ("regular", "converging")])
+    def test_alpha_zero_sweep_passes_as_converging(self, ir_class, expected):
+        # <N> = 0 on every rung: no increment rises above round-off
         rows = [sweep_row(s, 0.0, 0.0) for s in (0.1, 0.01, 1e-3)]
-        rep = self.report(rows, "singular", alpha=0.0)
-        assert rep.metadata["verdict"]["kind"] == "inconclusive"
-        assert rep.metadata["expected"] is None and rep.passed
+        rep = self.report(rows, ir_class, alpha=0.0)
+        assert rep.metadata["verdict"]["kind"] == "converging"
+        assert rep.metadata["expected"] == expected and rep.passed
+
+    def test_increments_at_round_off_read_converging(self):
+        # <N> of the van Hove sweep nu 3, p 1, alpha 0.5, n_max 12, grid.mass 0.5,
+        # sigma 0.1 down to 1e-6: increments 2.4e-5, 2.5e-10, 2.6e-15, 2.8e-16,
+        # 3.3e-16, the last two at the round-off of <N>
+        values = [0.37675719225011317, 0.37678081581474326, 0.3767808160608359,
+                  0.37678081606083846, 0.3767808160608382, 0.3767808160608385]
+        rows = [sweep_row(10.0 ** -(k + 1), N, 0.0) for k, N in enumerate(values)]
+        rep = self.report(rows, "regular", alpha=0.5)
+        assert rep.metadata["verdict"]["kind"] == rep.metadata["expected"] == "converging"
+        assert rep.passed
+
+    def test_a_rising_increment_above_round_off_blocks_converging(self):
+        # increments 0.5, 1e-4, 2e-4: the last is small against ctol but grows
+        rows = [sweep_row(s, N, 0.0) for s, N in zip((0.1, 0.01, 1e-3, 1e-4),
+                                                      (1.0, 1.5, 1.5001, 1.5003))]
+        rep = self.report(rows, "regular")
+        assert rep.metadata["verdict"]["kind"] != "converging"
+        assert not rep.passed
 
     @pytest.mark.parametrize("factor, expected", [(0.9, None), (1.1, "diverging")])
     def test_round_off_floor_scales_with_the_largest_spectral_norm(self, factor, expected):
@@ -709,6 +734,12 @@ class TestCcrSuite:
         grid = grid.with_coupling(eval_coupling(hard_family(), grid), hard_family())
         reports = ccr_and_bound_suite(basis, grid, seed=7, n_draws=20)
         assert len(reports) == 6 and all(r.passed for r in reports)
+
+    def test_zero_draws_are_refused(self):
+        basis = enumerate_basis(2, 4)
+        grid = build_radial_grid(3, 0.3, 1.1, 2)
+        with pytest.raises(ValueError, match=r"^n_draws must be >= 1, got 0$"):
+            ccr_and_bound_suite(basis, grid, seed=7, n_draws=0)
 
 
 def sweep_ladder(fams, sigmas, shells_per_decade, nu=3, Lambda=1.0):
