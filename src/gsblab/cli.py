@@ -148,11 +148,6 @@ class IrSweepCheck(_Strict):
     shells_per_decade: int = Field(default=16, ge=1)
     ctol: float = Field(default=1e-3, gt=0)
 
-    @model_validator(mode="after")
-    def _decreasing(self):
-        regularity.check_sigma_ladder(self.sigmas)
-        return self
-
     def rungs(self, grid: modes.RadialGrid) -> list:
         """(sigma, grid) per rung: the run's grid on [sigma, Lambda], log-midpoint,
         each validated, so a rung at or above Lambda raises ValueError."""
@@ -198,9 +193,10 @@ class RunConfig(_Strict):
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
         above n_max or its mode cap, an appendix at n_max = 0, an explicit column
-        of the wrong length, an explicit G with a negative entry, a sweep rung
-        at or above grid.Lambda, or a basis over the size guard (the model's,
-        when a check builds it, and each basis a sweep builds)."""
+        of the wrong length, an explicit G with a negative entry, a sweep ladder
+        or rung that check_sigma_ladder or the grid rules refuse, or a basis over
+        the size guard (the model's, when a check builds it, and each basis a
+        sweep builds)."""
         n_modes, misfits = self.grid.n_shells, []
 
         def guard(loc, value, n_shells):
@@ -236,9 +232,11 @@ class RunConfig(_Strict):
                     misfits.append((at + (field,), col, "G must be entrywise >= 0"))
             if isinstance(chk, IrSweepCheck):
                 try:
+                    regularity.check_sigma_ladder(chk.sigmas)
                     rungs = chk.rungs(self.grid)
-                except ValidationError as exc:
-                    misfits.append((at + ("sigmas",), chk.sigmas, exc.errors()[0]["msg"]))
+                except ValueError as exc:  # a ValidationError from a rung the grid rules refuse
+                    msg = exc.errors()[0]["msg"] if isinstance(exc, ValidationError) else str(exc)
+                    misfits.append((at + ("sigmas",), chk.sigmas, msg))
                     continue
                 # a separable sweep builds one one-mode basis, a composite one each
                 # rung's basis, the largest on the most shells

@@ -194,9 +194,9 @@ class LinOp:
     between them (the matter parity sectors `model.assemble` finds).  `mat`
     is never modified after construction.  The solvers apply H to vectors
     only through `apply`, so a caller can replace it on one instance (to
-    count applications, for example).  `apply` reads `mat` and nothing
-    else, so the resolvent solves of a chain level in regularity share one
-    H across threads.
+    count applications, for example); a split solve applies the sector
+    blocks of spectral.sector_blocks instead, LinOps of their own.  `apply`
+    reads `mat` and nothing else, so threads share one LinOp.
     """
 
     def __init__(self, mat, hermitian: bool = False, sectors=None):

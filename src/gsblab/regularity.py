@@ -18,7 +18,8 @@ The pull-through, moment and higher-moment checks read one memoized solver
 of resolvent chains over mode multisets, _chains; its level 1 is the
 pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.  The solves of one
 level are independent and run on up to one thread per usable core, with
-results bitwise those of the serial loop.
+results bitwise those of the serial loop.  After a split ground solve,
+level k solves in the sector of parity (-1)^k relative to phi_g alone.
 
 Tolerance ladder: identities that are exact on the truncated space (the
 finite-mode decompositions, interior commutation relations) are held to
@@ -137,17 +138,23 @@ def _require_solved(gs: GroundState) -> None:
 
 
 def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
-    """{S: (v(S), cg_iterations, cg_relres)} for each multiset S solved, sub-multisets included.
+    """{S: (v(S), cg_iterations, cg_relres, dim)} for each multiset S solved and its sub-multisets.
 
     v(S) = (H - E + sum_{j in S} omega_j)^-1 sum_{j in S} T(k_j) v(S minus one
     copy of j), v(()) = phi_g: one solve per multiset S (a sorted tuple of
     modes), level by level from a memo, aggregates all orderings of its
     chains.  Level 1 is the pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
     A level reads only the levels below it, so its solves go through
-    spectral.parallel_map.
+    spectral.parallel_map.  Each T(k_j) flips the parity and the resolvent keeps
+    it: if phi_g is exactly zero off sector g of a split H (spectral.sector_blocks),
+    level k solves on the block of sector (g + k) mod 2, of dimension dim, else on H.
     """
     t_ops = {j: t_operator(m, j) for j in sorted(set().union(*multisets))}
     memo = {(): (gs.vector, 0, 0.0)}
+    blocks = spectral.sector_blocks(m.H)
+    g = next((i for i in range(len(blocks)) if not gs.vector[blocks[1 - i][0]].any()), None)
+    if g is None:
+        blocks, g = [(slice(None), m.H)], 0
 
     def solve(S):
         rhs = np.zeros_like(gs.vector)
@@ -155,13 +162,18 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
             k = S.index(j)  # S minus one copy of j, still sorted
             rhs += S.count(j) * apply_matter(t_ops[j], memo[S[:k] + S[k + 1:]][0])
         shift = float(sum(m.grid.omega[j] for j in S))
-        return resolvent_apply(m.H, gs.energy, shift, rhs, cfg)
+        idx, block = blocks[(g + len(S)) % len(blocks)]
+        u, iterations, relres = resolvent_apply(block, gs.energy, shift, rhs[idx], cfg)
+        v = np.zeros(m.H.dim, dtype=u.dtype)
+        v[idx] = u
+        return v, iterations, relres, block.dim
 
     # the nonempty sub-multisets of the requested ones, level by level
     subs = {sub for S in multisets for k in range(1, len(S) + 1) for sub in combinations(S, k)}
     for n in sorted({len(S) for S in subs}):
         level = sorted(S for S in subs if len(S) == n)
-        memo.update(zip(level, spectral.parallel_map(solve, level, m.H.mat.nnz)))
+        nnz = blocks[(g + n) % len(blocks)][1].mat.nnz
+        memo.update(zip(level, spectral.parallel_map(solve, level, nnz)))
     del memo[()]
     return memo
 
@@ -190,10 +202,11 @@ def _chain_report(name: str, m: GsbModel, gs: GroundState, cfg: SolverConfig, n:
 
 
 def _solve_stats(chains: dict) -> dict:
-    """The solver stats of a check's chain solves: count, CG iterations, worst residual."""
+    """The stats of a check's chain solves: count, CG iterations, worst residual, largest dim."""
     return {"resolvent_solves": len(chains),
             "cg_iterations": sum(c[1] for c in chains.values()),
-            "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0)}
+            "worst_cg_relres": max((c[2] for c in chains.values()), default=0.0),
+            "resolvent_dim": max((c[3] for c in chains.values()), default=0)}
 
 
 def _dgamma_expectation(m: GsbModel, gs: GroundState, G):
@@ -234,7 +247,7 @@ def pullthrough_check(m: GsbModel, gs: GroundState, f, cfg: SolverConfig) -> Reg
     coeff = np.conj(f) * m.grid.weights
     modes = np.flatnonzero(coeff) if m.alpha != 0.0 else []
     chains = _chains(m, gs, cfg, [(int(i),) for i in modes])
-    for (i,), (u, _, _) in chains.items():
+    for (i,), (u, *_) in chains.items():
         rhs_vec -= m.alpha * coeff[i] * u
     diff = float(np.linalg.norm(lhs_vec - rhs_vec))
     rhs_norm = float(np.linalg.norm(rhs_vec))

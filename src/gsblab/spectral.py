@@ -11,7 +11,8 @@ of the right-hand side: a real model gets a real ground vector, real
 right-hand sides and real solves.  An assembled H that carries two matter
 parity sectors, and is large enough, is solved one sector per thread, each
 by the solver its size picks, with one residual check on the whole H; the
-split depends on H alone.  Both solvers are deterministic for a fixed seed;
+split (sector_blocks, which the resolvent chains of regularity follow too)
+depends on H alone.  Both solvers are deterministic for a fixed seed;
 above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
@@ -45,6 +46,7 @@ __all__ = [
     "solve_model",
     "stacked_ground_states",
     "resolvent_apply",
+    "sector_blocks",
     "parallel_map",
 ]
 
@@ -222,8 +224,8 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
     invariant space: the run continues from a fresh seeded vector
     orthogonal to it, coupled by 0, so an eigenvalue whose eigenvectors the
     start vector missed is still found.  Every product is one H.apply; more
-    than max_lanczos of them, or a product that overflows, raise
-    NonConverged.
+    than max_lanczos of them (reporting the lowest |beta s_0| of any
+    restart), or a product that overflows, raise NonConverged.
     """
     dtype = np.result_type(H.dtype, float)
     rng = np.random.default_rng(cfg.seed)
@@ -231,11 +233,12 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
     T = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
     V[0] = _random_vector(rng, H.dim, dtype)
     i = applied = passed = 0
+    best = math.inf  # the lowest ground estimate |beta s_0| of any restart
     while True:
         if applied >= cfg.max_lanczos:
             raise NonConverged(
                 f"lanczos did not reach eig_tol={cfg.eig_tol} within "
-                f"{cfg.max_lanczos} operator applications", float("inf"))
+                f"{cfg.max_lanczos} operator applications", best)
         w = H.apply(V[i])
         applied += 1
         T[i, i] = np.vdot(V[i], w).real
@@ -253,6 +256,7 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
         else:
             theta, S = np.linalg.eigh(T)
             tol = cfg.eig_tol * np.maximum(1.0, np.abs(theta[:2]))
+            best = min(best, float(abs(beta * S[-1, 0])))
             passed = passed + 1 if np.all(np.abs(beta * S[-1, :2]) <= tol) else 0
             if passed == SETTLE_CHECKS:
                 return theta[:2], S[:, 0] @ V, applied
@@ -280,21 +284,27 @@ def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
     return *_lanczos_ground(H, width, cfg), "lanczos"
 
 
-def _sector_ground(H: LinOp, width: float, cfg: SolverConfig):
-    """Two lowest eigenvalues, ground vector, applications and method of H from its parity sectors.
+def sector_blocks(H: LinOp) -> list:
+    """(idx, LinOp H.mat[idx][:, idx]) per parity sector of H, or [] when H does not split.
 
-    Each sector block H.mat[idx][:, idx] is solved by _block_ground, one per
-    thread; H has no entry between sectors, so its spectrum is theirs.  The
-    two lowest of the blocks' eigenvalues are H's; the ground vector is the
-    lower block's, zero elsewhere (the first sector on an exact tie).  The
-    method is "lanczos-sectors", whatever solver each block took.
+    H splits when it carries sectors and at least 2 MIN_THREAD_NNZ stored
+    entries (so a dimension above DENSE_MAX_DIM); with no entry between
+    sectors, H is the blocks' direct sum.  The blocks are built on each call.
     """
-    blocks = [LinOp(H.mat[idx][:, idx], hermitian=True) for idx in H.sectors]
-    vals, vecs, applied, _ = zip(*parallel_map(lambda block: _block_ground(block, width, cfg),
+    if H.sectors is None or H.mat.nnz < 2 * MIN_THREAD_NNZ:
+        return []
+    return [(idx, LinOp(H.mat[idx][:, idx], hermitian=True)) for idx in H.sectors]
+
+
+def _sector_ground(H: LinOp, blocks: list, width: float, cfg: SolverConfig):
+    """Two lowest eigenvalues, ground vector, applications and method of H from its sector
+    blocks, one _block_ground per thread: the lower block's vector, zero elsewhere (the first
+    block's on an exact tie), and "lanczos-sectors" whatever solver each block took."""
+    vals, vecs, applied, _ = zip(*parallel_map(lambda b: _block_ground(b[1], width, cfg),
                                                blocks, H.mat.nnz))
     low = int(np.argmin([v[0] for v in vals]))
     vec = np.zeros(H.dim, dtype=vecs[low].dtype)
-    vec[H.sectors[low]] = vecs[low]
+    vec[blocks[low][0]] = vecs[low]
     return np.sort(np.concatenate(vals))[:2], vec, sum(applied), "lanczos-sectors"
 
 
@@ -302,16 +312,15 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
     Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's
-    own dtype.  An H with parity sectors and at least 2 MIN_THREAD_NNZ
-    stored entries is solved one sector per thread ("lanczos-sectors"),
-    whatever the core count, each sector by the solver its size picks.  A
-    non-finite entry of H raises NonConverged before any solve.  Returns a
-    GroundState whose vector is a normalized numpy array, with the explicit
-    residual ||H v - E v|| <= eig_tol * max(1, |E|) on the whole H (a nan
-    residual raises NonConverged too), the gap to the second eigenvalue,
-    and a near-degeneracy flag when the gap is tiny relative to the
-    spectral width (the largest absolute row sum of H).  w_top stays nan: H
-    carries no basis.  Deterministic for a fixed cfg.seed.
+    own dtype.  An H that sector_blocks splits is solved one sector per
+    thread ("lanczos-sectors"), whatever the core count, each sector by the
+    solver its size picks.  A non-finite entry of H raises NonConverged
+    before any solve.  Returns a GroundState whose vector is a normalized
+    numpy array, with the explicit residual ||H v - E v|| <= eig_tol *
+    max(1, |E|) on the whole H (a nan residual raises NonConverged too), the
+    gap to the second eigenvalue, and a near-degeneracy flag when the gap is
+    tiny relative to the spectral width (the largest absolute row sum of H).
+    w_top stays nan: H carries no basis.  Deterministic for a fixed cfg.seed.
     """
     if not H.hermitian:
         raise ValueError("ground_state requires a hermitian operator")
@@ -321,11 +330,11 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     # over the nonempty rows only (an empty row sums to 0)
     starts = H.mat.indptr[np.flatnonzero(np.diff(H.mat.indptr))]
     width = np.add.reduceat(np.abs(H.mat.data), starts).max(initial=0.0)
-    # 2 MIN_THREAD_NNZ stored entries need a dimension above DENSE_MAX_DIM
-    split = H.sectors is not None and H.mat.nnz >= 2 * MIN_THREAD_NNZ
+    blocks = sector_blocks(H)
     # an overflowing product or residual is refused, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, vec, applied, method = (_sector_ground if split else _block_ground)(H, width, cfg)
+        vals, vec, applied, method = (_sector_ground(H, blocks, width, cfg) if blocks
+                                      else _block_ground(H, width, cfg))
         vec = vec / np.linalg.norm(vec)
         hv = H.apply(vec)
         energy = float(np.real(np.vdot(vec, hv)))

@@ -402,7 +402,7 @@ class TestArtifacts:
             {"kind": "ir_sweep", "sigmas": [0.2, 0.1], "shells_per_decade": 2}])
         run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
         reports = json.loads((out / "report.json").read_text())["reports"]
-        solves = {"resolvent_solves", "cg_iterations", "worst_cg_relres"}
+        solves = {"resolvent_solves", "cg_iterations", "worst_cg_relres", "resolvent_dim"}
         assert {r["check_name"]: r["metadata"].keys() for r in reports} == {
             "pullthrough": solves | {"lhs_norm"},
             "moment_identity": solves,
@@ -800,7 +800,9 @@ class TestFailureExits:
         ({}, {"kind": "higher", "n": 0}, "checks.5.higher.n: order n must be 1, 2 or 3, got 0"),
         ({}, {"kind": "higher", "n": 4}, "checks.5.higher.n: order n must be 1, 2 or 3, got 4"),
         ({}, {"kind": "ir_sweep", "sigmas": [0.1]},
-         "checks.5.ir_sweep: Value error, need at least two sigma values"),
+         "checks.5.ir_sweep.sigmas: need at least two sigma values"),
+        ({}, {"kind": "ir_sweep", "sigmas": [0.1, 0.2]},
+         "checks.5.ir_sweep.sigmas: sigmas must be strictly decreasing"),
         ({}, {"kind": "moment", "G": [1.0, 2.0, 3.0]},
          "checks.5.moment.G: explicit column has 3 entries for 1 modes"),
         ({"grid": {"n_shells": 2}}, {"kind": "pullthrough", "f": [1.0]},

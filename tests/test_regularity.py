@@ -14,6 +14,8 @@ import scipy.sparse as sp
 
 from gsblab import (
     CouplingFamily,
+    GsbModel,
+    LinOp,
     NonConverged,
     SolverConfig,
     absence_lower_bound,
@@ -1285,3 +1287,55 @@ class TestParitySectors:
             assert ({k: v for k, v in vars(gs).items() if k != "vector"}
                     == {k: v for k, v in vars(first).items() if k != "vector"})
             assert [vars(r) for r in reports] == [vars(r) for r in first_reports]
+
+    @staticmethod
+    def chain_reports(m, gs):
+        return [pullthrough_check(m, gs, m.grid.channel(0), CFG),
+                moment_identity(m, gs, np.ones(m.grid.n_modes), CFG),
+                higher_moment_identity(m, gs, 2, CFG)]
+
+    @staticmethod
+    def unsplit(m):
+        """m with the same H but no sectors, so every chain solves on the whole space."""
+        return GsbModel(m.A, m.B, m.grid, m.alpha, m.n_max, m.basis,
+                        LinOp(m.H.mat, hermitian=True))
+
+    def assert_chains_solve_in_the_sectors(self, m):
+        gs = solve_model(m, CFG)
+        assert gs.method == "lanczos-sectors"
+        for r, ref in zip(self.chain_reports(m, gs), self.chain_reports(self.unsplit(m), gs)):
+            # systems of half the dimension, the same iterations, the values up to rounding
+            assert (r.metadata["resolvent_dim"], ref.metadata["resolvent_dim"]) == (m.dim // 2,
+                                                                                    m.dim)
+            assert r.metadata["cg_iterations"] == ref.metadata["cg_iterations"]
+            assert r.metadata["resolvent_solves"] == ref.metadata["resolvent_solves"]
+            for key in ("lhs", "rhs", "w_top", "tol_used"):
+                assert getattr(r, key) == pytest.approx(getattr(ref, key), rel=1e-12, abs=0)
+            # rel_err is |lhs - rhs| on the scale: the sides' rounding moves it
+            # absolutely (by 4e-16 where it is 9e-7), not relatively
+            assert r.rel_err == pytest.approx(ref.rel_err, rel=0, abs=1e-12)
+            assert r.passed == ref.passed
+
+    def test_chain_solves_run_in_the_sectors(self, split):
+        self.assert_chains_solve_in_the_sectors(split[0])
+
+    def test_complex_model_solves_in_its_sectors(self, split):
+        # a diagonal phase unitary keeps the sign pattern of the matter, hence
+        # the sectors, and makes the coupling complex
+        m = split[0]
+        phase = np.diag(np.exp(1j * np.array([0.0, 0.7])))
+        turned = assemble(phase @ m.A @ phase.conj().T, [phase @ b @ phase.conj().T for b in m.B],
+                          m.grid, m.alpha, m.n_max)
+        assert np.iscomplexobj(turned.H.mat.data) and turned.H.sectors is not None
+        self.assert_chains_solve_in_the_sectors(turned)
+
+    def test_ground_vector_off_its_sector_takes_the_full_path(self, split):
+        m = split[0]
+        gs = solve_model(m, CFG)
+        even, odd = m.H.sectors
+        vector = gs.vector.copy()
+        vector[(odd if gs.vector[even].any() else even)[0]] = 1e-12
+        gs = replace(gs, vector=vector)
+        r = pullthrough_check(m, gs, m.grid.channel(0), CFG)
+        assert r.metadata["resolvent_dim"] == m.dim
+        assert vars(r) == vars(pullthrough_check(self.unsplit(m), gs, m.grid.channel(0), CFG))

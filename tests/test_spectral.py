@@ -429,8 +429,10 @@ class TestLanczosPath:
 
     def test_lanczos_budget_exhausted_raises(self):
         m = spin_boson_model(n_modes=3, n_max=6)
-        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol"):
+        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol") as stop:
             solve_model(m, SolverConfig(max_lanczos=5))
+        # stopped before its first restart, so with no residual estimate
+        assert stop.value.best_residual == math.inf
 
     def test_overflowing_product_raises_without_a_warning(self):
         # finite entries whose products overflow: refused at once, and the
@@ -497,8 +499,10 @@ class TestParitySectors:
         most = max(p.iterations for p in parts)
         assert gs.iterations > most
         assert solve_model(m, SolverConfig(max_lanczos=most)).iterations == gs.iterations
-        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol"):
+        with pytest.raises(NonConverged, match="lanczos did not reach eig_tol") as stop:
             solve_model(m, SolverConfig(max_lanczos=most - 1))
+        # the budget stop carries the best ground estimate of its restarts
+        assert 0.0 <= stop.value.best_residual < math.inf
 
     def test_exact_degeneracy_between_sectors(self):
         # at delta = 0 the sectors' ground energies are equal: the doublet of
