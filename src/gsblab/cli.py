@@ -194,24 +194,26 @@ class RunConfig(_Strict):
         """Refuse, before any solve, a check this model cannot run: a higher order
         above n_max or its mode cap, an appendix at n_max = 0, an explicit column
         of the wrong length, an explicit G with a negative entry, a sweep ladder
-        or rung that check_sigma_ladder or the grid rules refuse, or a basis over
-        the size guard (the model's, when a check builds it, and each basis a
-        sweep builds)."""
+        or rung that check_sigma_ladder or the grid rules refuse, or a size over
+        the guard: the run's grid, the model's basis when a check builds it, and
+        each sweep's largest rung (regularity.check_sweep_size)."""
         n_modes, misfits = self.grid.n_shells, []
 
-        def guard(loc, value, n_shells):
-            # fock's size rule on n_shells modes; a malformed GSB_MAX_DIM keeps the
+        def guard(loc, value, check, *args):
+            # a size rule of fock or regularity; a malformed GSB_MAX_DIM keeps the
             # run's message, which pydantic would bury in a schema violation
             try:
-                fock.check_basis_size(n_shells, self.n_max)
+                check(*args)
             except fock.BasisSizeError as exc:
                 misfits.append((loc, value, str(exc)))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
 
-        # every check kind but ccr and ir_sweep builds the run's model
+        # every run builds its grid, and every check kind but ccr and ir_sweep its model
+        guard(("grid", "n_shells"), n_modes, fock.check_size, n_modes,
+              f"grid with {n_modes} shells")
         if any(not isinstance(chk, (CcrCheck, IrSweepCheck)) for chk in self.checks):
-            guard(("n_max",), self.n_max, n_modes)
+            guard(("n_max",), self.n_max, fock.check_basis_size, n_modes, self.n_max)
         for i, chk in enumerate(self.checks):
             at = ("checks", i, chk.kind)
             if isinstance(chk, HigherCheck):
@@ -238,11 +240,8 @@ class RunConfig(_Strict):
                     msg = exc.errors()[0]["msg"] if isinstance(exc, ValidationError) else str(exc)
                     misfits.append((at + ("sigmas",), chk.sigmas, msg))
                     continue
-                # a separable sweep builds one one-mode basis, a composite one each
-                # rung's basis, the largest on the most shells
-                separable = regularity.separable_matter(*self.model.matter())
-                guard(at + ("sigmas",), chk.sigmas,
-                      1 if separable else max(grid.n_shells for _, grid in rungs))
+                guard(at + ("sigmas",), chk.sigmas, regularity.check_sweep_size,
+                      *self.model.matter(), self.n_max, max(grid.n_shells for _, grid in rungs))
         if misfits:
             # a ValidationError raised here keeps each error's field path
             raise ValidationError.from_exception_data(type(self).__name__, [

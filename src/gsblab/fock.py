@@ -35,6 +35,7 @@ __all__ = [
     "FockBasis",
     "LinOp",
     "BasisSizeError",
+    "check_size",
     "check_basis_size",
     "enumerate_basis",
     "annihilator",
@@ -138,25 +139,26 @@ class FockBasis:
         return f"FockBasis(n_modes={self.n_modes}, n_max={self.n_max}, dim={len(self)})"
 
 
-def check_basis_size(n_modes: int, n_max: int) -> int:
-    """The state count C(n_modes + n_max, n_modes) of a basis, refused above the guard.
-
-    The guard is GSB_MAX_DIM when set, else DEFAULT_MAX_STATES (200000); a
-    count above it raises BasisSizeError, and a GSB_MAX_DIM that is not an
-    integer ValueError.
-    """
+def check_size(count: int, what: str) -> int:
+    """count, refused above the size guard: GSB_MAX_DIM when set, else DEFAULT_MAX_STATES
+    (200000).  A count above it raises BasisSizeError, which names `what`, and a
+    GSB_MAX_DIM that is not an integer ValueError."""
     env = os.environ.get(MAX_DIM_ENV)
     try:
         guard = DEFAULT_MAX_STATES if env is None else int(env)
     except ValueError:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {env!r}") from None
-    count = math.comb(n_modes + n_max, n_modes)
     if count > guard:
-        raise BasisSizeError(
-            f"basis with {count} states exceeds the guard of {guard}; "
-            f"set {MAX_DIM_ENV} to raise it"
-        )
+        raise BasisSizeError(f"{what} exceeds the guard of {guard}; "
+                             f"set {MAX_DIM_ENV} to raise it")
     return count
+
+
+def check_basis_size(n_modes: int, n_max: int) -> int:
+    """The state count C(n_modes + n_max, n_modes) of a basis, refused above the size guard
+    (check_size)."""
+    count = math.comb(n_modes + n_max, n_modes)
+    return check_size(count, f"basis with {count} states")
 
 
 def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
@@ -194,8 +196,9 @@ class LinOp:
     between them (the matter parity sectors `model.assemble` finds).  `mat`
     is never modified after construction.  The solvers apply H to vectors
     only through `apply`, so a caller can replace it on one instance (to
-    count applications, for example); a split solve applies the sector
-    blocks of spectral.sector_blocks instead, LinOps of their own.  `apply`
+    count applications, for example); the solves apply the blocks of
+    spectral.sector_blocks, which are that instance for an H that does not
+    split and sector LinOps of their own for one that does.  `apply`
     reads `mat` and nothing else, so threads share one LinOp.
     """
 

@@ -103,6 +103,10 @@ class ModeSet:
             raise ValueError("points, weights, omega must have equal length")
         if len(pts) == 0:
             raise ValueError("mode set must contain at least one mode")
+        for name, values in [("points", pts), ("weights", wts), ("omega", om),
+                             *(("couplings", c) for c in self.couplings)]:
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"mode set has a non-finite entry in {name}")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly increasing")
         if np.any(wts <= 0):
@@ -193,22 +197,27 @@ def build_radial_grid(nu: int, sigma: float, Lambda: float, n_shells: int,
     g = RadialGrid(nu=nu, sigma=sigma, Lambda=Lambda, n_shells=n_shells, rule=rule, mass=mass)
     nu, sigma, Lambda, n_shells, mass = g.nu, g.sigma, g.Lambda, g.n_shells, g.mass
     s = 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)  # area of the unit sphere
-    if g.rule == "midpoint":
-        dr = (Lambda - sigma) / n_shells
-        r = sigma + (np.arange(1, n_shells + 1) - 0.5) * dr
-        widths = np.full(n_shells, dr)
-    else:
-        edges = sigma * (Lambda / sigma) ** (np.arange(n_shells + 1) / n_shells)
-        r = np.sqrt(edges[:-1] * edges[1:])
-        widths = np.diff(edges)
-    w = s * r ** (nu - 1) * widths
-    omega = r if mass == 0.0 else np.sqrt(r * r + mass * mass)
+    # an entry past the float range is refused by ModeSet, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.rule == "midpoint":
+            dr = (Lambda - sigma) / n_shells
+            r = sigma + (np.arange(1, n_shells + 1) - 0.5) * dr
+            widths = np.full(n_shells, dr)
+        else:
+            edges = sigma * (Lambda / sigma) ** (np.arange(n_shells + 1) / n_shells)
+            r = np.sqrt(edges[:-1] * edges[1:])
+            widths = np.diff(edges)
+        w = s * r ** (nu - 1) * widths
+        omega = r if mass == 0.0 else np.sqrt(r * r + mass * mass)
     return ModeSet(nu=nu, points=r, weights=w, omega=omega, mass=mass)
 
 
 def eval_coupling(family: CouplingFamily, grid: ModeSet) -> np.ndarray:
     """The coupling column lambda_i = rho(r_i) / sqrt(omega_i), omega from the grid."""
-    return family.rho(grid.points) / np.sqrt(grid.omega)
+    # a gaussian envelope below the float range is 0, and an entry past it is
+    # refused by ModeSet: neither raises a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return family.rho(grid.points) / np.sqrt(grid.omega)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ __all__ = [
     "appendix_suite",
     "ccr_and_bound_suite",
     "separable_matter",
+    "check_sweep_size",
     "check_sigma_ladder",
     "ir_sweep",
 ]
@@ -146,15 +147,15 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     chains.  Level 1 is the pull-through vector (H - E + omega_i)^-1 T(k_i) phi_g.
     A level reads only the levels below it, so its solves go through
     spectral.parallel_map.  Each T(k_j) flips the parity and the resolvent keeps
-    it: if phi_g is exactly zero off sector g of a split H (spectral.sector_blocks),
-    level k solves on the block of sector (g + k) mod 2, of dimension dim, else on H.
+    it: if phi_g has weight on one block g of spectral.sector_blocks(H) alone, level
+    k solves on block (g + k) mod the block count, of dimension dim, else on the whole H.
     """
     t_ops = {j: t_operator(m, j) for j in sorted(set().union(*multisets))}
     memo = {(): (gs.vector, 0, 0.0)}
     blocks = spectral.sector_blocks(m.H)
-    g = next((i for i in range(len(blocks)) if not gs.vector[blocks[1 - i][0]].any()), None)
-    if g is None:
-        blocks, g = [(slice(None), m.H)], 0
+    held = [i for i, (idx, _) in enumerate(blocks) if gs.vector[idx].any()]
+    if len(held) > 1:  # phi_g has weight off its sector
+        blocks, held = [(slice(None), m.H)], [0]
 
     def solve(S):
         rhs = np.zeros_like(gs.vector)
@@ -162,7 +163,6 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
             k = S.index(j)  # S minus one copy of j, still sorted
             rhs += S.count(j) * apply_matter(t_ops[j], memo[S[:k] + S[k + 1:]][0])
         shift = float(sum(m.grid.omega[j] for j in S))
-        idx, block = blocks[(g + len(S)) % len(blocks)]
         u, iterations, relres = resolvent_apply(block, gs.energy, shift, rhs[idx], cfg)
         v = np.zeros(m.H.dim, dtype=u.dtype)
         v[idx] = u
@@ -172,8 +172,8 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     subs = {sub for S in multisets for k in range(1, len(S) + 1) for sub in combinations(S, k)}
     for n in sorted({len(S) for S in subs}):
         level = sorted(S for S in subs if len(S) == n)
-        nnz = blocks[(g + n) % len(blocks)][1].mat.nnz
-        memo.update(zip(level, spectral.parallel_map(solve, level, nnz)))
+        idx, block = blocks[(held[0] + n) % len(blocks)]  # the level's block, which solve reads
+        memo.update(zip(level, spectral.parallel_map(solve, level, block.mat.nnz)))
     del memo[()]
     return memo
 
@@ -566,6 +566,18 @@ def separable_matter(A, B) -> bool:
     return A.shape == (1, 1) and len(B) == 1
 
 
+def check_sweep_size(A, B, n_max: int, n_shells: int) -> None:
+    """Refuse, by fock's size guard, a sweep rung of n_shells shells: a separable one
+    solves a stack of n_shells one-mode bases, n_shells (n_max + 1) states, a composite
+    one its grid of n_shells shells and the Fock basis on them."""
+    if separable_matter(A, B):
+        states = n_shells * (n_max + 1)
+        fock.check_size(states, f"stack of {n_shells} one-mode bases with {states} states")
+    else:
+        fock.check_size(n_shells, f"grid with {n_shells} shells")
+        fock.check_basis_size(n_shells, n_max)
+
+
 def check_sigma_ladder(sigmas) -> None:
     """Refuse an infrared ladder of fewer than two cutoffs, or one that is not
     strictly decreasing."""
@@ -595,6 +607,7 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     # assemble's rule on every rung; the separable path would read channel 0 alone
     for n_channels in {grid.n_channels for _, grid in ladder}:
         A, B = model_mod.check_matter(A, B, n_channels)
+    check_sweep_size(A, B, n_max, max(grid.n_modes for _, grid in ladder))
     separable = separable_matter(A, B)
     if separable:
         # a hermitian 1x1 matrix is real

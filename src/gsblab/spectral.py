@@ -8,11 +8,12 @@ BLAS axpy/scal).  The eigenpair comes from dense eigh up to DENSE_MAX_DIM
 and from a thick-restart Lanczos above it (Wu and Simon, SIAM J. Matrix
 Anal. Appl. 22 (2000) 602), both in the dtype of H and, for the resolvent,
 of the right-hand side: a real model gets a real ground vector, real
-right-hand sides and real solves.  An assembled H that carries two matter
-parity sectors, and is large enough, is solved one sector per thread, each
-by the solver its size picks, with one residual check on the whole H; the
-split (sector_blocks, which the resolvent chains of regularity follow too)
-depends on H alone.  Both solvers are deterministic for a fixed seed;
+right-hand sides and real solves.  Every solve runs on the blocks of
+sector_blocks, which depend on H alone: H itself, or the two matter parity
+sectors of an H large enough to split.  The ground solve takes each block
+through parallel_map by the solver its size picks, with one residual check on
+the whole H; each level of regularity's resolvent chains solves on one
+block.  Both solvers are deterministic for a fixed seed;
 above the dense cut-off H is never factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
@@ -272,7 +273,7 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
 
 
 def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
-    """Two lowest eigenvalues, ground vector, applications and method of a whole H or a block.
+    """Two lowest eigenvalues, ground vector, applications and method of one block of H.
 
     Dense eigh ("dense") up to DENSE_MAX_DIM and thick-restart Lanczos
     ("lanczos") above, whose breakdown test reads `width`, the spectral
@@ -285,41 +286,31 @@ def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
 
 
 def sector_blocks(H: LinOp) -> list:
-    """(idx, LinOp H.mat[idx][:, idx]) per parity sector of H, or [] when H does not split.
+    """The (idx, LinOp) blocks every solve on H runs on: H.mat[idx][:, idx] per parity
+    sector when H splits, else H itself, [(slice(None), H)].
 
     H splits when it carries sectors and at least 2 MIN_THREAD_NNZ stored
     entries (so a dimension above DENSE_MAX_DIM); with no entry between
-    sectors, H is the blocks' direct sum.  The blocks are built on each call.
+    sectors, H is the blocks' direct sum.  Sector blocks are built on each call.
     """
     if H.sectors is None or H.mat.nnz < 2 * MIN_THREAD_NNZ:
-        return []
+        return [(slice(None), H)]
     return [(idx, LinOp(H.mat[idx][:, idx], hermitian=True)) for idx in H.sectors]
-
-
-def _sector_ground(H: LinOp, blocks: list, width: float, cfg: SolverConfig):
-    """Two lowest eigenvalues, ground vector, applications and method of H from its sector
-    blocks, one _block_ground per thread: the lower block's vector, zero elsewhere (the first
-    block's on an exact tie), and "lanczos-sectors" whatever solver each block took."""
-    vals, vecs, applied, _ = zip(*parallel_map(lambda b: _block_ground(b[1], width, cfg),
-                                               blocks, H.mat.nnz))
-    low = int(np.argmin([v[0] for v in vals]))
-    vec = np.zeros(H.dim, dtype=vecs[low].dtype)
-    vec[blocks[low][0]] = vecs[low]
-    return np.sort(np.concatenate(vals))[:2], vec, sum(applied), "lanczos-sectors"
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     """Lowest eigenpair of a hermitian operator.
 
-    Dense eigh up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's
-    own dtype.  An H that sector_blocks splits is solved one sector per
-    thread ("lanczos-sectors"), whatever the core count, each sector by the
-    solver its size picks.  A non-finite entry of H raises NonConverged
-    before any solve.  Returns a GroundState whose vector is a normalized
-    numpy array, with the explicit residual ||H v - E v|| <= eig_tol *
-    max(1, |E|) on the whole H (a nan residual raises NonConverged too), the
-    gap to the second eigenvalue, and a near-degeneracy flag when the gap is
-    tiny relative to the spectral width (the largest absolute row sum of H).
+    Each block of sector_blocks(H) is solved through parallel_map, by dense eigh
+    up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's own dtype;
+    the ground vector is the lowest block's, zero off it (the first on a
+    tie), and method is the one block's solver or "lanczos-sectors" for two.
+    A non-finite entry of H raises NonConverged before any solve.  Returns a
+    GroundState whose vector is a normalized numpy array, with the explicit
+    residual ||H v - E v|| <= eig_tol * max(1, |E|) on the whole H (a nan
+    residual raises NonConverged too), the gap to the second eigenvalue, and
+    a near-degeneracy flag when the gap is tiny relative to the spectral
+    width (the largest absolute row sum of H).
     w_top stays nan: H carries no basis.  Deterministic for a fixed cfg.seed.
     """
     if not H.hermitian:
@@ -333,20 +324,25 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     blocks = sector_blocks(H)
     # an overflowing product or residual is refused, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, vec, applied, method = (_sector_ground(H, blocks, width, cfg) if blocks
-                                      else _block_ground(H, width, cfg))
-        vec = vec / np.linalg.norm(vec)
+        vals, vecs, applied, methods = zip(*parallel_map(
+            lambda b: _block_ground(b[1], width, cfg), blocks, H.mat.nnz))
+        low = int(np.argmin([v[0] for v in vals]))
+        vec = np.zeros(H.dim, dtype=vecs[low].dtype)
+        vec[blocks[low][0]] = vecs[low]
+        vec /= np.linalg.norm(vec)
         hv = H.apply(vec)
         energy = float(np.real(np.vdot(vec, hv)))
         residual = float(np.linalg.norm(hv - energy * vec))
+    method = methods[0] if len(blocks) == 1 else "lanczos-sectors"
     if not residual <= cfg.eig_tol * max(1.0, abs(energy)):
         raise NonConverged(f"{method} missed eig_tol={cfg.eig_tol}", residual)
+    vals = np.sort(np.concatenate(vals))
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else float("nan")
     near = bool(np.isfinite(gap)
                 and gap <= NEAR_DEGENERATE_FACTOR * max(width, abs(energy), 1e-300))
     return GroundState(
         energy=energy, vector=vec, residual=residual,
-        gap=gap, near_degenerate=near, iterations=applied, method=method,
+        gap=gap, near_degenerate=near, iterations=sum(applied), method=method,
     )
 
 

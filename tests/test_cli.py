@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gsblab import cli, regularity, spectral
+from gsblab import cli, modes, regularity, spectral
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -703,6 +703,29 @@ class TestFailureExits:
         assert "config schema violation" in result.output
         assert f"{field}: Input should be a finite number" in result.output
 
+    @pytest.mark.parametrize("old, new, line", [
+        # finite settings whose grid leaves the float range
+        ('"Lambda": 1.0', '"Lambda": 1e300', "error: mode set has a non-finite entry in points"),
+        ('"rule": "log-midpoint"', '"rule": "log-midpoint", "mass": 1e300',
+         "error: mode set has a non-finite entry in omega"),
+    ])
+    def test_grid_past_the_float_range_is_two(self, tmp_path, old, new, line):
+        text = (EXAMPLES / "van_hove_multimode.json").read_text()
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == [line]
+
+    def test_gaussian_envelope_below_the_float_range_runs_silently(self, tmp_path):
+        # its envelope is exactly 0 on every shell: a decoupled model that passes
+        text = (EXAMPLES / "van_hove_multimode.json").read_text()
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"uv": 10.0', '"uv": 1e-300, "profile": "gaussian"'))
+        result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert (result.exit_code, result.stderr) == (0, "")
+
     @pytest.mark.parametrize("section, entry, line", [
         ("solver", {"eig_tol": 2}, "solver.eig_tol: Input should be less than 1"),
         ("solver", {"foo": 1}, "solver.foo: Extra inputs are not permitted"),
@@ -894,10 +917,12 @@ class TestFailureExits:
         (None, "1000", ["error: config schema violation:",
                         "  checks.0.ir_sweep.sigmas: basis with 2925 states exceeds the "
                         "guard of 1000; set GSB_MAX_DIM to raise it"]),
-        # a van Hove sweep is solved mode by mode, on one 13-state basis at n_max = 12
-        ("ir_sweep_nu3_p1", "10", ["error: config schema violation:",
-                                   "  checks.0.ir_sweep.sigmas: basis with 13 states exceeds "
-                                   "the guard of 10; set GSB_MAX_DIM to raise it"]),
+        # a van Hove sweep is solved mode by mode: its last rung stacks 96 one-mode
+        # bases of 13 states at n_max = 12
+        ("ir_sweep_nu3_p1", "1000", ["error: config schema violation:",
+                                     "  checks.0.ir_sweep.sigmas: stack of 96 one-mode bases "
+                                     "with 1248 states exceeds the guard of 1000; set "
+                                     "GSB_MAX_DIM to raise it"]),
     ])
     def test_basis_over_the_guard_is_refused_before_any_solve(
             self, tmp_path, monkeypatch, command, example, env, lines):
@@ -921,6 +946,36 @@ class TestFailureExits:
                           "--out", str(tmp_path / "out")])
         self.assert_one_line_error(result)
         assert result.stderr.splitlines() == lines
+
+    @pytest.mark.parametrize("command", [["sweep", "--dry-run"], ["sweep"]])
+    @pytest.mark.parametrize("example, update, sweep, line", [
+        # a separable sweep stacks one 13-state basis per shell: 3,000 on the last rung
+        ("van_hove_multimode", {}, {"sigmas": [0.1, 0.01, 0.001], "shells_per_decade": 1000},
+         "checks.0.ir_sweep.sigmas: stack of 3000 one-mode bases with 39000 states"),
+        # at n_max = 0 every basis has one state, but each grid holds all its shells
+        ("van_hove_multimode", {"n_max": 0, "grid": {"n_shells": 51}}, {"sigmas": [0.1, 0.01]},
+         "grid.n_shells: grid with 51 shells"),
+        ("ir_sweep_spin_boson_biased", {"n_max": 0},
+         {"sigmas": [0.1, 0.01, 0.001], "shells_per_decade": 20},
+         "checks.0.ir_sweep.sigmas: grid with 60 shells"),
+    ])
+    def test_sweep_stack_and_shell_count_meet_the_guard(self, tmp_path, monkeypatch, command,
+                                                         example, update, sweep, line):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(cli, "build_grid", no_grid)
+        monkeypatch.setenv("GSB_MAX_DIM", "50")
+        cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
+        for key, value in update.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        cfg["checks"] = [{"kind": "ir_sweep", **sweep}]
+        result = run_cli([*command, "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == [
+            "error: config schema violation:",
+            f"  {line} exceeds the guard of 50; set GSB_MAX_DIM to raise it"]
 
     @pytest.mark.parametrize("command", [["run"], ["dump", "grid"]])
     @pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
@@ -1070,3 +1125,19 @@ class TestChainThreads:
                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert threading.active_count() == before
+
+
+class TestColumnSelectors:
+    @pytest.mark.parametrize("name", ["ones", "omega", "omega_sq", "coupling"])
+    def test_named_column_gives_the_row_of_its_explicit_list(self, name):
+        # the spin boson of spin_boson_2level.json at n_max = 6: four shells
+        raw = json.loads((EXAMPLES / "spin_boson_2level.json").read_text())
+        grid = cli.build_grid(modes.RadialGrid(**raw["grid"]),
+                              [modes.CouplingFamily(**c) for c in raw["coupling"]])
+        explicit = {"ones": np.ones(grid.n_modes), "omega": grid.omega,
+                    "omega_sq": grid.omega ** 2, "coupling": grid.channel(0)}[name]
+        raw.update(n_max=6, checks=[{"kind": "moment", "G": name},
+                                    {"kind": "moment", "G": explicit.tolist()}])
+        named, listed = cli.execute_run(cli.RunConfig.model_validate(raw))[0]
+        assert named.lhs > 0 and named.passed
+        assert vars(named) == vars(listed)

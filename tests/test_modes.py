@@ -187,6 +187,35 @@ class TestModeSet:
         with pytest.raises((ValueError, RuntimeError)):
             grid.points[0] = 99.0
 
+    @pytest.mark.parametrize("field", ["points", "weights", "omega", "couplings"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, field, bad):
+        # a nan passes every `<= 0` test, so finiteness is checked on its own
+        grid = build_radial_grid(1, 0.2, 1.2, 4)
+        arrays = {"points": grid.points, "weights": grid.weights, "omega": grid.omega,
+                  "couplings": np.ones(4)}
+        values = arrays[field].copy()
+        values[-1] = bad
+        arrays[field] = values
+        couplings = (arrays.pop("couplings"),)
+        with pytest.raises(ValueError, match=f"non-finite entry in {field}"):
+            ModeSet(nu=1, couplings=couplings, **arrays)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        # the log-midpoint edges' products overflow, and so does the massive dispersion
+        ({"Lambda": 1e300, "rule": "log-midpoint"}, "points"),
+        ({"Lambda": 1.0, "mass": 1e300}, "omega"),
+    ])
+    def test_grid_past_the_float_range_is_refused_without_a_warning(self, kwargs, field):
+        # a RuntimeWarning would fail this test: tier-1 turns warnings into errors
+        with pytest.raises(ValueError, match=f"non-finite entry in {field}"):
+            build_radial_grid(3, 0.3, n_shells=4, **kwargs)
+
+    def test_gaussian_below_the_float_range_is_zero_without_a_warning(self):
+        grid = build_radial_grid(3, 0.3, 1.0, 4)
+        fam = CouplingFamily(rho0=1.0, p=1.0, uv=1e-300, profile="gaussian")
+        assert not eval_coupling(fam, grid).any()
+
 
 class TestIrClassification:
     @pytest.mark.parametrize(

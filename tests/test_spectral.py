@@ -473,6 +473,47 @@ class TestLanczosPath:
         assert gs.gap <= 1e-12 and gs.near_degenerate
 
 
+def identities_m4(turn=0.0):
+    """The spin boson of the benchmark's identities M=4 config (dim 3,640), its matter turned
+    by `turn` radians: at 0 it carries parity sectors, otherwise no sign pattern."""
+    grid = build_radial_grid(3, 0.4, 2.0, 4)
+    fam = CouplingFamily(rho0=0.9, p=1.0, uv=10.0)
+    grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+    A, B = preset_spin_boson(1.0)
+    c, s = math.cos(turn), math.sin(turn)
+    R = np.array([[c, -s], [s, c]])
+    return assemble(R @ A @ R.T, [R @ b @ R.T for b in B], grid, 0.3, 12)
+
+
+class TestOneBlock:
+    """An H that does not split is one whole block, solved as it was before blocks existed."""
+
+    @pytest.mark.parametrize("make, method, nnz, sectored", [
+        # sectors, but 25,479 stored entries: below the split size
+        (lambda: identities_m4(), "lanczos", 25_479, True),
+        # 50,960 stored entries, but no parity to split by
+        (lambda: identities_m4(0.3), "lanczos", 50_960, False),
+        (lambda: spin_boson_model(n_modes=1, n_max=5), "dense", 31, True),
+    ], ids=["identities_m4", "no_parity", "dense"])
+    def test_an_unsplit_h_is_one_whole_block(self, make, method, nnz, sectored, monkeypatch):
+        m = make()
+        assert (m.H.mat.nnz, m.H.sectors is not None) == (nnz, sectored)
+        blocks = spectral.sector_blocks(m.H)
+        assert len(blocks) == 1
+        idx, block = blocks[0]
+        assert idx == slice(None) and block is m.H
+        applied = []
+        apply = m.H.apply
+        monkeypatch.setattr(m.H, "apply", lambda v: applied.append(1) or apply(v))
+        gs = ground_state(m.H, CFG)
+        assert gs.method == method
+        # every Lanczos product and the residual's go through H.apply; eigh counts dim
+        if method == "dense":
+            assert (gs.iterations, len(applied)) == (m.dim, 1)
+        else:
+            assert len(applied) == gs.iterations + 1
+
+
 class TestParitySectors:
     """An H with two parity sectors and enough entries is solved one sector per thread."""
 
