@@ -60,8 +60,9 @@ class FockBasis:
     """Graded occupation-number basis with a closed-form tuple -> index rank.
 
     `occupations` holds one row per state in basis order, and `rank` maps
-    occupation rows back to their indices.  Annihilators are built once per
-    mode and kept (`lowering`), and so are their grade blocks (`lowering_block`).
+    occupation rows back to their indices; `top_mask` marks the top grade.
+    Annihilators are built once per mode and kept (`lowering`), and so are
+    their grade blocks (`lowering_block`).
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -81,7 +82,6 @@ class FockBasis:
         self.occupations[self.rank(occ)] = occ
         self.totals = self.occupations.sum(axis=1)
         self.top_mask = self.totals == n_max
-        self.interior_mask = self.totals <= n_max - 1
         self._lowering: dict = {}
         self._blocks: dict = {}
 
@@ -189,24 +189,23 @@ def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
 
 
 class LinOp:
-    """A model's assembled H: a square scipy CSR matrix `mat` with a hermiticity flag.
+    """A model's assembled H: a square scipy CSR matrix `mat`, hermitian by model.check_matter.
 
-    The solvers read `hermitian`, the cached `diagonal` and `sectors`: None,
-    or two index arrays that partition the basis with no entry of `mat`
-    between them (the matter parity sectors `model.assemble` finds).  `mat`
-    is never modified after construction.  The solvers apply H to vectors
-    only through `apply`, so a caller can replace it on one instance (to
-    count applications, for example); the solves apply the blocks of
+    The solvers read the cached `diagonal` and `sectors`: None, or two index
+    arrays that partition the basis with no entry of `mat` between them (the
+    matter parity sectors `model.assemble` finds).  `mat` is never modified
+    after construction.  The solvers apply H to vectors only through
+    `apply`, so a caller can replace it on one instance (to count
+    applications, for example); the solves apply the blocks of
     spectral.sector_blocks, which are that instance for an H that does not
-    split and sector LinOps of their own for one that does.  `apply`
-    reads `mat` and nothing else, so threads share one LinOp.
+    split and sector LinOps of their own for one that does.  `apply` reads
+    `mat` and nothing else, so threads share one LinOp.
     """
 
-    def __init__(self, mat, hermitian: bool = False, sectors=None):
+    def __init__(self, mat, sectors=None):
         self.mat = sp.csr_matrix(mat)
         if self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {self.mat.shape}")
-        self.hermitian = bool(hermitian)
         self.sectors = sectors
 
     @property
@@ -256,7 +255,7 @@ def creator(i: int, basis: FockBasis) -> sp.csr_matrix:
     """
     if not 0 <= i < basis.n_modes:
         raise ValueError(f"mode index {i} out of range for {basis.n_modes} modes")
-    cols = np.flatnonzero(basis.interior_mask)
+    cols = np.flatnonzero(~basis.top_mask)
     raised = basis.occupations[cols]
     raised[:, i] += 1
     n = len(basis)

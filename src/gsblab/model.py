@@ -161,7 +161,7 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
         # (0, vacuum) is even; with n_max = 0 and every u_a = +1 no state is odd
         if parity.min() < 0:
             sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, hermitian=True, sectors=sectors))
+    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, sectors=sectors))
 
 
 def matter_parity(A, B) -> np.ndarray | None:

@@ -270,8 +270,7 @@ def moment_identity(m: GsbModel, gs: GroundState, G, cfg: SolverConfig) -> Regul
 def absence_lower_bound(m: GsbModel, gs: GroundState, G) -> RegularityReport:
     """Projection lower bound under the number-type moment.
 
-    Checks <phi_g, (1 (x) dGamma(G)) phi_g> >=
-    alpha^2 sum_i G_i w_i |<phi_g, T(k_i) phi_g>|^2 / omega_i^2 - tol.
+    Checks <phi_g, (1 (x) dGamma(G)) phi_g> >= _projection_bound - ABSENCE_TOL.
     The bound follows by projecting each resolvent vector onto phi_g; it is
     an equality when every T(k_i) acts as a scalar on the ground state
     (scalar matter), which is the divergence engine of the no-ground-state
@@ -281,18 +280,24 @@ def absence_lower_bound(m: GsbModel, gs: GroundState, G) -> RegularityReport:
     the bound is identically 0 up to round-off and constrains nothing there.
     """
     G, lhs = _dgamma_expectation(m, gs, G)
-    phi = gs.vector
-    rhs = 0.0
-    t_expect = []
-    for i in range(m.grid.n_modes):
-        t_phi = complex(np.vdot(phi, apply_matter(t_operator(m, i), phi)))
-        t_expect.append(t_phi)
-        rhs += G[i] * m.grid.weights[i] * abs(t_phi) ** 2 / float(m.grid.omega[i]) ** 2
-    rhs *= m.alpha**2
+    t, rhs = _projection_bound(m.grid, m.alpha, _matter_expectations(m.B, gs.vector), G)
     # a one-sided bound: only a lhs below rhs is an error
     return _report("absence_lower_bound", lhs, rhs, gs.w_top, ABSENCE_TOL,
-                   {"t_expectations_real": [t.real for t in t_expect]},
+                   {"t_expectations_real": t.real.tolist()},
                    err=_bound_violation(lhs, rhs), scale=1.0)
+
+
+def _matter_expectations(B, phi: np.ndarray) -> list:
+    """<phi, (B_j (x) 1) phi> for each channel B_j: one matter product per channel."""
+    return [np.vdot(phi, apply_matter(b, phi)) for b in B]
+
+
+def _projection_bound(grid: ModeSet, alpha: float, b_expect, G=1.0, norm_sq=1.0) -> tuple:
+    """(t, alpha^2 sum_i G_i w_i |t_i|^2 / omega_i^2), t_i = <phi, T(k_i) phi> = sum_j
+    lambda_j(k_i) b_expect[j] norm_sq / sqrt(2): b_expect[j] is <B_j (x) 1> per unit norm and
+    norm_sq ||phi||^2, one per mode for a separable rung's one-mode states, whose terms add."""
+    t = sum(lam * e for lam, e in zip(grid.couplings, b_expect)) / math.sqrt(2.0) * norm_sq
+    return t, float(np.sum(alpha**2 * G * grid.weights * np.abs(t) ** 2 / grid.omega**2))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ def ccr_and_bound_suite(basis: FockBasis, grid: ModeSet, seed: int, n_draws: int
     reports = []
     a_ops = [basis.lowering(i) for i in range(M)]
     c_ops = [fock.creator(i, basis) for i in range(M)]
-    interior_cols = np.where(basis.interior_mask)[0]
+    interior_cols = np.flatnonzero(~basis.top_mask)
     identity = sp.identity(len(basis), format="csr")
 
     def worst(mats, cols=None):
@@ -520,44 +525,40 @@ def _fit_log(sigmas, values):
 
 
 def _single_mode_operators(n_max: int):
-    """Number diagonal and field (a + a*)/sqrt(2) of one mode, as dense arrays.
+    """The one-mode Fock basis and its field (a + a*)/sqrt(2) as a dense array.
 
-    Built once per sweep on the one-mode Fock basis, so the GSB_MAX_DIM
-    guard still applies.
+    Built once per sweep, so the GSB_MAX_DIM guard still applies.
     """
     basis = fock.enumerate_basis(1, n_max)
     a = basis.lowering(0).toarray()
-    return basis.occupations[:, 0].astype(float), (a + a.T) / math.sqrt(2.0)
+    return basis, (a + a.T) / math.sqrt(2.0)
 
 
 def _single_mode_ground_states(grid: ModeSet, b: float, alpha: float, ops,
                                cfg: SolverConfig):
-    """Per-mode E, <N>, absence term and w_top of a scalar-matter model.
+    """Per-mode E and <N>, the projection bound with G = 1, and per-mode w_top of a
+    scalar-matter model, whose B = b has the expectation b on any unit vector.
 
     Mode i carries H_i = omega_i N + alpha b lambda_i sqrt(w_i) X, the
-    field_operator convention; all M of them are solved as one stack.  The
-    absence term is alpha^2 w_i |<phi_i, T(k_i) phi_i>|^2 / omega_i^2 with
-    T(k_i) = b lambda_i / sqrt(2).
+    field_operator convention; all M of them are solved as one stack.
     """
-    number, field = ops
+    basis, field = ops
     lam, w, om = grid.channel(0), grid.weights, grid.omega
     # an overflow to inf is refused by stacked_ground_states, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        H = (om[:, None, None] * np.diag(number)
+        H = (om[:, None, None] * np.diag(basis.totals)
              + (alpha * b * lam * np.sqrt(w))[:, None, None] * field)
     energies, phi = spectral.stacked_ground_states(H, cfg)
     prob = np.abs(phi) ** 2
-    t_phi = b * lam / math.sqrt(2.0) * prob.sum(axis=1)
-    absence = alpha**2 * w * t_phi**2 / om**2
-    # the last basis state is the only one on the top grade n_max
-    return energies, prob @ number, absence, prob[:, -1]
+    _, bound = _projection_bound(grid, alpha, [b], norm_sq=prob.sum(axis=1))
+    return energies, prob @ basis.totals, bound, prob @ basis.top_mask
 
 
 def _solve_sigma_full(grid: ModeSet, A, B, alpha: float, n_max: int, cfg: SolverConfig):
     m = model_mod.assemble(A, B, grid, alpha, n_max)
     gs = spectral.solve_model(m, cfg)
-    rep_abs = absence_lower_bound(m, gs, np.ones(grid.n_modes))
-    return gs.energy, rep_abs.lhs, rep_abs.rhs, gs.w_top
+    _, bound = _projection_bound(grid, alpha, _matter_expectations(m.B, gs.vector))
+    return gs.energy, m.basis.diagonal_form(gs.vector, m.basis.totals), bound, gs.w_top
 
 
 def separable_matter(A, B) -> bool:
@@ -601,7 +602,8 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     single-channel models factorize over modes: their single-mode operators
     are built once per call, and each rung solves all single-mode
     Hamiltonians as one stacked dense eigenproblem.  Everything else is
-    solved as one composite eigenproblem per rung.
+    solved as one composite eigenproblem per rung.  A row solves no
+    resolvent, so it is held to solver.eig_tol alone, not GROUND_RESIDUAL_CAP.
     """
     check_sigma_ladder([s for s, _ in ladder])
     # assemble's rule on every rung; the separable path would read channel 0 alone
@@ -617,9 +619,9 @@ def ir_sweep(ladder, A, B, alpha: float, n_max: int, cfg: SolverConfig,
     for sigma, grid in ladder:
         if separable:
             # a commuting sum of single-mode problems: E (on top of the
-            # constant a0), <N> and the absence terms add over modes
+            # constant a0) and <N> add over modes
             E, N, absence, w_top = _single_mode_ground_states(grid, b, alpha, ops, cfg)
-            E, N, absence, w_top = a0 + E.sum(), N.sum(), absence.sum(), w_top.max()
+            E, N, w_top = a0 + E.sum(), N.sum(), w_top.max()
         else:
             E, N, absence, w_top = _solve_sigma_full(grid, A, B, alpha, n_max, cfg)
         crit = l2_criteria(grid)

@@ -295,11 +295,11 @@ def sector_blocks(H: LinOp) -> list:
     """
     if H.sectors is None or H.mat.nnz < 2 * MIN_THREAD_NNZ:
         return [(slice(None), H)]
-    return [(idx, LinOp(H.mat[idx][:, idx], hermitian=True)) for idx in H.sectors]
+    return [(idx, LinOp(H.mat[idx][:, idx])) for idx in H.sectors]
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
-    """Lowest eigenpair of a hermitian operator.
+    """Lowest eigenpair of a hermitian operator (not checked: model.check_matter owns it).
 
     Each block of sector_blocks(H) is solved through parallel_map, by dense eigh
     up to DENSE_MAX_DIM and thick-restart Lanczos above, in H's own dtype;
@@ -313,8 +313,6 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     width (the largest absolute row sum of H).
     w_top stays nan: H carries no basis.  Deterministic for a fixed cfg.seed.
     """
-    if not H.hermitian:
-        raise ValueError("ground_state requires a hermitian operator")
     if not np.all(np.isfinite(H.mat.data)):
         raise NonConverged("H has a non-finite entry", float("inf"))
     # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H,

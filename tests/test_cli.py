@@ -463,6 +463,43 @@ class TestMultiChannelSweep:
         assert first["absence_bound"] == absence["rhs"]
 
 
+class TestLooseEigTol:
+    """A sweep row solves no resolvent, so its rungs meet solver.eig_tol alone; the
+    identity checks still refuse a ground state above their residual cap."""
+
+    @staticmethod
+    def loose(example):
+        cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
+        cfg["solver"] = {**cfg.get("solver", {}), "eig_tol": 1e-5}
+        return cfg
+
+    @pytest.mark.parametrize("example", ["ir_sweep_spin_boson_biased", "ir_sweep_nu3_p1"])
+    def test_sweep_rows_hold_at_a_loose_eig_tol(self, tmp_path, example):
+        # the composite rungs of the biased spin boson reach residuals near 5e-9,
+        # above the identity checks' cap of 1e-10
+        rows = []
+        for name, cfg in (("default", json.loads((EXAMPLES / f"{example}.json").read_text())),
+                          ("loose", self.loose(example))):
+            out = tmp_path / name
+            result = run_cli(["sweep", "--config", str(write_config(tmp_path, cfg, f"{name}.json")),
+                              "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            with open(out / "sweep.csv") as fh:
+                rows.append(list(csv.DictReader(fh)))
+        assert len(rows[0]) == len(rows[1]) >= 3
+        for default, loose in zip(*rows):
+            for key in ("expectation_N", "absence_bound"):
+                assert float(loose[key]) == pytest.approx(float(default[key]), rel=1e-6)
+
+    def test_identity_checks_refuse_a_loose_ground_state(self, tmp_path):
+        result = run_cli(["run", "--config",
+                          str(write_config(tmp_path, self.loose("spin_boson_2level"))),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert ("error: ground-state residual 1.653e-10 exceeds 1.000e-10; tighten the "
+                "eigensolver before running identity checks") in result.output
+
+
 class TestSweepExpectation:
     @pytest.mark.parametrize("example, update, kind, expected", [
         # <phi, sigma_x phi> = 0 by parity: the bound is round-off (3.9e-32), and

@@ -822,8 +822,9 @@ class TestIrSweep:
         grid = build_radial_grid(nu, 1e-3, 1.0, 48, rule="log-midpoint")
         grid = grid.with_coupling(eval_coupling(fam, grid), fam)
         ops = regularity._single_mode_operators(n_max)
-        stacked = regularity._single_mode_ground_states(grid, 1.0, alpha, ops, CFG)
+        E, N, bound, w_top = regularity._single_mode_ground_states(grid, 1.0, alpha, ops, CFG)
         A, B = preset_van_hove()
+        absence = 0.0
         for i in range(grid.n_modes):
             # the per-mode path the stacked solve replaced, kept as an oracle
             sub = grid.restrict(i)
@@ -832,19 +833,31 @@ class TestIrSweep:
             phi = gs.vector
             n_val = float(np.real(np.vdot(phi, dgamma(np.ones(1), m.basis) @ phi)))
             t_phi = complex(np.vdot(phi, apply_matter(t_operator(m, 0), phi)))
-            absence = alpha**2 * sub.weights[0] * abs(t_phi) ** 2 / sub.omega[0] ** 2
-            for got, want in zip(stacked, [gs.energy, n_val, absence, gs.w_top]):
+            absence += alpha**2 * sub.weights[0] * abs(t_phi) ** 2 / sub.omega[0] ** 2
+            for got, want in zip([E, N, w_top], [gs.energy, n_val, gs.w_top]):
                 assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the rung's projection bound is the sum of the per-mode terms
+        assert bound == pytest.approx(absence, rel=1e-12, abs=0.0)
 
-    def test_constant_matter_shifts_energy_only(self):
+    @pytest.mark.parametrize("A,B,n_max,c,rel", [
+        # scalar matter: separable rungs, on which the shift is exact
+        ([[0.0]], [[1.0]], 12, 2.5, 0.0),
+        # the biased spin boson, whose bound is above round-off: composite rungs
+        ([[1.0, 0.25], [0.25, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 3, -1000.0, 1e-8),
+        ([[1.0, 0.25], [0.25, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 3, 1000.0, 1e-8),
+    ], ids=["scalar", "biased-down", "biased-up"])
+    def test_constant_matter_shifts_energy_only(self, A, B, n_max, c, rel):
         fam = hard_family(p=1.0)
+        A, B = np.array(A), [np.array(B)]
         rows = []
         ladder = sweep_ladder([fam], [0.4, 0.2], 4)
-        for a0 in (0.0, 2.5):
-            rows.append(sweep(ladder, np.array([[a0]]), [np.array([[1.0]])], 0.5, 12)[0])
+        for a0 in (0.0, c):
+            rows.append(sweep(ladder, A + a0 * np.eye(len(A)), B, 0.5, n_max)[0])
         for r0, r1 in zip(*rows):
-            assert r1["E"] == pytest.approx(r0["E"] + 2.5, rel=1e-14)
-            assert r1["expectation_N"] == r0["expectation_N"]
+            assert r0["absence_bound"] > 1e-3
+            assert r1["E"] == pytest.approx(r0["E"] + c, rel=1e-14)
+            for key in ("expectation_N", "absence_bound"):
+                assert r1[key] == pytest.approx(r0[key], rel=rel, abs=0.0)
 
     def test_stacked_solve_respects_max_lanczos(self):
         A, B = preset_van_hove()
@@ -966,13 +979,16 @@ def three_level_two_channel_parts(seed=21):
 
 
 def identity_values(A, B, grid, f, n_max=6):
-    """Pull-through norms, moment (G = 1, G = omega) and n = 2 rows, all passing."""
+    """Pull-through norms, then the moment (G = 1, G = omega), n = 2 and projection
+    bound (G = 1, G = omega) rows, all passing."""
     m = assemble(A, B, grid, 0.15, n_max)
     gs = solve_model(m, CFG)
     pull = pullthrough_check(m, gs, f, CFG)
     rows = [moment_identity(m, gs, np.ones(grid.n_modes), CFG),
             moment_identity(m, gs, grid.omega, CFG),
-            higher_moment_identity(m, gs, 2, CFG)]
+            higher_moment_identity(m, gs, 2, CFG),
+            absence_lower_bound(m, gs, np.ones(grid.n_modes)),
+            absence_lower_bound(m, gs, grid.omega)]
     assert pull.passed and all(r.passed for r in rows)
     values = [pull.metadata["lhs_norm"], pull.rhs] + [v for r in rows for v in (r.lhs, r.rhs)]
     return m.H.dtype, np.array(values)
@@ -985,6 +1001,8 @@ class TestTransforms:
         self.A, self.B, self.grid, self.f = three_level_two_channel_parts()
         dtype, self.base = identity_values(self.A, self.B, self.grid, self.f)
         assert dtype == np.float64
+        # the projection bound (G = 1) is far above round-off on this model
+        assert self.base[-3] > 0.1
 
     def conjugated(self, U):
         A = U @ self.A @ U.conj().T
@@ -1298,7 +1316,7 @@ class TestParitySectors:
     def unsplit(m):
         """m with the same H but no sectors, so every chain solves on the whole space."""
         return GsbModel(m.A, m.B, m.grid, m.alpha, m.n_max, m.basis,
-                        LinOp(m.H.mat, hermitian=True))
+                        LinOp(m.H.mat))
 
     def assert_chains_solve_in_the_sectors(self, m):
         gs = solve_model(m, CFG)

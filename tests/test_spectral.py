@@ -50,7 +50,7 @@ class TestGroundState:
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_eigh(self, seed, dim):
         H_dense = random_hermitian(dim, seed)
-        H = LinOp(sp.csr_matrix(H_dense), hermitian=True)
+        H = LinOp(sp.csr_matrix(H_dense))
         gs = ground_state(H, CFG)
         E_ref, vec_ref = oracle.dense_ground_state(H_dense)
         assert gs.energy == pytest.approx(E_ref, abs=1e-9 * max(1.0, abs(E_ref)))
@@ -81,34 +81,28 @@ class TestGroundState:
 
     def test_near_degenerate_flagged(self):
         # the computed gap, measured against the spectral width, drives the flag
-        H = LinOp(sp.diags(np.array([0.0, 1e-12, 1.0])), hermitian=True)
+        H = LinOp(sp.diags(np.array([0.0, 1e-12, 1.0])))
         gs = ground_state(H, CFG)
         assert gs.near_degenerate
-        well_gapped = ground_state(LinOp(sp.diags([0.0, 1.0, 2.0]), hermitian=True), CFG)
+        well_gapped = ground_state(LinOp(sp.diags([0.0, 1.0, 2.0])), CFG)
         assert not well_gapped.near_degenerate
 
     def test_dim_one(self):
-        H = LinOp(sp.diags(np.array([4.2])), hermitian=True)
+        H = LinOp(sp.diags(np.array([4.2])))
         gs = ground_state(H, CFG)
         assert gs.energy == pytest.approx(4.2)
 
     def test_max_iterations_exhausted_raises(self):
         H_dense = random_hermitian(60, 11)
-        H = LinOp(sp.csr_matrix(H_dense), hermitian=True)
+        H = LinOp(sp.csr_matrix(H_dense))
         tight = SolverConfig(eig_tol=1e-15, max_lanczos=3)
         with pytest.raises(NonConverged) as err:
             ground_state(H, tight)
         assert err.value.best_residual > 0
 
-    def test_non_hermitian_rejected(self):
-        mat = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        H = LinOp(mat, hermitian=False)
-        with pytest.raises(ValueError):
-            ground_state(H, CFG)
-
     def test_nan_residual_raises(self):
         # an operator that returns nan must not pass the residual check
-        H = LinOp(sp.diags(np.array([1.0, 2.0, 3.0])), hermitian=True)
+        H = LinOp(sp.diags(np.array([1.0, 2.0, 3.0])))
         H.apply = lambda v: np.full(len(v), np.nan)
         with pytest.raises(NonConverged, match="missed eig_tol"):
             ground_state(H, CFG)
@@ -306,7 +300,7 @@ class TestStackedGroundStates:
         energies, vecs = stacked_ground_states(stack, CFG)
         assert vecs.shape == (6, 9)
         for k, H in enumerate(stack):
-            gs = ground_state(LinOp(sp.csr_matrix(H), hermitian=True), CFG)
+            gs = ground_state(LinOp(sp.csr_matrix(H)), CFG)
             assert energies[k] == pytest.approx(gs.energy, rel=1e-13)
             assert abs(np.vdot(gs.vector, vecs[k])) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(vecs[k]) == pytest.approx(1.0, abs=1e-14)
@@ -361,7 +355,7 @@ class TestLanczosPath:
         raw = sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
         raw = raw + 1j * sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
         mat = (raw + raw.conj().T) / 2.0 + sp.diags(np.arange(dim) / dim)
-        gs = ground_state(LinOp(mat, hermitian=True), CFG)
+        gs = ground_state(LinOp(mat), CFG)
         E_ref, vec_ref = oracle.dense_ground_state(mat.toarray())
         vals = np.linalg.eigvalsh(mat.toarray())
         assert gs.method == "lanczos"
@@ -396,7 +390,7 @@ class TestLanczosPath:
 
     def test_zero_ground_energy_found(self):
         # a relative Ritz test never accepts theta = 0; the solver must not skip it
-        H = LinOp(sp.diags(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172)), hermitian=True)
+        H = LinOp(sp.diags(np.linspace(0.0, 5.0, DENSE_MAX_DIM + 172)))
         gs = ground_state(H, CFG)
         assert gs.method == "lanczos"
         assert gs.energy == pytest.approx(0.0, abs=1e-12)
@@ -424,7 +418,7 @@ class TestLanczosPath:
         assert gs.near_degenerate
 
     def test_dense_path_counts_dimension(self):
-        gs = ground_state(LinOp(sp.diags(np.array([3.0, 1.0, 2.0])), hermitian=True), CFG)
+        gs = ground_state(LinOp(sp.diags(np.array([3.0, 1.0, 2.0]))), CFG)
         assert (gs.method, gs.iterations, gs.energy, gs.gap) == ("dense", 3, 1.0, 1.0)
 
     def test_lanczos_budget_exhausted_raises(self):
@@ -441,7 +435,7 @@ class TestLanczosPath:
         H = sp.diags([np.full(n, 1e307), np.full(n - 1, 1e307), np.full(n - 1, 1e307)],
                      [0, 1, -1])
         with pytest.raises(NonConverged, match="lanczos overflowed"):
-            ground_state(LinOp(H, hermitian=True), CFG)
+            ground_state(LinOp(H), CFG)
 
     @pytest.mark.parametrize("diag", [
         np.r_[0.0, np.ones(299)],
@@ -451,7 +445,7 @@ class TestLanczosPath:
     def test_invariant_krylov_space_continues_from_a_fresh_vector(self, diag):
         # a diagonal operator's Krylov space is invariant after as many steps
         # as it has distinct eigenvalues, here two or three
-        H = LinOp(sp.diags(diag), hermitian=True)
+        H = LinOp(sp.diags(diag))
         gs = ground_state(H, CFG)
         vals = np.linalg.eigvalsh(np.diag(diag))
         assert gs.method == "lanczos"
@@ -522,7 +516,7 @@ class TestParitySectors:
         # M=8, n_max=7: dimension 12,870 and about 109,000 stored entries
         m = spin_boson_model(n_modes=8, n_max=7)
         assert m.H.sectors is not None and m.H.mat.nnz >= 2 * spectral.MIN_THREAD_NNZ
-        parts = [ground_state(LinOp(m.H.mat[idx][:, idx], hermitian=True), CFG)
+        parts = [ground_state(LinOp(m.H.mat[idx][:, idx]), CFG)
                  for idx in m.H.sectors]
         return m, solve_model(m, CFG), parts
 
@@ -582,7 +576,7 @@ class TestParitySectors:
         # sector on the second thread warned "overflow encountered in dot"
         m = split[0]
         chain_cores(cores)
-        H = LinOp(m.H.mat * 1e305, hermitian=True, sectors=m.H.sectors)
+        H = LinOp(m.H.mat * 1e305, sectors=m.H.sectors)
         with pytest.raises(NonConverged, match="lanczos overflowed"):
             ground_state(H, CFG)
 
