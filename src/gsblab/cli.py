@@ -29,7 +29,6 @@ import click
 import numpy as np
 from pydantic import (BaseModel, ConfigDict, Field, PositiveFloat, ValidationError,
                       model_validator)
-from pydantic_core import InitErrorDetails, PydanticCustomError
 
 from . import fock, model as model_mod, modes, regularity, spectral
 
@@ -38,6 +37,16 @@ __all__ = ["main", "RunConfig", "load_config", "execute_run"]
 
 # ---------------------------------------------------------------------------
 # Configuration schema
+
+
+class ConfigError(Exception):
+    """Invalid configuration; mapped to exit code 2."""
+
+
+def _schema_violation(errors) -> ConfigError:
+    """The error of a config the schema refuses: one `  loc: msg` line per (loc, msg)."""
+    return ConfigError("config schema violation:\n" + "\n".join(
+        f"  {'.'.join(map(str, loc)) or '<root>'}: {msg}" for loc, msg in errors))
 
 
 class _Strict(BaseModel):
@@ -192,67 +201,59 @@ class RunConfig(_Strict):
     @model_validator(mode="after")
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
-        above n_max or its mode cap, an appendix at n_max = 0, an explicit column
+        check_higher_order refuses, an appendix at n_max = 0, an explicit column
         of the wrong length, an explicit G with a negative entry, a sweep ladder
         or rung that check_sigma_ladder or the grid rules refuse, or a size over
         the guard: the run's grid, the model's basis when a check builds it, and
-        each sweep's largest rung (regularity.check_sweep_size)."""
+        each sweep's largest rung (regularity.check_sweep_size).  The misfits are
+        raised as one schema-violation ConfigError, which pydantic passes through."""
         n_modes, misfits = self.grid.n_shells, []
 
-        def guard(loc, value, check, *args):
+        def guard(loc, check, *args):
             # a size rule of fock or regularity; a malformed GSB_MAX_DIM keeps the
-            # run's message, which pydantic would bury in a schema violation
+            # run's message, not a schema violation's
             try:
                 check(*args)
             except fock.BasisSizeError as exc:
-                misfits.append((loc, value, str(exc)))
+                misfits.append((loc, str(exc)))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
 
         # every run builds its grid, and every check kind but ccr and ir_sweep its model
-        guard(("grid", "n_shells"), n_modes, fock.check_size, n_modes,
-              f"grid with {n_modes} shells")
+        guard(("grid", "n_shells"), fock.check_size, n_modes, f"grid with {n_modes} shells")
         if any(not isinstance(chk, (CcrCheck, IrSweepCheck)) for chk in self.checks):
-            guard(("n_max",), self.n_max, fock.check_basis_size, n_modes, self.n_max)
+            guard(("n_max",), fock.check_basis_size, n_modes, self.n_max)
         for i, chk in enumerate(self.checks):
             at = ("checks", i, chk.kind)
             if isinstance(chk, HigherCheck):
                 try:
                     regularity.check_higher_order(chk.n, self.n_max, n_modes)
                 except ValueError as exc:
-                    misfits.append((at + ("n",), chk.n, str(exc)))
+                    misfits.append((at + ("n",), str(exc)))
             if isinstance(chk, AppendixCheck) and self.n_max == 0:
                 # the suite caps its order at n_max, and no order fits below 1
-                misfits.append((at + ("order",), chk.order, "the factorial moment order is "
-                                "capped at n_max, which must be >= 1, got n_max=0"))
+                misfits.append((at + ("order",), "the factorial moment order is capped at "
+                                "n_max, which must be >= 1, got n_max=0"))
             for field in ("f", "G"):
                 col = getattr(chk, field, None)
                 if isinstance(col, list) and len(col) != n_modes:
-                    misfits.append((at + (field,), col, f"explicit column has {len(col)} "
-                                                        f"entries for {n_modes} modes"))
+                    misfits.append((at + (field,), f"explicit column has {len(col)} "
+                                                   f"entries for {n_modes} modes"))
                 elif field == "G" and isinstance(col, list) and min(col) < 0:
-                    misfits.append((at + (field,), col, "G must be entrywise >= 0"))
+                    misfits.append((at + (field,), "G must be entrywise >= 0"))
             if isinstance(chk, IrSweepCheck):
                 try:
                     regularity.check_sigma_ladder(chk.sigmas)
                     rungs = chk.rungs(self.grid)
                 except ValueError as exc:  # a ValidationError from a rung the grid rules refuse
                     msg = exc.errors()[0]["msg"] if isinstance(exc, ValidationError) else str(exc)
-                    misfits.append((at + ("sigmas",), chk.sigmas, msg))
+                    misfits.append((at + ("sigmas",), msg))
                     continue
-                guard(at + ("sigmas",), chk.sigmas, regularity.check_sweep_size,
+                guard(at + ("sigmas",), regularity.check_sweep_size,
                       *self.model.matter(), self.n_max, max(grid.n_shells for _, grid in rungs))
         if misfits:
-            # a ValidationError raised here keeps each error's field path
-            raise ValidationError.from_exception_data(type(self).__name__, [
-                InitErrorDetails(type=PydanticCustomError("check_misfit", msg),
-                                 loc=loc, input=value)
-                for loc, value, msg in misfits])
+            raise _schema_violation(misfits)
         return self
-
-
-class ConfigError(Exception):
-    """Invalid configuration; mapped to exit code 2."""
 
 
 def load_config(path) -> RunConfig:
@@ -273,9 +274,7 @@ def _validate(raw) -> RunConfig:
     try:
         return RunConfig.model_validate(raw)
     except ValidationError as exc:
-        lines = [f"  {'.'.join(map(str, err['loc'])) or '<root>'}: {err['msg']}"
-                 for err in exc.errors()]
-        raise ConfigError("config schema violation:\n" + "\n".join(lines)) from exc
+        raise _schema_violation((err["loc"], err["msg"]) for err in exc.errors()) from exc
 
 
 # ---------------------------------------------------------------------------

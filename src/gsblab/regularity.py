@@ -303,7 +303,7 @@ def _projection_bound(grid: ModeSet, alpha: float, b_expect, G=1.0, norm_sq=1.0)
 # ---------------------------------------------------------------------------
 # Higher factorial moments
 
-HIGHER_MODE_CAPS = {1: 64, 2: 8, 3: 4}
+HIGHER_MODE_CAPS = {2: 8, 3: 4}
 
 
 def _check_order_range(n: int, n_max: int) -> None:
@@ -312,16 +312,15 @@ def _check_order_range(n: int, n_max: int) -> None:
 
 
 def check_higher_order(n: int, n_max: int, n_modes: int) -> None:
-    """Refuse a higher-moment order this model cannot run: n outside 1..3,
-    above n_max (the left side then vanishes on the truncated space), or on
-    more modes than the order's cost guard allows."""
+    """Refuse a higher-moment order this model cannot run: n outside 2..3 (order 1 is
+    moment_identity's), above n_max (the left side then vanishes on the truncated
+    space), or on more modes than the order's cost guard allows."""
     if n not in HIGHER_MODE_CAPS:
-        raise ValueError(f"order n must be 1, 2 or 3, got {n}")
+        raise ValueError(f"order n must be 2 or 3 (order 1 is the moment check), got {n}")
     _check_order_range(n, n_max)
     if n_modes > HIGHER_MODE_CAPS[n]:
-        raise ValueError(
-            f"cost guard: order {n} allows at most {HIGHER_MODE_CAPS[n]} modes, got {n_modes}"
-        )
+        raise ValueError(f"cost guard: order {n} allows at most {HIGHER_MODE_CAPS[n]} modes, "
+                         f"got {n_modes}")
 
 
 def _falling_factorial(basis: FockBasis, n: int) -> np.ndarray:
@@ -331,13 +330,13 @@ def _falling_factorial(basis: FockBasis, n: int) -> np.ndarray:
 
 def higher_moment_identity(m: GsbModel, gs: GroundState, n: int,
                            cfg: SolverConfig) -> RegularityReport:
-    """Factorial moment of order n against the permutation-resolvent sum.
+    """Factorial moment of order n = 2 or 3 against the permutation-resolvent sum.
 
     The right-hand side is alpha^2n sum_S (n! / prod_l m_l!) prod_{j in S}
     w_j ||v(S)||^2 over the mode multisets S of size n, each chain v(S)
     aggregating all n! permutation chains of a tuple (see _chains).  Solves
     are memoized per multiset, one solve each.  An order check_higher_order
-    refuses raises ValueError.
+    refuses raises ValueError; order 1 is moment_identity with G = ones.
     """
     _require_solved(gs)
     M = m.grid.n_modes

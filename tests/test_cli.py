@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -135,6 +136,28 @@ class TestSchema:
         A, B = loaded.model.matter()
         np.testing.assert_allclose(A, [[0.0, 0.5], [0.5, 1.0]])
         assert len(B) == 1
+
+    def test_readme_check_table_matches_the_schema(self):
+        # README's `| kind | fields |` table has one row per check kind, naming each
+        # field of the kind with its default or "(required)", and no other field
+        readme = (EXAMPLES.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| kind | fields |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = dict(re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+                    for line in table.splitlines())
+        assert list(rows) == cli._CHECK_KINDS
+        for kind, chk in zip(cli._CHECK_KINDS, cli._CHECK_TYPES):
+            fields = {k: v for k, v in chk.model_fields.items() if k != "kind"}
+            # a field's name, then its text up to the next name; a default in
+            # parentheses may be backquoted too
+            named = re.findall(r"`(\w+)`((?:[^`(]|\([^)]*\))*)", rows[kind])
+            assert [name for name, _ in named] == list(fields), kind
+            for name, text in named:
+                (note,) = re.findall(r"\((required|default [^)]*)\)", text)
+                if fields[name].is_required():
+                    assert note == "required", f"{kind}.{name}"
+                    continue
+                shown, want = note.removeprefix("default ").strip("`"), fields[name].default
+                assert (shown if isinstance(want, str) else float(shown)) == want, f"{kind}.{name}"
 
 
 def huge_alpha_config(alpha, kind):
@@ -849,16 +872,23 @@ class TestFailureExits:
             "  checks.0.appendix.order: the factorial moment order is capped at n_max, "
             "which must be >= 1, got n_max=0"]
 
+    # None: no command, the config validated in Python, where the same lines are the
+    # ConfigError's text
     @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"],
-                                         ["sweep", "--dry-run"]])
+                                         ["sweep", "--dry-run"], None])
     @pytest.mark.parametrize("update, extra, line", [
         ({"n_max": 2}, {"kind": "higher", "n": 3},
          "checks.5.higher.n: order must lie in [1, n_max=2], got 3"),
         ({"grid": {"n_shells": 5}}, {"kind": "higher", "n": 3},
          "checks.5.higher.n: cost guard: order 3 allows at most 4 modes, got 5"),
         # the orders and the ladder length are the library's rules, not schema bounds
-        ({}, {"kind": "higher", "n": 0}, "checks.5.higher.n: order n must be 1, 2 or 3, got 0"),
-        ({}, {"kind": "higher", "n": 4}, "checks.5.higher.n: order n must be 1, 2 or 3, got 4"),
+        ({}, {"kind": "higher", "n": 0},
+         "checks.5.higher.n: order n must be 2 or 3 (order 1 is the moment check), got 0"),
+        ({}, {"kind": "higher", "n": 4},
+         "checks.5.higher.n: order n must be 2 or 3 (order 1 is the moment check), got 4"),
+        # <N> has one check, moment with G = ones
+        ({}, {"kind": "higher", "n": 1},
+         "checks.5.higher.n: order n must be 2 or 3 (order 1 is the moment check), got 1"),
         ({}, {"kind": "ir_sweep", "sigmas": [0.1]},
          "checks.5.ir_sweep.sigmas: need at least two sigma values"),
         ({}, {"kind": "ir_sweep", "sigmas": [0.1, 0.2]},
@@ -887,6 +917,11 @@ class TestFailureExits:
         for key, value in update.items():
             cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
         cfg["checks"].append(extra)
+        if command is None:
+            with pytest.raises(cli.ConfigError) as err:
+                cli.RunConfig.model_validate(cfg)
+            assert str(err.value).splitlines() == ["config schema violation:", f"  {line}"]
+            return
         out = tmp_path / "out"
         result = run_cli([*command, "--config", str(write_config(tmp_path, cfg)),
                           "--out", str(out)])

@@ -228,14 +228,14 @@ class TestAbsenceBound:
 
 
 class TestHigherMoments:
-    def test_n1_equals_moment_identity(self):
+    def test_order_1_is_the_moment_check(self):
+        # <N> against its order-1 chain sum is moment_identity with G = ones, the
+        # one path to it; the higher check refuses the order and names that path
         m = spin_boson(n_modes=2, n_max=8)
         gs = solve_model(m, CFG)
-        r_moment = moment_identity(m, gs, np.ones(2), CFG)
-        r_higher = higher_moment_identity(m, gs, 1, CFG)
-        assert r_higher.lhs == pytest.approx(r_moment.lhs, abs=1e-12)
-        # one chain solver and one weighted sum serve both: the same float
-        assert r_higher.rhs == r_moment.rhs
+        with pytest.raises(ValueError, match=r"order 1 is the moment check"):
+            higher_moment_identity(m, gs, 1, CFG)
+        assert moment_identity(m, gs, np.ones(2), CFG).passed
 
     def test_van_hove_factorial_moment(self):
         m = van_hove_unit_model()
@@ -335,10 +335,9 @@ class TestHigherMoments:
     def test_order_validation(self):
         m = spin_boson(n_modes=1, n_max=4)
         gs = solve_model(m, CFG)
-        with pytest.raises(ValueError):
-            higher_moment_identity(m, gs, 0, CFG)
-        with pytest.raises(ValueError):
-            higher_moment_identity(m, gs, 4, CFG)
+        for n in (0, 1, 4):
+            with pytest.raises(ValueError, match=f"order n must be 2 or 3 .*, got {n}"):
+                higher_moment_identity(m, gs, n, CFG)
 
 
 class TestExactDecompositions:
