@@ -159,13 +159,21 @@ class IrSweepCheck(_Strict):
 
     def rungs(self, grid: modes.RadialGrid) -> list:
         """(sigma, grid) per rung: the run's grid on [sigma, Lambda], log-midpoint,
-        each validated, so a rung at or above Lambda raises ValueError."""
-        out = []
+        each validated, so a rung at or above Lambda raises the grid rule's ValueError."""
+        out, base = [], {**grid.model_dump(exclude={"sigma", "n_shells"}), "rule": "log-midpoint"}
         for sigma in self.sigmas:
             n_shells = max(1, math.ceil(self.shells_per_decade * math.log10(grid.Lambda / sigma)))
-            out.append((sigma, modes.RadialGrid(**{**grid.model_dump(), "sigma": sigma,
-                                                   "n_shells": n_shells, "rule": "log-midpoint"})))
+            try:
+                out.append((sigma, modes.RadialGrid(**base, sigma=sigma, n_shells=n_shells)))
+            except ValidationError as exc:  # Lambda > sigma, the one rule a rung can break
+                raise ValueError(str(exc.errors()[0]["ctx"]["error"])) from None
         return out
+
+    def check_fit(self, cfg: RunConfig) -> None:
+        """Refuse the ladder (check_sigma_ladder), a rung or the largest rung's size."""
+        regularity.check_sigma_ladder(self.sigmas)
+        largest = max(grid.n_shells for _, grid in self.rungs(cfg.grid))
+        regularity.check_sweep_size(*cfg.model.matter(), cfg.n_max, largest)
 
     def reports(self, run: _Run) -> list:
         cfg = run.cfg
@@ -202,34 +210,34 @@ class RunConfig(_Strict):
     def _checks_fit_the_model(self):
         """Refuse, before any solve, a check this model cannot run: a higher order
         check_higher_order refuses, an appendix at n_max = 0, an explicit column
-        of the wrong length, an explicit G with a negative entry, a sweep ladder
-        or rung that check_sigma_ladder or the grid rules refuse, or a size over
-        the guard: the run's grid, the model's basis when a check builds it, and
-        each sweep's largest rung (regularity.check_sweep_size).  The misfits are
-        raised as one schema-violation ConfigError, which pydantic passes through."""
+        of the wrong length, an explicit G with a negative entry, a sweep that
+        IrSweepCheck.check_fit refuses, or a size over the guard: the run's grid
+        and the model's basis when a check builds it.  The misfits are raised as
+        one schema-violation ConfigError, which pydantic passes through."""
         n_modes, misfits = self.grid.n_shells, []
+        # every run builds its grid; this rule, run first, is where a bad GSB_MAX_DIM surfaces
+        try:
+            fock.check_size(n_modes, f"grid with {n_modes} shells")
+        except fock.BasisSizeError as exc:
+            misfits.append((("grid", "n_shells"), str(exc)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
-        def guard(loc, check, *args):
-            # a size rule of fock or regularity; a malformed GSB_MAX_DIM keeps the
-            # run's message, not a schema violation's
+        def fit(loc, rule, *args):  # any later rule's ValueError, in its words, at its field
             try:
-                check(*args)
-            except fock.BasisSizeError as exc:
-                misfits.append((loc, str(exc)))
+                rule(*args)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+                misfits.append((loc, str(exc)))
 
-        # every run builds its grid, and every check kind but ccr and ir_sweep its model
-        guard(("grid", "n_shells"), fock.check_size, n_modes, f"grid with {n_modes} shells")
+        # every check kind but ccr and ir_sweep builds the model
         if any(not isinstance(chk, (CcrCheck, IrSweepCheck)) for chk in self.checks):
-            guard(("n_max",), fock.check_basis_size, n_modes, self.n_max)
+            fit(("n_max",), fock.check_basis_size, n_modes, self.n_max)
         for i, chk in enumerate(self.checks):
             at = ("checks", i, chk.kind)
             if isinstance(chk, HigherCheck):
-                try:
-                    regularity.check_higher_order(chk.n, self.n_max, n_modes)
-                except ValueError as exc:
-                    misfits.append((at + ("n",), str(exc)))
+                fit(at + ("n",), regularity.check_higher_order, chk.n, self.n_max, n_modes)
+            if isinstance(chk, IrSweepCheck):
+                fit(at + ("sigmas",), chk.check_fit, self)
             if isinstance(chk, AppendixCheck) and self.n_max == 0:
                 # the suite caps its order at n_max, and no order fits below 1
                 misfits.append((at + ("order",), "the factorial moment order is capped at "
@@ -241,16 +249,6 @@ class RunConfig(_Strict):
                                                    f"entries for {n_modes} modes"))
                 elif field == "G" and isinstance(col, list) and min(col) < 0:
                     misfits.append((at + (field,), "G must be entrywise >= 0"))
-            if isinstance(chk, IrSweepCheck):
-                try:
-                    regularity.check_sigma_ladder(chk.sigmas)
-                    rungs = chk.rungs(self.grid)
-                except ValueError as exc:  # a ValidationError from a rung the grid rules refuse
-                    msg = exc.errors()[0]["msg"] if isinstance(exc, ValidationError) else str(exc)
-                    misfits.append((at + ("sigmas",), msg))
-                    continue
-                guard(at + ("sigmas",), regularity.check_sweep_size,
-                      *self.model.matter(), self.n_max, max(grid.n_shells for _, grid in rungs))
         if misfits:
             raise _schema_violation(misfits)
         return self
@@ -427,7 +425,7 @@ def _load(config, out, seed=None):
     return cfg, out_dir
 
 
-def _common_run(config, out, seed, dry_run, selected=None):
+def _common_run(config, out, seed, selected=None, dry_run=False):
     with _exit_on_failure():
         cfg, out_dir = _load(config, out, seed)
         _write_json(cfg.model_dump(mode="json"), out_dir / "resolved_config.json")
@@ -456,39 +454,35 @@ def main():
     """Ground-state regularity laboratory for generalized spin-boson models."""
 
 
-def _run_options(dry_run: bool = True):
-    """The options of run, sweep and check: --config, --out, --seed and --dry-run."""
-    def decorate(fn):
-        if dry_run:
-            fn = click.option("--dry-run", is_flag=True,
-                              help="Validate and write the resolved config only.")(fn)
-        fn = click.option("--seed", default=None, type=int, help="Override the solver seed.")(fn)
-        fn = click.option("--out", default=None, type=click.Path(), help="Output directory.")(fn)
-        return click.option("--config", required=True, type=click.Path(),
-                            help="JSON run configuration.")(fn)
-    return decorate
+def _run_options(fn):
+    """The options of run, sweep and check: --config, --out and --seed."""
+    fn = click.option("--seed", default=None, type=int, help="Override the solver seed.")(fn)
+    fn = click.option("--out", default=None, type=click.Path(), help="Output directory.")(fn)
+    return click.option("--config", required=True, type=click.Path(),
+                        help="JSON run configuration.")(fn)
 
 
 @main.command()
-@_run_options()
+@_run_options
+@click.option("--dry-run", is_flag=True, help="Validate and write the resolved config only.")
 def run(config, out, seed, dry_run):
     """Build the model, solve, run every configured check."""
-    _common_run(config, out, seed, dry_run)
+    _common_run(config, out, seed, dry_run=dry_run)
 
 
 @main.command()
-@_run_options()
-def sweep(config, out, seed, dry_run):
-    """Run only the infrared sweep checks from the config."""
-    _common_run(config, out, seed, dry_run, selected={"ir_sweep"})
+@_run_options
+def sweep(config, out, seed):
+    """Run only the infrared sweep checks from the config: check ir_sweep."""
+    _common_run(config, out, seed, selected={"ir_sweep"})
 
 
 @main.command()
 @click.argument("name", type=click.Choice(_CHECK_KINDS))
-@_run_options(dry_run=False)
+@_run_options
 def check(name, config, out, seed):
     """Run only the named check from the config."""
-    _common_run(config, out, seed, False, selected={name})
+    _common_run(config, out, seed, selected={name})
 
 
 @main.command()

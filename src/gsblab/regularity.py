@@ -370,6 +370,8 @@ def number_decomposition(psi: np.ndarray, K, basis: FockBasis,
     the cutoff.
     """
     K = np.asarray(K, dtype=complex)
+    if K.shape != (grid.n_modes,) or grid.n_modes != basis.n_modes:
+        raise ValueError("column length must match grid and basis mode count")
     coeff = fock.smearing_coefficients(np.conj(K) / np.sqrt(grid.weights), grid)
     cols = _fock_columns(psi, basis)
     lhs = 0.0

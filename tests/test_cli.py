@@ -272,6 +272,27 @@ class TestExitCodes:
         assert result.exit_code == 0
         assert (out / "resolved_config.json").exists()
         assert not (out / "report.csv").exists()
+        # --dry-run is run's alone: sweep is check ir_sweep, and a flag it lacks is a
+        # usage error that writes nothing
+        example, out = EXAMPLES / "ir_sweep_nu3_p1.json", tmp_path / "sweep"
+        result = run_cli(["sweep", "--config", str(example), "--out", str(out), "--dry-run"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--dry-run" in result.output
+        assert not out.exists()
+        # run --dry-run validates a sweep-only config and writes, byte for byte, the one
+        # line and the resolved config with every default filled in
+        result = run_cli(["run", "--config", str(example), "--out", str(out), "--dry-run"])
+        assert result.exit_code == 0
+        assert result.output == f"dry run: resolved config written to {out}\n"
+        raw = json.loads(example.read_text())
+        resolved = {**raw, "output": None, "grid": {**raw["grid"], "mass": 0.0},
+                    "coupling": [{**raw["coupling"][0], "profile": "hard-cutoff"}],
+                    "checks": [{**raw["checks"][0], "ctol": 0.001}],
+                    "solver": {"cg_max": 20000, "cg_tol": 1e-11, "eig_tol": 1e-11,
+                               "max_lanczos": 2000, "seed": 7}}
+        assert (out / "resolved_config.json").read_text() == json.dumps(
+            resolved, indent=2, sort_keys=True) + "\n"
+        assert [f.name for f in out.iterdir()] == ["resolved_config.json"]
 
 
 class TestArtifacts:
@@ -734,10 +755,15 @@ class TestFailureExits:
         assert "GSB_MAX_DIM" in result.output
 
     def test_malformed_max_dim_is_two(self, tmp_path, monkeypatch):
+        # the grid rule parses GSB_MAX_DIM before any other rule runs, so its message
+        # is the one line, and the config's misfits are never reached
         monkeypatch.setenv("GSB_MAX_DIM", "lots")
-        cfg = base_config(output=str(tmp_path / "out"))
+        cfg = base_config(output=str(tmp_path / "out"),
+                          checks=[{"kind": "higher", "n": 4},
+                                  {"kind": "ir_sweep", "sigmas": [0.1]}])
         result = run_cli(["run", "--config", str(write_config(tmp_path, cfg))])
         self.assert_one_line_error(result)
+        assert result.stderr.splitlines() == ["error: GSB_MAX_DIM must be an integer, got 'lots'"]
 
     def test_value_error_is_two(self, tmp_path):
         # an explicit negative moment weight is refused by the schema, before any solve
@@ -872,10 +898,11 @@ class TestFailureExits:
             "  checks.0.appendix.order: the factorial moment order is capped at n_max, "
             "which must be >= 1, got n_max=0"]
 
-    # None: no command, the config validated in Python, where the same lines are the
-    # ConfigError's text
+    # sweep runs only ir_sweep checks, yet a misfit in any other check still refuses
+    # it; None: no command, the config validated in Python, where the same lines are
+    # the ConfigError's text
     @pytest.mark.parametrize("command", [["run", "--dry-run"], ["run"], ["check", "higher"],
-                                         ["sweep", "--dry-run"], None])
+                                         ["sweep"], None])
     @pytest.mark.parametrize("update, extra, line", [
         ({"n_max": 2}, {"kind": "higher", "n": 3},
          "checks.5.higher.n: order must lie in [1, n_max=2], got 3"),
@@ -899,13 +926,12 @@ class TestFailureExits:
          "checks.5.pullthrough.f: explicit column has 1 entries for 2 modes"),
         ({}, {"kind": "moment", "G": [-1.0]}, "checks.5.moment.G: G must be entrywise >= 0"),
         ({}, {"kind": "absence", "G": [-0.5]}, "checks.5.absence.G: G must be entrywise >= 0"),
-        # every sweep rung is a grid on [sigma, Lambda], validated like grid itself
+        # every sweep rung is a grid on [sigma, Lambda], validated like grid itself and
+        # refused in the grid rule's own words
         ({}, {"kind": "ir_sweep", "sigmas": [1.5, 0.1]},
-         "checks.5.ir_sweep.sigmas: Value error, need Lambda > sigma, got Lambda=1.5, "
-         "sigma=1.5"),
+         "checks.5.ir_sweep.sigmas: need Lambda > sigma, got Lambda=1.5, sigma=1.5"),
         ({}, {"kind": "ir_sweep", "sigmas": [2.0, 0.1]},
-         "checks.5.ir_sweep.sigmas: Value error, need Lambda > sigma, got Lambda=1.5, "
-         "sigma=2.0"),
+         "checks.5.ir_sweep.sigmas: need Lambda > sigma, got Lambda=1.5, sigma=2.0"),
     ])
     def test_check_that_cannot_run_is_refused_before_any_solve(
             self, tmp_path, monkeypatch, command, update, extra, line):
@@ -1019,7 +1045,7 @@ class TestFailureExits:
         self.assert_one_line_error(result)
         assert result.stderr.splitlines() == lines
 
-    @pytest.mark.parametrize("command", [["sweep", "--dry-run"], ["sweep"]])
+    @pytest.mark.parametrize("command", [["run", "--dry-run"], ["sweep"]])
     @pytest.mark.parametrize("example, update, sweep, line", [
         # a separable sweep stacks one 13-state basis per shell: 3,000 on the last rung
         ("van_hove_multimode", {}, {"sigmas": [0.1, 0.01, 0.001], "shells_per_decade": 1000},

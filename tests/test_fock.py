@@ -23,7 +23,7 @@ from gsblab import (
     field_operator,
     smeared_annihilator,
 )
-from gsblab import fock
+from gsblab import fock, regularity
 
 import oracle
 
@@ -266,6 +266,16 @@ class TestSmearedOperators:
             field_operator(np.ones(2), grid, basis)
         with pytest.raises(ValueError, match="column length must match grid and basis mode count"):
             field_operator(np.ones(3), grid, enumerate_basis(2, 2))
+        # number_decomposition refuses the same misfits before any arithmetic: a basis
+        # with more or fewer modes than the grid, and a K without one entry per mode
+        # (numpy's IndexError, broadcast or matmul text otherwise)
+        for K, g, b in [(np.ones(2), small_grid(2), basis),
+                        (np.ones(3), grid, enumerate_basis(2, 2)), (np.ones(2), grid, basis),
+                        (np.ones(1), grid, basis), (np.ones((3, 1)), grid, basis)]:
+            psi = np.ones(len(b)) / math.sqrt(len(b))
+            with pytest.raises(ValueError,
+                               match="^column length must match grid and basis mode count$"):
+                regularity.number_decomposition(psi, K, b, g)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -487,8 +497,6 @@ class TestClosedFormRank:
             np.testing.assert_array_equal(got.data, want.data)
 
     def test_repeated_use_builds_each_mode_once(self, monkeypatch):
-        from gsblab import fock, regularity
-
         built = []
         real = fock.annihilator
 
