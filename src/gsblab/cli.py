@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Annotated, List, Literal, Optional, Union, get_args
 
@@ -159,10 +159,13 @@ class IrSweepCheck(_Strict):
 
     def rungs(self, grid: modes.RadialGrid) -> list:
         """(sigma, grid) per rung: the run's grid on [sigma, Lambda], log-midpoint,
-        each validated, so a rung at or above Lambda raises the grid rule's ValueError."""
+        each validated, so a rung at or above Lambda raises the grid rule's ValueError.
+        The shell count takes the decades as a difference of logs, which stays
+        finite where Lambda / sigma would overflow."""
         out, base = [], {**grid.model_dump(exclude={"sigma", "n_shells"}), "rule": "log-midpoint"}
         for sigma in self.sigmas:
-            n_shells = max(1, math.ceil(self.shells_per_decade * math.log10(grid.Lambda / sigma)))
+            decades = math.log10(grid.Lambda) - math.log10(sigma)
+            n_shells = max(1, math.ceil(self.shells_per_decade * decades))
             try:
                 out.append((sigma, modes.RadialGrid(**base, sigma=sigma, n_shells=n_shells)))
             except ValidationError as exc:  # Lambda > sigma, the one rule a rung can break
@@ -170,10 +173,14 @@ class IrSweepCheck(_Strict):
         return out
 
     def check_fit(self, cfg: RunConfig) -> None:
-        """Refuse the ladder (check_sigma_ladder), a rung or the largest rung's size."""
+        """Refuse the ladder (check_sigma_ladder), a rung, the largest rung's size, or
+        a rung grid that ModeSet refuses (one whose shells underflow, say)."""
         regularity.check_sigma_ladder(self.sigmas)
-        largest = max(grid.n_shells for _, grid in self.rungs(cfg.grid))
+        rungs = self.rungs(cfg.grid)
+        largest = max(grid.n_shells for _, grid in rungs)
         regularity.check_sweep_size(*cfg.model.matter(), cfg.n_max, largest)
+        for _, grid in rungs:
+            build_grid(grid, cfg.coupling)
 
     def reports(self, run: _Run) -> list:
         cfg = run.cfg
@@ -211,10 +218,18 @@ class RunConfig(_Strict):
         """Refuse, before any solve, a check this model cannot run: a higher order
         check_higher_order refuses, an appendix at n_max = 0, an explicit column
         of the wrong length, an explicit G with a negative entry, a sweep that
-        IrSweepCheck.check_fit refuses, or a size over the guard: the run's grid
-        and the model's basis when a check builds it.  The misfits are raised as
-        one schema-violation ConfigError, which pydantic passes through."""
+        IrSweepCheck.check_fit refuses, a size over the guard (the run's grid,
+        and the model's basis when a check builds it), or a run's grid that
+        ModeSet refuses.  The misfits are raised as one schema-violation
+        ConfigError, which pydantic passes through."""
         n_modes, misfits = self.grid.n_shells, []
+
+        def fit(loc, rule, *args):  # any later rule's ValueError, in its words, at its field
+            try:
+                rule(*args)
+            except ValueError as exc:
+                misfits.append((loc, str(exc)))
+
         # every run builds its grid; this rule, run first, is where a bad GSB_MAX_DIM surfaces
         try:
             fock.check_size(n_modes, f"grid with {n_modes} shells")
@@ -222,12 +237,8 @@ class RunConfig(_Strict):
             misfits.append((("grid", "n_shells"), str(exc)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-        def fit(loc, rule, *args):  # any later rule's ValueError, in its words, at its field
-            try:
-                rule(*args)
-            except ValueError as exc:
-                misfits.append((loc, str(exc)))
+        else:
+            fit(("grid",), build_grid, self.grid, self.coupling)
 
         # every check kind but ccr and ir_sweep builds the model
         if any(not isinstance(chk, (CcrCheck, IrSweepCheck)) for chk in self.checks):
@@ -280,7 +291,16 @@ def _validate(raw) -> RunConfig:
 
 
 def build_grid(g: modes.RadialGrid, coupling) -> modes.ModeSet:
-    """The grid g describes, with one coupling column per family."""
+    """The grid g describes, with one coupling column per family.
+
+    A ModeSet is immutable, so the last grids built are kept and shared:
+    RunConfig's validation builds every grid a run uses, and the run takes
+    them from there."""
+    return _grid(g, tuple(coupling))
+
+
+@lru_cache(maxsize=64)
+def _grid(g: modes.RadialGrid, coupling: tuple) -> modes.ModeSet:
     grid = modes.build_radial_grid(**g.model_dump())
     for fam in coupling:
         grid = grid.with_coupling(modes.eval_coupling(fam, grid), fam)

@@ -13,11 +13,13 @@ carries on the top grade (w_top) is the sole source of identity error and is
 reported alongside every check.
 
 Every Fock operator is a scipy CSR matrix and every vector a numpy array;
-`LinOp` wraps only a model's assembled H.  A composite vector over
-matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
+`LinOp` holds only a model's assembled H: whole, or, once it splits into
+matter parity sectors, as its two sector blocks alone.  A composite vector
+over matter (x) Fock is matter major, entry (m, t) at m * fock_dim + t;
 `apply_fock` and `apply_matter` apply 1 (x) X and T (x) 1 to it by
-reshaping it to (d_matter, fock_dim).  `LinOp.apply` is the plain `mat @ v`;
-what runs in parallel is whole solves, through `spectral.parallel_map`.
+reshaping it to (d_matter, fock_dim).  `LinOp.apply` is the plain `mat @ v`,
+block by block for a split H; what runs in parallel is whole solves, through
+`spectral.parallel_map`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +54,15 @@ __all__ = [
 DEFAULT_MAX_STATES = 200_000
 MAX_DIM_ENV = "GSB_MAX_DIM"
 
+# Fewest stored entries of H per thread of spectral.parallel_map.  Measured on
+# 2 cores with one BLAS thread only: two threads ran a level of chain solves
+# slower than one at 30,000 entries and below, mixed at 44,000-47,000 and
+# faster from 72,000 up, as CG's BLAS calls hold the GIL.  More than two
+# threads, or threads each running a multithreaded BLAS, were not measured.
+# An H with sectors splits into its sector blocks from 2 MIN_THREAD_NNZ
+# stored entries, where the two blocks can each fill a thread.
+MIN_THREAD_NNZ = 25_000
+
 
 class BasisSizeError(ValueError):
     """Raised when a requested basis would exceed the configured size guard."""
@@ -60,9 +72,11 @@ class FockBasis:
     """Graded occupation-number basis with a closed-form tuple -> index rank.
 
     `occupations` holds one row per state in basis order, and `rank` maps
-    occupation rows back to their indices; `top_mask` marks the top grade.
-    Annihilators are built once per mode and kept (`lowering`), and so are
-    their grade blocks (`lowering_block`).
+    occupation rows back to their indices; `rank_steps` gives, mode by mode,
+    how far below each state its lowering by that mode lies.
+    `top_mask` marks the top grade.  Annihilators are built once per mode
+    and kept (`lowering`), and so are their grade blocks (`lowering_block`),
+    which share the annihilator's arrays.
     """
 
     def __init__(self, n_modes: int, n_max: int, occupations):
@@ -77,6 +91,9 @@ class FockBasis:
              for k in range(n_modes)],
             dtype=np.int64,
         )
+        # _step_table[k, s] = _rank_table[k, s] - _rank_table[k, s - 1]
+        # = C(s + M - k - 2, M - k - 1) by Pascal's rule; 0 at s = 0
+        self._step_table = np.diff(self._rank_table, axis=1, prepend=0)
         occ = np.asarray(occupations, dtype=np.int64).reshape(-1, n_modes)
         self.occupations = np.empty_like(occ)
         self.occupations[self.rank(occ)] = occ
@@ -97,6 +114,22 @@ class FockBasis:
         suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
         return self._rank_table[np.arange(self.n_modes), suffix].sum(axis=1)
 
+    def rank_steps(self):
+        """(i, rank(t) - rank(t - e_i) over the basis states t) for each mode i in turn.
+
+        An entry means something only where t_i >= 1.  Moving one quantum off
+        mode i lowers the suffix sums s_k with k <= i by one, and each rank term
+        C(s_k + M - k - 1, M - k) then drops by C(s_k + M - k - 2, M - k - 1),
+        so a pass over the modes, which keeps one array of suffix sums, gives
+        every mode's steps.  The steps are one array, updated in place: read
+        it before asking for the next mode.
+        """
+        s, step = self.totals.copy(), np.zeros(len(self), dtype=np.int64)
+        for i in range(self.n_modes):
+            step += self._step_table[i, s]
+            yield i, step
+            s -= self.occupations[:, i]
+
     def lowering(self, i: int) -> sp.csr_matrix:
         """a_i on this basis, built by `annihilator` on first use and kept."""
         if i not in self._lowering:
@@ -104,18 +137,26 @@ class FockBasis:
         return self._lowering[i]
 
     def lowering_block(self, i: int, g: int) -> sp.csr_matrix:
-        """a_i from grades <= g to grades <= g - 1, sliced from `lowering(i)` and kept.
+        """a_i from grades <= g to grades <= g - 1, a view of `lowering(i)`, kept.
 
         The basis is grade ordered and a_i lowers the grade by one, so the
         leading (end(g - 1), end(g)) block, with end(g) = C(M + g, M) the
         number of states of grade <= g, loses no entry of those columns: its
-        rows hold every one of them, and no other.
+        rows hold every one of them, and no other.  Its CSR arrays are
+        therefore the leading parts of the annihilator's own, and share their
+        memory.
         """
         if not 0 <= g <= self.n_max:
             raise ValueError(f"grade must lie in [0, n_max={self.n_max}], got {g}")
         if (i, g) not in self._blocks:
             rows, cols = (math.comb(self.n_modes + h, self.n_modes) for h in (g - 1, g))
-            self._blocks[i, g] = self.lowering(i)[:rows, :cols]
+            a = self.lowering(i)
+            end = a.indptr[rows]
+            block = sp.csr_matrix((a.data[:end], a.indices[:end], a.indptr[:rows + 1]),
+                                  shape=(rows, cols))
+            # scipy copies a prefix shorter than half its array; keep the views
+            block.data, block.indices = a.data[:end], a.indices[:end]
+            self._blocks[i, g] = block
         return self._blocks[i, g]
 
     def diagonal_form(self, psi, f) -> float:
@@ -189,41 +230,91 @@ def enumerate_basis(n_modes: int, n_max: int) -> FockBasis:
 
 
 class LinOp:
-    """A model's assembled H: a square scipy CSR matrix `mat`, hermitian by model.check_matter.
+    """A model's assembled H, hermitian by model.check_matter, held once.
 
-    The solvers read the cached `diagonal` and `sectors`: None, or two index
-    arrays that partition the basis with no entry of `mat` between them (the
-    matter parity sectors `model.assemble` finds).  `mat` is never modified
-    after construction.  The solvers apply H to vectors only through
+    `sectors` is None, or two index arrays that partition the basis with no
+    entry of H between them (the matter parity sectors `model.assemble`
+    finds).  H splits when it has sectors and at least 2 MIN_THREAD_NNZ stored
+    entries: it is then held only as `blocks`, one (idx, LinOp of
+    H[idx][:, idx]) pair per sector, the blocks every solve runs on
+    (spectral.sector_blocks); otherwise it is held whole and `blocks` is None.
+    `mat` is the whole CSR matrix: the one held, or, for a split H, a new one
+    rebuilt from the blocks, bit for bit, on every read.  The held matrices
+    are never modified.  The solvers apply H to vectors only through
     `apply`, so a caller can replace it on one instance (to count
-    applications, for example); the solves apply the blocks of
-    spectral.sector_blocks, which are that instance for an H that does not
-    split and sector LinOps of their own for one that does.  `apply` reads
-    `mat` and nothing else, so threads share one LinOp.
+    applications, for example); `apply` reads the held matrices and nothing
+    else, so threads share one LinOp.
     """
 
     def __init__(self, mat, sectors=None):
-        self.mat = sp.csr_matrix(mat)
-        if self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {self.mat.shape}")
-        self.sectors = sectors
+        mat = sp.csr_matrix(mat)
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
+        self.dim, self.dtype, self.sectors = mat.shape[0], mat.dtype, sectors
+        self._mat, self.blocks = mat, None
+        if self.splits(sectors, mat.nnz):
+            self._mat, self.blocks = None, [(idx, LinOp(mat[idx][:, idx])) for idx in sectors]
+
+    @staticmethod
+    def splits(sectors, nnz: int) -> bool:
+        """Whether an H with these sectors and nnz stored entries is held as its blocks."""
+        return sectors is not None and nnz >= 2 * MIN_THREAD_NNZ
+
+    @classmethod
+    def direct_sum(cls, blocks, sectors) -> LinOp:
+        """The H that splits with the CSR matrix blocks[k] on sectors[k] x sectors[k]
+        and no other entry, held as those blocks: H is never built whole."""
+        H = cls.__new__(cls)
+        H.dim, H.dtype, H.sectors = sum(map(len, sectors)), blocks[0].dtype, sectors
+        H._mat, H.blocks = None, [(idx, cls(b)) for idx, b in zip(sectors, blocks)]
+        return H
 
     @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+    def nnz(self) -> int:
+        """Stored entries of H."""
+        if self.blocks is None:
+            return self._mat.nnz
+        return sum(b.nnz for _, b in self.blocks)
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.mat.dtype
+    def mat(self) -> sp.csr_matrix:
+        """H as one CSR matrix: the one held, or a split H rebuilt from its blocks.
+
+        The block-diagonal matrix of the blocks is H with rows and columns in
+        sector order; indexing both by the inverse of that order moves every
+        entry back, in the order of its row, with no arithmetic on the data.
+        """
+        if self.blocks is None:
+            return self._mat
+        inverse = np.empty(self.dim, dtype=np.int64)
+        inverse[np.concatenate(self.sectors)] = np.arange(self.dim)
+        whole = sp.block_diag([b.mat for _, b in self.blocks], format="csr")
+        return whole[inverse][:, inverse]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v as a new array: `mat @ v`, which refuses a v of the wrong length."""
-        return self.mat @ v
+        """H v as a new array: `mat @ v` bit for bit, which refuses a v of the wrong length.
+
+        A split H applies each block to its sector's entries: a row's products
+        are the same, summed in the same order, as in the whole matrix.
+        """
+        if self.blocks is None:
+            return self._mat @ v
+        if np.shape(v)[0] != self.dim:
+            raise ValueError("dimension mismatch")
+        out = np.empty(np.shape(v), dtype=np.result_type(self.dtype, v))
+        for idx, b in self.blocks:
+            out[idx] = b.apply(v[idx])
+        return out
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """Main diagonal of `mat`, computed on first use and kept."""
-        return self.mat.diagonal()
+        """Main diagonal of H, computed on first use and kept."""
+        if self.blocks is None:
+            return self._mat.diagonal()
+        out = np.empty(self.dim, dtype=self.dtype)
+        for idx, b in self.blocks:
+            out[idx] = b.diagonal
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +329,14 @@ def annihilator(i: int, basis: FockBasis) -> sp.csr_matrix:
     """
     if not 0 <= i < basis.n_modes:
         raise ValueError(f"mode index {i} out of range for {basis.n_modes} modes")
-    occ = basis.occupations
-    cols = np.flatnonzero(occ[:, i])
-    lowered = occ[cols]
-    lowered[:, i] -= 1
+    _, step = next(islice(basis.rank_steps(), i, None))
+    cols = np.flatnonzero(basis.occupations[:, i])
+    # t -> t - e_i keeps the basis order, so each row holds at most one entry
     n = len(basis)
-    return sp.csr_matrix(
-        (np.sqrt(occ[cols, i]), (basis.rank(lowered), cols)), shape=(n, n), dtype=float
-    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[cols - step[cols] + 1] = 1
+    return sp.csr_matrix((np.sqrt(basis.occupations[cols, i]), cols, np.cumsum(indptr)),
+                         shape=(n, n))
 
 
 def creator(i: int, basis: FockBasis) -> sp.csr_matrix:

@@ -3,14 +3,16 @@
 A model is H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j)
 with dense hermitian matter operators A, B_j, a discrete mode set carrying
 one coupling column per channel, and a total-quanta truncation n_max.  H is
-assembled once as one sparse CSR matrix on the matter-major composite.
+assembled once, its CSR arrays written in place on the matter-major
+composite, with the entries the Kronecker sums of the formula give.
 
 When signs u in {+1, -1}^d make U A U = A and U B_j U = -B_j (U = diag(u)),
 H commutes exactly with U (x) (-1)^N on the truncated space, since the field
 changes the total quanta by one and the truncation keeps whole grades.  The
 basis state (a, n) then lies in the parity sector u_a (-1)^|n|, and the
 assembled H carries the two sectors' index sets, which the ground solve
-uses to solve each sector on its own.
+uses to solve each sector on its own; an H large enough to split is
+assembled as its two sector blocks and never held whole (fock.LinOp).
 
 The commutant density T(k_i) = (sum_j lambda_j(k_i) B_j) (x) 1 / sqrt(2) is
 fixed by the exact discrete commutator [1 (x) a_i, H_I] = sqrt(w_i) T(k_i)
@@ -131,29 +133,18 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
     """Build H = A (x) 1 + 1 (x) dGamma(omega) + alpha * sum_j B_j (x) phi(lambda_j).
 
     A and the B_j must pass check_matter, with one coupling column on the
-    grid per B_j.  H is one CSR matrix, the Kronecker terms summed in the
-    order written above.  Real
-    A and B_j give a real H, so the ground solve runs in real arithmetic.
-    When matter_parity finds signs u, H.sectors holds the indices of the
-    states of parity +1 and of parity -1 (module docstring), else None.
-    An alpha large enough to overflow an entry of H raises no warning here:
-    the ground solvers reject a non-finite H with NonConverged.
+    grid per B_j.  Each entry of H is the one the Kronecker sums of the
+    formula, added as CSR matrices in the order written, give: the same
+    products summed in the same order, with exact zeros dropped
+    (_hamiltonian).  Real A and B_j give a real H, so the ground solve runs
+    in real arithmetic.  When matter_parity finds signs u, H.sectors holds
+    the indices of the states of parity +1 and of parity -1 (module
+    docstring), else None.  An alpha large enough to overflow an entry of H
+    raises no warning here: the ground solvers reject a non-finite H with
+    NonConverged.
     """
     A, B = check_matter(A, B, grid.n_channels)
-    d = A.shape[0]
     basis = fock.enumerate_basis(grid.n_modes, n_max)
-    nf = len(basis)
-
-    # an empty start in the dtype of A and the B_j keeps H complex when alpha = 0
-    H = sp.csr_matrix((d * nf, d * nf), dtype=np.result_type(A, *B))
-    H = H + sp.kron(sp.csr_matrix(A), sp.identity(nf, format="csr"), format="csr")
-    H = H + sp.kron(sp.identity(d, format="csr"), fock.dgamma(grid.omega, basis),
-                    format="csr")
-    # a huge alpha overflows entries to inf silently; the ground solvers refuse them
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, b in enumerate(B):
-            phi = fock.field_operator(grid.channel(j), grid, basis)
-            H = H + sp.kron(sp.csr_matrix(alpha * b), phi, format="csr")
     sectors = None
     u = matter_parity(A, B)
     if u is not None:
@@ -161,7 +152,129 @@ def assemble(A, B, grid: ModeSet, alpha: float, n_max: int) -> GsbModel:
         # (0, vacuum) is even; with n_max = 0 and every u_a = +1 no state is odd
         if parity.min() < 0:
             sectors = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    return GsbModel(A, B, grid, alpha, n_max, basis, LinOp(H, sectors=sectors))
+    H = _hamiltonian(A, B, grid, alpha, basis, sectors)
+    return GsbModel(A, B, grid, alpha, n_max, basis, H)
+
+
+def _hamiltonian(A, B, grid: ModeSet, alpha: float, basis: FockBasis, sectors) -> LinOp:
+    """H as a LinOp, its CSR arrays written once, in place: whole, or, when it splits
+    (fock.LinOp), as the two sector blocks, in one pair of arrays.
+
+    Row (a, t) holds, for each matter column b in turn, the entries at
+    (b, t - e_i) for the modes i in descending order, at (b, t), and at
+    (b, t + e_i) for the modes in ascending order: ascending columns, since
+    the basis is grade ordered and, within a grade, t - e_i moves down and
+    t + e_i up as i grows.  The entry at (b, t) is A_ab, plus dGamma(omega)
+    at t when a = b.  The entries between (a, t) and (b, t -+ e_i) are
+    field[a, b, i, n], with n the i-th occupation of the higher of the two
+    states: sum_j (alpha B_j)_ab ((lambda_ji sqrt(w_i)) sqrt(n)) (1 / sqrt(2))
+    over the channels whose factors are nonzero, in channel order from 0,
+    which is the arithmetic of fock.field_operator, scipy's kron and
+    csr_plus_csr.  An entry that is exactly 0 is not stored, as csr_plus_csr
+    stores none.  The rows are counted first; then each matter column b in
+    turn is written for all matter rows a at once, in one pass over the
+    modes, with the targets t - e_i from FockBasis.rank_steps: each pair
+    t, t - e_i gives one entry in each of the two rows.
+    """
+    d, nf, M = len(A), len(basis), basis.n_modes
+    occ, inner = basis.occupations, ~basis.top_mask
+    dtype = np.result_type(A, *B)
+    field = np.zeros((d, d, M, basis.n_max + 2), dtype)
+    root = np.sqrt(np.arange(1, basis.n_max + 1))
+    # a huge alpha or omega overflows entries to inf silently; the ground solvers refuse them
+    with np.errstate(over="ignore", invalid="ignore"):
+        fock_diag = occ @ grid.omega  # the product fock.dgamma makes
+        for j, b in enumerate(B):
+            coeff = grid.channel(j) * np.sqrt(grid.weights)
+            live = coeff != 0  # the modes fock.field_operator keeps
+            # scipy divides a sparse matrix by sqrt(2) as a product with 1 / sqrt(2)
+            phi = coeff[live, None] * root * (1.0 / math.sqrt(2.0))
+            ab = alpha * b
+            for a, c in zip(*np.nonzero(ab)):
+                field[a, c, live, 1:-1] += ab[a, c] * phi
+    live = field != 0
+
+    def diagonal(b):
+        """The matter rows a with an A_ab or a = b, and their entries at (b, t)."""
+        rows = np.flatnonzero((A[:, b] != 0) | (np.arange(d) == b))
+        values = A[rows, b, None] + np.zeros(nf)
+        with np.errstate(over="ignore"):
+            values[rows == b] += fock_diag
+        return rows, values
+
+    lengths = np.zeros((d, nf), dtype=np.int64)
+    for b in range(d):
+        rows, values = diagonal(b)
+        lengths[rows] += values != 0
+    per_mode = live.sum(axis=1, dtype=np.int32)  # matter columns b with an entry, by (a, i, n)
+    for i in np.flatnonzero(per_mode.any(axis=(0, 2))):
+        n = np.ascontiguousarray(occ[:, i])  # gathers run faster on a contiguous index
+        lengths += np.take(per_mode[:, i], n, axis=1)
+        lengths += np.take(per_mode[:, i, 1:], n, axis=1) * inner
+    lengths = lengths.ravel()
+    nnz = int(lengths.sum())
+    split = LinOp.splits(sectors, nnz)
+    groups = sectors if split else [np.arange(d * nf)]
+    index = np.int32 if nnz < 2**31 else np.int64  # as scipy picks
+    # each group's rows and columns numbered within it; free: each row's next free slot
+    local, free = np.empty(d * nf, dtype=index), np.empty(d * nf, dtype=np.int64)
+    indptrs, start = [], 0
+    for idx in groups:
+        local[idx] = np.arange(len(idx))
+        indptr = np.zeros(len(idx) + 1, dtype=index)
+        np.cumsum(lengths[idx], out=indptr[1:])
+        free[idx] = start + indptr[:-1]
+        indptrs.append(indptr)
+        start += int(indptr[-1])
+    del lengths
+    data, indices = np.empty(nnz, dtype), np.empty(nnz, dtype=index)
+
+    def put(slots, cols, values):
+        data[slots] = values
+        indices[slots] = cols
+
+    def append_diagonal(b, cols):  # (a, t) -> (b, t), for every matter row a at once
+        rows, values = diagonal(b)
+        a, t = np.nonzero(values)
+        values, rows = values[a, t], rows[a] * nf + t
+        put(free[rows], cols[t], values)
+        free[rows] += 1
+
+    def write(b):
+        """Block column b of every row: the entries (a, t) -> (b, t - e_i), then (b, t),
+        then (b, t + e_i)."""
+        cols = local[b * nf:(b + 1) * nf]  # column (b, t), numbered within its group
+        coupled = np.flatnonzero(live[:, b].any(axis=(1, 2)))
+        # the entries to t - e_i take the first slots of the block in row (a, t),
+        # filled back from their end as the modes ascend; the others are appended
+        below = {}
+        for a in coupled:
+            first = free[a * nf:(a + 1) * nf]
+            below[a] = first + sum(np.take(live[a, b, i], occ[:, i]) for i in range(M))
+            first[:] = below[a]
+        append_diagonal(b, cols)
+        for i, step in basis.rank_steps() if len(coupled) else ():
+            n = np.ascontiguousarray(occ[:, i])  # gathers run faster on a contiguous index
+            for a in coupled:
+                t = np.flatnonzero(np.take(live[a, b, i], n))
+                lowered, values = t - step[t], np.take(field[a, b, i], n[t])
+                slots = below[a][t] - 1
+                below[a][t] = slots
+                put(slots, cols[lowered], values)  # (a, t) -> (b, t - e_i)
+                first = free[a * nf:(a + 1) * nf]
+                slots = first[lowered]
+                first[lowered] = slots + 1
+                put(slots, cols[t], values)  # (a, t - e_i) -> (b, t)
+
+    for b in range(d):
+        write(b)
+    blocks, lo = [], 0
+    for idx, indptr in zip(groups, indptrs):
+        hi = lo + int(indptr[-1])
+        blocks.append(sp.csr_matrix((data[lo:hi], indices[lo:hi], indptr),
+                                    shape=(len(idx), len(idx))))
+        lo = hi
+    return LinOp.direct_sum(blocks, sectors) if split else LinOp(blocks[0], sectors)
 
 
 def matter_parity(A, B) -> np.ndarray | None:

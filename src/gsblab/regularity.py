@@ -173,7 +173,7 @@ def _chains(m: GsbModel, gs: GroundState, cfg: SolverConfig, multisets) -> dict:
     for n in sorted({len(S) for S in subs}):
         level = sorted(S for S in subs if len(S) == n)
         idx, block = blocks[(held[0] + n) % len(blocks)]  # the level's block, which solve reads
-        memo.update(zip(level, spectral.parallel_map(solve, level, block.mat.nnz)))
+        memo.update(zip(level, spectral.parallel_map(solve, level, block.nnz)))
     del memo[()]
     return memo
 

@@ -9,12 +9,13 @@ and from a thick-restart Lanczos above it (Wu and Simon, SIAM J. Matrix
 Anal. Appl. 22 (2000) 602), both in the dtype of H and, for the resolvent,
 of the right-hand side: a real model gets a real ground vector, real
 right-hand sides and real solves.  Every solve runs on the blocks of
-sector_blocks, which depend on H alone: H itself, or the two matter parity
-sectors of an H large enough to split.  The ground solve takes each block
-through parallel_map by the solver its size picks, with one residual check on
-the whole H; each level of regularity's resolvent chains solves on one
-block.  Both solvers are deterministic for a fixed seed;
-above the dense cut-off H is never factorized, only applied.
+sector_blocks, which H holds: H itself, or the two matter parity sectors of
+an H large enough to split, which is held as those blocks alone.  The ground
+solve takes each block through parallel_map by the solver its size picks,
+with one residual check on the whole H, applied block by block; each level
+of regularity's resolvent chains solves on one block.  Both solvers are
+deterministic for a fixed seed; above the dense cut-off H is never
+factorized, only applied.
 A stack of small dense hermitian matrices (the single-mode Hamiltonians of a
 separable infrared sweep) is solved by one batched eigh.
 
@@ -36,7 +37,7 @@ import numpy as np
 from pydantic import BaseModel, ConfigDict, Field
 from scipy.linalg import get_blas_funcs
 
-from .fock import LinOp
+from .fock import MIN_THREAD_NNZ, LinOp
 from .model import GroundState, GsbModel
 
 __all__ = [
@@ -77,13 +78,6 @@ BREAKDOWN = 1e-13
 # leaves less than this share of the vector's norm (Daniel, Gragg, Kaufman
 # and Stewart's criterion).
 DGKS = 1.0 / math.sqrt(2.0)
-
-# Fewest stored entries of H per thread of parallel_map.  Measured on 2
-# cores with one BLAS thread only: two threads ran a level of chain solves
-# slower than one at 30,000 entries and below, mixed at 44,000-47,000 and
-# faster from 72,000 up, as CG's BLAS calls hold the GIL.  More than two
-# threads, or threads each running a multithreaded BLAS, were not measured.
-MIN_THREAD_NNZ = 25_000
 
 
 class SolverConfig(BaseModel):
@@ -225,8 +219,10 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
     invariant space: the run continues from a fresh seeded vector
     orthogonal to it, coupled by 0, so an eigenvalue whose eigenvectors the
     start vector missed is still found.  Every product is one H.apply; more
-    than max_lanczos of them (reporting the lowest |beta s_0| of any
-    restart), or a product that overflows, raise NonConverged.
+    than max_lanczos of them, or a product that overflows, raise
+    NonConverged.  The budget's message names the pair that missed eig_tol
+    at the last restart check, and reports the larger of the two pairs'
+    estimates there (inf before the first check).
     """
     dtype = np.result_type(H.dtype, float)
     rng = np.random.default_rng(cfg.seed)
@@ -234,12 +230,12 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
     T = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
     V[0] = _random_vector(rng, H.dim, dtype)
     i = applied = passed = 0
-    best = math.inf  # the lowest ground estimate |beta s_0| of any restart
+    met, worst = None, math.inf  # at the last check: each pair's test, the larger estimate
     while True:
         if applied >= cfg.max_lanczos:
             raise NonConverged(
                 f"lanczos did not reach eig_tol={cfg.eig_tol} within "
-                f"{cfg.max_lanczos} operator applications", best)
+                f"{cfg.max_lanczos} operator applications; {_missed(met, passed)}", worst)
         w = H.apply(V[i])
         applied += 1
         T[i, i] = np.vdot(V[i], w).real
@@ -257,8 +253,9 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
         else:
             theta, S = np.linalg.eigh(T)
             tol = cfg.eig_tol * np.maximum(1.0, np.abs(theta[:2]))
-            best = min(best, float(abs(beta * S[-1, 0])))
-            passed = passed + 1 if np.all(np.abs(beta * S[-1, :2]) <= tol) else 0
+            estimates = np.abs(beta * S[-1, :2])
+            worst, met = float(estimates.max()), estimates <= tol
+            passed = passed + 1 if met.all() else 0
             if passed == SETTLE_CHECKS:
                 return theta[:2], S[:, 0] @ V, applied
             V[:KRYLOV_KEEP] = S[:, :KRYLOV_KEEP].T @ V
@@ -270,6 +267,18 @@ def _lanczos_ground(H: LinOp, width: float, cfg: SolverConfig):
             w, norm = _orthogonalize(V[:i + 1], _random_vector(rng, H.dim, dtype))
         V[i + 1] = w / norm
         i += 1
+
+
+def _missed(met, passed: int) -> str:
+    """Which of the two lowest Ritz pairs missed eig_tol at the last restart check of
+    _lanczos_ground: met holds each pair's test there, None before the first check."""
+    if met is None:
+        return "no restart check was reached"
+    missed = [pair for pair, ok in zip(("ground", "second"), met) if not ok]
+    if missed:
+        return (f"the {' and '.join(missed)} pair{'s' * (len(missed) - 1)} missed it "
+                "at the last restart check")
+    return f"both pairs met it at the last restart check, {passed} of {SETTLE_CHECKS} in a row"
 
 
 def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
@@ -286,16 +295,15 @@ def _block_ground(H: LinOp, width: float, cfg: SolverConfig):
 
 
 def sector_blocks(H: LinOp) -> list:
-    """The (idx, LinOp) blocks every solve on H runs on: H.mat[idx][:, idx] per parity
-    sector when H splits, else H itself, [(slice(None), H)].
+    """The (idx, LinOp) blocks every solve on H runs on: the blocks H.mat[idx][:, idx]
+    a split H holds, one per parity sector, else H itself, [(slice(None), H)].
 
     H splits when it carries sectors and at least 2 MIN_THREAD_NNZ stored
     entries (so a dimension above DENSE_MAX_DIM); with no entry between
-    sectors, H is the blocks' direct sum.  Sector blocks are built on each call.
+    sectors, H is the blocks' direct sum.  The blocks are H's own, built once
+    with it.
     """
-    if H.sectors is None or H.mat.nnz < 2 * MIN_THREAD_NNZ:
-        return [(slice(None), H)]
-    return [(idx, LinOp(H.mat[idx][:, idx])) for idx in H.sectors]
+    return H.blocks or [(slice(None), H)]
 
 
 def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
@@ -313,17 +321,20 @@ def ground_state(H: LinOp, cfg: SolverConfig) -> GroundState:
     width (the largest absolute row sum of H).
     w_top stays nan: H carries no basis.  Deterministic for a fixed cfg.seed.
     """
-    if not np.all(np.isfinite(H.mat.data)):
-        raise NonConverged("H has a non-finite entry", float("inf"))
-    # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H,
-    # over the nonempty rows only (an empty row sums to 0)
-    starts = H.mat.indptr[np.flatnonzero(np.diff(H.mat.indptr))]
-    width = np.add.reduceat(np.abs(H.mat.data), starts).max(initial=0.0)
     blocks = sector_blocks(H)
+    mats = [b.mat for _, b in blocks]  # H's rows, each whole in one block
+    if not all(np.isfinite(m.data).all() for m in mats):
+        raise NonConverged("H has a non-finite entry", float("inf"))
+    width = 0.0
+    for m in mats:
+        # the reduction of scipy's CSR row sum, on |data| alone rather than a copy of H,
+        # over the nonempty rows only (an empty row sums to 0)
+        starts = m.indptr[np.flatnonzero(np.diff(m.indptr))]
+        width = max(width, np.add.reduceat(np.abs(m.data), starts).max(initial=0.0))
     # an overflowing product or residual is refused, without a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         vals, vecs, applied, methods = zip(*parallel_map(
-            lambda b: _block_ground(b[1], width, cfg), blocks, H.mat.nnz))
+            lambda b: _block_ground(b[1], width, cfg), blocks, H.nnz))
         low = int(np.argmin([v[0] for v in vals]))
         vec = np.zeros(H.dim, dtype=vecs[low].dtype)
         vec[blocks[low][0]] = vecs[low]

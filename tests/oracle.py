@@ -98,6 +98,37 @@ def dense_hamiltonian(A, B_list, omega, lam_columns, weights, alpha, states):
     return H
 
 
+def kron_hamiltonian(A, B_list, omega, lam_columns, weights, alpha, states):
+    """H as scipy CSR matrices summed in the formula's order: the Kronecker-sum assembly.
+
+    H = 0 + A (x) 1 + 1 (x) dGamma(omega) + sum_j (alpha B_j) (x) phi_j, each
+    term a csr matrix, phi_j = (a + a^T) / sqrt(2) with a = sum_i
+    lam_ji sqrt(w_i) a_i over the modes with a nonzero coefficient.  Each
+    addition sums coinciding entries in that order and drops exact zeros,
+    so the CSR arrays of this matrix are, bit for bit, those of the
+    package's H.  The grade-ordered `states` give the Fock index.
+    """
+    import scipy.sparse as sp
+
+    A = np.asarray(A)
+    d, nf = len(A), len(states)
+    occupations = np.array(states, dtype=np.int64).reshape(nf, -1)
+    H = sp.csr_matrix((d * nf, d * nf), dtype=np.result_type(A, *B_list))
+    H = H + sp.kron(sp.csr_matrix(A), sp.identity(nf, format="csr"), format="csr")
+    H = H + sp.kron(sp.identity(d, format="csr"),
+                    sp.diags(occupations @ np.asarray(omega, dtype=float), format="csr"),
+                    format="csr")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Bj, lam in zip(B_list, lam_columns):
+            coeff = np.asarray(lam, dtype=float) * np.sqrt(weights)
+            a = sp.csr_matrix((nf, nf))
+            for i in np.flatnonzero(coeff):
+                a = a + coeff[i] * loop_annihilator(i, states)
+            H = H + sp.kron(sp.csr_matrix(alpha * np.asarray(Bj)), (a + a.T) / math.sqrt(2.0),
+                            format="csr")
+    return H
+
+
 def dense_ground_state(H):
     vals, vecs = np.linalg.eigh(H)
     return vals[0], vecs[:, 0]

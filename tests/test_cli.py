@@ -246,6 +246,19 @@ class TestExitCodes:
         assert result.stderr.splitlines() == [
             "solver failure: dense missed eig_tol=1e-11 (best residual inf)"]
 
+    def test_overflowing_field_energy_is_three_without_warning(self, tmp_path):
+        # omega near the float maximum: dGamma(omega) overflows to inf on the
+        # states of two quanta and more, and H is refused with no RuntimeWarning
+        cfg = base_config(model={"preset": "gsb_custom", "A": [[0.5, 0.2], [0.2, 0.0]],
+                                 "B": [[[0.0, 1.0], [1.0, 0.0]]]},
+                          grid={"nu": 1, "sigma": 1e307, "Lambda": 1.7e308, "n_shells": 2},
+                          n_max=3)
+        result = run_cli(["run", "--config", str(write_config(tmp_path, cfg)),
+                          "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines() == [
+            "solver failure: H has a non-finite entry (best residual inf)"]
+
     def test_truncated_sweep_fails_projection_bound(self, tmp_path):
         # nu = 1, p = 0 at alpha = 0.5 and n_max = 12: the verdict class is
         # right, but at sigma = 1e-6 <N> is far below the closed-form bound
@@ -791,18 +804,24 @@ class TestFailureExits:
 
     @pytest.mark.parametrize("old, new, line", [
         # finite settings whose grid leaves the float range
-        ('"Lambda": 1.0', '"Lambda": 1e300', "error: mode set has a non-finite entry in points"),
+        ('"Lambda": 1.0', '"Lambda": 1e300', "mode set has a non-finite entry in points"),
         ('"rule": "log-midpoint"', '"rule": "log-midpoint", "mass": 1e300',
-         "error: mode set has a non-finite entry in omega"),
+         "mode set has a non-finite entry in omega"),
+        # the log-midpoint weights r^2 dr of a shell this close to 0 underflow
+        ('"sigma": 0.3', '"sigma": 1e-150', "all weights must be positive"),
     ])
     def test_grid_past_the_float_range_is_two(self, tmp_path, old, new, line):
+        # the run's grid is built in validation, so a dry run refuses it too
         text = (EXAMPLES / "van_hove_multimode.json").read_text()
         assert old in text
         path = tmp_path / "config.json"
         path.write_text(text.replace(old, new))
-        result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        self.assert_one_line_error(result)
-        assert result.stderr.splitlines() == [line]
+        for dry in ([], ["--dry-run"]):
+            result = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out"), *dry])
+            self.assert_one_line_error(result)
+            assert result.stderr.splitlines() == ["error: config schema violation:",
+                                                  f"  grid: {line}"]
+            assert not (tmp_path / "out").exists()
 
     def test_gaussian_envelope_below_the_float_range_runs_silently(self, tmp_path):
         # its envelope is exactly 0 on every shell: a decoupled model that passes
@@ -932,6 +951,12 @@ class TestFailureExits:
          "checks.5.ir_sweep.sigmas: need Lambda > sigma, got Lambda=1.5, sigma=1.5"),
         ({}, {"kind": "ir_sweep", "sigmas": [2.0, 0.1]},
          "checks.5.ir_sweep.sigmas: need Lambda > sigma, got Lambda=1.5, sigma=2.0"),
+        # and built, so a rung whose shells leave the float range is refused before any
+        # solve: Lambda / 1e-320 overflows, yet the shell count stays finite
+        ({}, {"kind": "ir_sweep", "sigmas": [0.1, 1e-320]},
+         "checks.5.ir_sweep.sigmas: mode set has a non-finite entry in points"),
+        ({}, {"kind": "ir_sweep", "sigmas": [0.1, 1e-300]},
+         "checks.5.ir_sweep.sigmas: points must be strictly increasing"),
     ])
     def test_check_that_cannot_run_is_refused_before_any_solve(
             self, tmp_path, monkeypatch, command, update, extra, line):
@@ -1059,10 +1084,13 @@ class TestFailureExits:
     ])
     def test_sweep_stack_and_shell_count_meet_the_guard(self, tmp_path, monkeypatch, command,
                                                          example, update, sweep, line):
-        def no_grid(*args):
-            raise AssertionError("a grid was built")
+        build = cli.build_grid
 
-        monkeypatch.setattr(cli, "build_grid", no_grid)
+        def guarded(g, coupling):  # validation builds grids, but none above the guard
+            assert g.n_shells <= 50, "a grid above the guard was built"
+            return build(g, coupling)
+
+        monkeypatch.setattr(cli, "build_grid", guarded)
         monkeypatch.setenv("GSB_MAX_DIM", "50")
         cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
         for key, value in update.items():

@@ -466,6 +466,11 @@ class TestLoweringBlocks:
                 # column of grade > g, and its columns of grade <= g no row of grade >= g
                 assert a[:rows, cols:].nnz == 0 and a[rows:, :cols].nnz == 0
                 assert basis.lowering_block(i, g) is block
+                # the leading parts of the annihilator's own arrays, not copies
+                assert np.shares_memory(block.indptr, a.indptr)
+                if block.nnz:
+                    assert np.shares_memory(block.data, a.data)
+                    assert np.shares_memory(block.indices, a.indices)
 
     def test_grade_out_of_range(self):
         basis = enumerate_basis(2, 3)

@@ -1,10 +1,12 @@
 """Hamiltonian assembly, the commutant density T(k), and the van Hove oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from gsblab import (
     CouplingFamily,
@@ -123,6 +125,100 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # 3-level matter with u = (1, 1, -1): A mixes levels 0 and 1, B couples both to 2
 THREE_LEVELS = (np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]),
                 [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.7], [1.0, 0.7, 0.0]])])
+
+
+def midpoint_grid(n_modes, *families):
+    grid = build_radial_grid(3, 0.4, 2.0, n_modes, rule="midpoint")
+    for fam in families:
+        grid = grid.with_coupling(eval_coupling(fam, grid), fam)
+    return grid
+
+
+LINEAR = CouplingFamily(rho0=0.9, p=1.0, uv=10.0)
+COMPLEX_CUSTOM = (
+    np.array([[0.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 2.0]]),
+    [np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]]),
+     np.array([[0.0, 1.0j, 0.0], [-1.0j, 0.5, 0.2 - 0.4j], [0.0, 0.2 + 0.4j, -0.5]])])
+# (A, B, grid, alpha, n_max) of each model the Kronecker-sum oracle checks
+ORACLE_MODELS = {
+    "spin_boson": lambda: (*preset_spin_boson(1.0), midpoint_grid(3, LINEAR), 0.3, 4),
+    # dimension 12,870 and 108,965 stored entries: held as its two sector blocks
+    "spin_boson_split": lambda: (*preset_spin_boson(1.0), midpoint_grid(8, LINEAR), 0.3, 7),
+    "van_hove": lambda: (*preset_van_hove(), midpoint_grid(3, LINEAR), 0.5, 6),
+    "complex_custom": lambda: (*COMPLEX_CUSTOM, midpoint_grid(
+        2, CouplingFamily(rho0=1.0, uv=10.0), CouplingFamily(rho0=0.6, p=1.0, uv=10.0)),
+        0.35, 3),
+    # complex A whose zero imaginary parts carry both signs: a sum that starts from 0
+    # stores each as +0.0
+    "complex_matter": lambda: (
+        np.array([[complex(0.5, -0.0), complex(0.2, -0.3)],
+                  [complex(0.2, 0.3), complex(-0.5, 0.0)]]),
+        [np.array([[0.0, complex(1.0, -0.0)], [1.0, 0.0]])], midpoint_grid(3, LINEAR), 0.4, 3),
+    "three_levels_two_channels": lambda: (
+        np.array([[0.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 2.0]]),
+        [np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]]),
+         np.array([[1.0, 0.0, 0.2], [0.0, -1.0, 0.0], [0.2, 0.0, 0.3]])],
+        midpoint_grid(3, LINEAR, CouplingFamily(rho0=0.7, p=2.0, uv=10.0)), 0.35, 4),
+    "alpha_zero": lambda: (*preset_spin_boson(1.0), midpoint_grid(3, LINEAR), 0.0, 3),
+    "n_max_zero": lambda: (*preset_spin_boson(1.0), midpoint_grid(3, LINEAR), 0.3, 0),
+    # a gaussian envelope below the float range: couplings exactly 0 on the outer modes
+    "zero_couplings": lambda: (*preset_spin_boson(1.0), midpoint_grid(
+        5, CouplingFamily(rho0=0.9, p=1.0, uv=0.045, profile="gaussian")), 0.3, 4),
+    # two channels whose fields cancel exactly: no field entry is stored
+    "cancelling_channels": lambda: (
+        preset_spin_boson(1.0)[0], [np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                    np.array([[0.0, -1.0], [-1.0, 0.0]])],
+        midpoint_grid(3, LINEAR, LINEAR), 0.3, 3),
+}
+
+
+class TestKroneckerOracle:
+    """H's CSR arrays are bit for bit those of the Kronecker sums they replace."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_csr_arrays_equal_the_kronecker_sums(self, name):
+        A, B, grid, alpha, n_max = ORACLE_MODELS[name]()
+        m = assemble(A, B, grid, alpha, n_max)
+        want = oracle.kron_hamiltonian(
+            A, B, grid.omega, [grid.channel(j) for j in range(len(B))], grid.weights, alpha,
+            oracle.graded_states(grid.n_modes, n_max))
+        got = m.H.mat
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        # bytes, so a signed zero in a real or imaginary part counts
+        assert got.data.tobytes() == want.data.tobytes()
+        assert (m.H.blocks is not None) == (name == "spin_boson_split")
+        for idx, block in m.H.blocks or []:
+            part = want[idx][:, idx]
+            np.testing.assert_array_equal(block.mat.indptr, part.indptr)
+            np.testing.assert_array_equal(block.mat.indices, part.indices)
+            assert block.mat.data.tobytes() == part.data.tobytes()
+
+    def test_zero_entries_are_dropped(self):
+        # the spin boson's (1, vacuum) diagonal entry A_11 + 0 is 0, and the
+        # cancelling channels leave only A (x) 1 + 1 (x) dGamma(omega)
+        m = assemble(*ORACLE_MODELS["cancelling_channels"]())
+        assert m.H.nnz == 2 * len(m.basis) - 1
+        assert (m.H.mat.data != 0).all()
+
+    def test_assembly_peak_memory_and_no_whole_matrix_kept(self):
+        # the benchmark's identities M = 8 spin boson: 231,659 entries in two blocks.
+        # The model keeps H, the basis and the sector indices; what assembly
+        # allocates beyond them stays under half of that
+        args = (*preset_spin_boson(1.0), midpoint_grid(8, LINEAR), 0.3, 8)
+        assemble(*args)
+        tracemalloc.start()
+        try:
+            m = assemble(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.H.blocks is not None
+        assert peak < 1.5 * kept
+        # a split H holds no whole matrix: it is rebuilt on each read of mat
+        assert not any(sp.issparse(value) for value in vars(m.H).values())
+        assert m.H.mat is not m.H.mat and m.H.mat.nnz == m.H.nnz == 231_659
 
 
 class TestMatterParity:

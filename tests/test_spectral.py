@@ -426,7 +426,31 @@ class TestLanczosPath:
         with pytest.raises(NonConverged, match="lanczos did not reach eig_tol") as stop:
             solve_model(m, SolverConfig(max_lanczos=5))
         # stopped before its first restart, so with no residual estimate
+        assert str(stop.value) == ("lanczos did not reach eig_tol=1e-11 within 5 operator "
+                                   "applications; no restart check was reached "
+                                   "(best residual inf)")
         assert stop.value.best_residual == math.inf
+
+    @pytest.mark.parametrize("head, budget, missed", [
+        # an isolated ground level settles in one cycle; the second, in a cluster
+        # spaced 1/300, does not
+        (True, 60, "the second pair missed it at the last restart check"),
+        (False, 30, "the ground and second pairs missed it at the last restart check"),
+        # ten applications short of the third passing check in a row
+        (False, None, "both pairs met it at the last restart check, 2 of 3 in a row"),
+    ])
+    def test_lanczos_budget_names_the_pair_that_missed(self, head, budget, missed):
+        H = LinOp(sp.diags(np.r_[[-10.0] * head, np.linspace(0.0, 1.0, 300)]))
+        if budget is None:
+            budget = ground_state(H, CFG).iterations - 10
+        with pytest.raises(NonConverged) as stop:
+            ground_state(H, SolverConfig(max_lanczos=budget))
+        worst = stop.value.best_residual
+        assert str(stop.value) == (
+            f"lanczos did not reach eig_tol=1e-11 within {budget} operator applications; "
+            f"{missed} (best residual {worst:.3e})")
+        # the larger of the two pairs' estimates at the last check
+        assert (worst <= 1e-11) == ("met" in missed) and worst > 0
 
     def test_overflowing_product_raises_without_a_warning(self):
         # finite entries whose products overflow: refused at once, and the
@@ -536,7 +560,7 @@ class TestParitySectors:
         assert solve_model(m, SolverConfig(max_lanczos=most)).iterations == gs.iterations
         with pytest.raises(NonConverged, match="lanczos did not reach eig_tol") as stop:
             solve_model(m, SolverConfig(max_lanczos=most - 1))
-        # the budget stop carries the best ground estimate of its restarts
+        # the budget stop carries the larger pair estimate of its last restart check
         assert 0.0 <= stop.value.best_residual < math.inf
 
     def test_exact_degeneracy_between_sectors(self):
